@@ -16,7 +16,7 @@ from .bases import (
 from .channel import ChannelReport, analyze, apply_channel, complement_state
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
 from .fileio import load_basis, load_state, save_basis, save_state
-from .linalg import hermitian_eig, kron, partial_trace, svd, von_neumann_entropy
+from .linalg import hermitian_eig, partial_trace, svd, von_neumann_entropy
 from .mub import OverlapReport, overlap_matrix
 from .search import (
     SearchConfig,
@@ -64,7 +64,6 @@ __all__ = [
     "gram_matrix",
     "hermitian_eig",
     "is_maximally_entangled",
-    "kron",
     "load_basis",
     "load_state",
     "max_entanglement_in_subspace",

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import hermitian_eig, partial_trace
-from .states import (
-    BipartiteState,
-    apply_local,
-    is_maximally_entangled,
-    standard_mes,
-    weyl_operator,
-)
+from .states import ME_TOL, BipartiteState, apply_local, standard_mes, weyl_operator
 
 __all__ = [
     "BasisSet",
@@ -39,6 +32,7 @@ __all__ = [
 _SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
+_C23_LABELS = ("me0", "me1", "me2", "me3", "aux0", "aux1")
 
 #: Orthonormal basis of C^3 (rows) in which every component has magnitude
 #: 1/sqrt(3), i.e. a basis unbiased to the computational one.  The second
@@ -53,15 +47,17 @@ C3_UNBIASED = (1.0 / np.sqrt(3)) * np.array(
 )
 
 
-@dataclass(eq=False)
 class BasisSet:
     """Ordered collection of bipartite states sharing one (d, dprime) space.
 
-    Only structural consistency is enforced on construction (shared
-    dimensions, matching label/flag lengths); orthonormality and the
-    correctness of the per-state entanglement flags are semantic invariants
-    checked by :meth:`validate`, so that deliberately broken sets can still be
-    represented and measured (e.g. by :func:`gram_matrix`).
+    The members are held as one ``(k, d*dprime)`` array, ``amplitudes``, whose
+    rows are the member amplitude vectors; ``states`` gives them back as
+    :class:`BipartiteState` objects.  Only structural consistency is enforced
+    on construction (shared dimensions, matching label/flag lengths);
+    orthonormality and the correctness of the per-state entanglement flags
+    are semantic invariants checked by :meth:`validate`, so that deliberately
+    broken sets can still be represented and measured (e.g. by
+    :func:`gram_matrix`).
 
     Parameters
     ----------
@@ -76,45 +72,48 @@ class BasisSet:
         Short display names, parallel to ``states``.
     """
 
-    d: int
-    dprime: int
-    states: list
-    me_flags: list
-    labels: list | None = None
-
-    def __post_init__(self) -> None:
-        for s in self.states:
-            if (s.d, s.dprime) != (self.d, self.dprime):
+    def __init__(self, d: int, dprime: int, states, me_flags, labels=None) -> None:
+        self.d, self.dprime = d, dprime
+        self.amplitudes = np.zeros((len(states), d * dprime), dtype=complex)
+        for k, s in enumerate(states):
+            if (s.d, s.dprime) != (d, dprime):
                 raise ContractViolationError(
-                    f"member dimensions ({s.d}, {s.dprime}) != ({self.d}, {self.dprime})"
+                    f"member dimensions ({s.d}, {s.dprime}) != ({d}, {dprime})"
                 )
-        if len(self.me_flags) != len(self.states):
+            self.amplitudes[k] = s.amplitudes
+        self.amplitudes.flags.writeable = False
+        if len(me_flags) != len(states):
             raise ContractViolationError("me_flags length does not match states")
-        if self.labels is not None and len(self.labels) != len(self.states):
+        if labels is not None and len(labels) != len(states):
             raise ContractViolationError("labels length does not match states")
-        self.me_flags = [bool(f) for f in self.me_flags]
+        self.me_flags = [bool(f) for f in me_flags]
+        self.labels = labels
+
+    @property
+    def states(self) -> list:
+        """The members as :class:`BipartiteState` objects over ``amplitudes``."""
+        return [BipartiteState(self.d, self.dprime, a) for a in self.amplitudes]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.amplitudes)
 
-    def me_members(self) -> list:
-        """The maximally-entangled-flagged members, in order."""
-        return [s for s, f in zip(self.states, self.me_flags) if f]
+    def me_deviations(self) -> np.ndarray:
+        """Per member, the deviation that :func:`is_maximally_entangled` reports."""
+        s = np.linalg.svd(self.amplitudes.reshape(-1, self.d, self.dprime))[1]
+        return np.abs(s - 1.0 / np.sqrt(self.d)).max(axis=1)
 
-    def validate(self, gram_tol: float = 1e-9, me_tol: float = 1e-8) -> None:
+    def validate(self, gram_tol: float = 1e-9, me_tol: float = ME_TOL) -> None:
         """Check orthonormality and flag consistency; raise on violation."""
-        if self.states:
-            G = gram_matrix(self)
-            dev = np.abs(G - np.eye(len(self.states))).max()
-            if dev > gram_tol:
+        dev = np.abs(gram_matrix(self) - np.eye(len(self))).max() if len(self) else 0.0
+        if dev > gram_tol:
+            raise ContractViolationError(
+                f"basis is not orthonormal: Gram deviation {dev:.3e} > {gram_tol:g}"
+            )
+        for k, dev in enumerate(self.me_deviations()):
+            if (dev <= me_tol) != self.me_flags[k]:
                 raise ContractViolationError(
-                    f"basis is not orthonormal: Gram deviation {dev:.3e} > {gram_tol:g}"
-                )
-        for k, (s, f) in enumerate(zip(self.states, self.me_flags)):
-            flag, _ = is_maximally_entangled(s, me_tol)
-            if flag != f:
-                raise ContractViolationError(
-                    f"me_flags[{k}] = {f} inconsistent with state (measured {flag})"
+                    f"me_flags[{k}] = {self.me_flags[k]} inconsistent with state "
+                    f"(measured {dev <= me_tol})"
                 )
 
 
@@ -176,13 +175,7 @@ def build_c23_first() -> BasisSet:
     aux1[1 * 3 + 2] = -0.5
     states.append(BipartiteState(2, 3, aux0))
     states.append(BipartiteState(2, 3, aux1))
-    return BasisSet(
-        2,
-        3,
-        states,
-        me_flags=[True] * 4 + [False] * 2,
-        labels=["me0", "me1", "me2", "me3", "aux0", "aux1"],
-    )
+    return BasisSet(2, 3, states, me_flags=[True] * 4 + [False] * 2, labels=list(_C23_LABELS))
 
 
 def build_c23_second() -> BasisSet:
@@ -201,77 +194,87 @@ def build_c23_second() -> BasisSet:
     aux1 = np.concatenate([b * zp, a * zp]) / np.sqrt(2)
     states.append(BipartiteState(2, 3, aux0))
     states.append(BipartiteState(2, 3, aux1))
-    return BasisSet(
-        2,
-        3,
-        states,
-        me_flags=[True] * 4 + [False] * 2,
-        labels=["me0", "me1", "me2", "me3", "aux0", "aux1"],
-    )
+    return BasisSet(2, 3, states, me_flags=[True] * 4 + [False] * 2, labels=list(_C23_LABELS))
 
 
 def gram_matrix(basis: BasisSet) -> np.ndarray:
     """Matrix of pairwise inner products ``G[i, j] = <state_i|state_j>``."""
-    if not basis.states:
+    if not len(basis):
         raise ContractViolationError("gram_matrix needs a nonempty basis")
-    A = np.array([s.amplitudes for s in basis.states])
-    return A.conj() @ A.T
+    return basis.amplitudes.conj() @ basis.amplitudes.T
+
+
+def _complement_frame(basis: BasisSet, me_only: bool = True) -> np.ndarray:
+    """Orthonormal columns ``Q`` (n x (n - k)) spanning the complement of the k
+    chosen members: the flagged ones by default (their span is what
+    unextendibility is about), all with ``me_only=False``.  The members must be
+    orthonormal within 1e-6; ``Q``, their SVD null space, is orthonormal to
+    machine precision even at that limit.
+    """
+    A = basis.amplitudes[np.array(basis.me_flags, dtype=bool)] if me_only else basis.amplitudes
+    k = len(A)
+    if not k:
+        return np.eye(basis.d * basis.dprime, dtype=complex)
+    gram_dev = np.abs(A.conj() @ A.T - np.eye(k)).max()
+    if gram_dev > 1e-6:
+        raise ContractViolationError(
+            f"selected members are not orthonormal (deviation {gram_dev:.3e})"
+        )
+    # A = U S Vh: the rows of Vh past k span the kets x with conj(A) x = 0.
+    return np.linalg.svd(A)[2][k:].T
 
 
 def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
-    """Projector onto the orthogonal complement of the chosen members.
-
-    By default only the maximally-entangled-flagged members are subtracted
-    (their span is what unextendibility is about); ``me_only=False`` uses all
-    members.  Requires the selected members to be orthonormal.
-    """
-    members = basis.me_members() if me_only else list(basis.states)
-    n = basis.d * basis.dprime
-    P = np.eye(n, dtype=complex)
-    if members:
-        A = np.array([s.amplitudes for s in members])
-        gram_dev = np.abs(A.conj() @ A.T - np.eye(len(members))).max()
-        if gram_dev > 1e-6:
-            raise ContractViolationError(
-                f"selected members are not orthonormal (deviation {gram_dev:.3e})"
-            )
-        P -= A.T @ A.conj()
-    return P
+    """Projector ``Q Q^dag`` onto the complement, Q the :func:`_complement_frame`."""
+    Q = _complement_frame(basis, me_only)
+    return Q @ Q.conj().T
 
 
-def _rank_at(H: np.ndarray, threshold: float = 1e-10) -> int:
-    vals, _ = hermitian_eig(H)
-    return int((vals > threshold).sum())
-
-
-def support_rank_certificate(basis: BasisSet) -> CertificateReport:
-    """Analytic unextendibility certificate from the complement's marginals.
-
-    Every state in the range of the complement projector P has Schmidt rank
-    at most ``min(rank Tr_B P, rank Tr_A P)``; when that bound is below d, no
-    maximally entangled state (Schmidt rank d) fits and the basis is
-    certified unextendible.  Otherwise the verdict is ``inconclusive`` and a
-    numeric search must decide.
-    """
-    for k, (s, f) in enumerate(zip(basis.states, basis.me_flags)):
-        if f and not is_maximally_entangled(s, 1e-6)[0]:
-            raise ContractViolationError(
-                f"member {k} is flagged maximally entangled but is not"
-            )
-    P = complement_projector(basis)
-    comp_dim = int(round(np.trace(P).real))
-    r_b = _rank_at(partial_trace(P, basis.d, basis.dprime, side="A"))
-    r_a = _rank_at(partial_trace(P, basis.d, basis.dprime, side="B"))
-    bound = min(basis.d, r_a, r_b)
-    verdict = "unextendible" if bound < basis.d else "inconclusive"
+def _frame_certificate(basis: BasisSet, Q: np.ndarray) -> CertificateReport:
+    """:func:`support_rank_certificate` of ``basis``, given its complement frame Q."""
+    flagged = np.array(basis.me_flags, dtype=bool)
+    false_flags = np.flatnonzero(flagged & (basis.me_deviations() > 1e-6))
+    if len(false_flags):
+        raise ContractViolationError(
+            f"member {false_flags[0]} is flagged maximally entangled but is not"
+        )
+    d, dprime, m = basis.d, basis.dprime, Q.shape[1]
+    if m == 0:
+        raise ContractViolationError(
+            f"the {len(basis)} members span all of C{d} x C{dprime}: "
+            f"a UMEB has fewer than d*dprime = {d * dprime} members"
+        )
+    # The A marginal of Q Q^dag is M M^dag with M = Q reshaped to d x (dprime m),
+    # the B marginal likewise with the B index leading; a marginal's eigenvalues
+    # above 1e-10 are the singular values of M above 1e-5.
+    Q3 = Q.reshape(d, dprime, m)
+    r_a, r_b = (
+        int((np.linalg.svd(M, compute_uv=False) > 1e-5).sum())
+        for M in (Q3.reshape(d, dprime * m), Q3.transpose(1, 0, 2).reshape(dprime, d * m))
+    )
+    bound = min(d, r_a, r_b)
+    verdict = "unextendible" if bound < d else "inconclusive"
     return CertificateReport(
         method="support-rank",
-        complement_dimension=comp_dim,
+        complement_dimension=m,
         b_support_rank=r_b,
         a_support_rank=r_a,
         schmidt_rank_bound=bound,
         verdict=verdict,
     )
+
+
+def support_rank_certificate(basis: BasisSet) -> CertificateReport:
+    """Analytic unextendibility certificate from the complement's marginals.
+
+    Every state in the complement of the flagged members has Schmidt rank at
+    most ``min(rank Tr_B P, rank Tr_A P)``, P the complement projector; when
+    that bound is below d, no maximally entangled state (Schmidt rank d) fits
+    and the basis is certified unextendible.  Otherwise the verdict is
+    ``inconclusive`` and a numeric search must decide.  A complete basis
+    (empty complement) is not a UMEB and is rejected.
+    """
+    return _frame_certificate(basis, _complement_frame(basis))
 
 
 def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:

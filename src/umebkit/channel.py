@@ -20,7 +20,7 @@ import numpy as np
 
 from .bases import BasisSet, complement_projector
 from .errors import ContractViolationError
-from .linalg import kron, partial_trace, von_neumann_entropy
+from .linalg import partial_trace, von_neumann_entropy
 
 __all__ = [
     "ChannelReport",
@@ -59,11 +59,9 @@ def complement_state(basis: BasisSet, me_only: bool = True) -> np.ndarray:
     ambient space, so the normalizer ``d*d' - d^2`` is positive.
     """
     d, dprime = basis.d, basis.dprime
-    members = basis.me_members() if me_only else list(basis.states)
-    if len(members) != d * d:
-        raise ContractViolationError(
-            f"need exactly d^2 = {d * d} members, got {len(members)}"
-        )
+    count = sum(basis.me_flags) if me_only else len(basis)
+    if count != d * d:
+        raise ContractViolationError(f"need exactly d^2 = {d * d} members, got {count}")
     if d * dprime <= d * d:
         raise ContractViolationError("complement is empty: d*dprime must exceed d^2")
     P = complement_projector(basis, me_only=me_only)
@@ -79,7 +77,7 @@ def apply_channel(rho_choi, X, d: int, dprime: int) -> np.ndarray:
         raise ContractViolationError(f"state shape {rho_choi.shape} != ({n}, {n})")
     if X.shape != (d, d):
         raise ContractViolationError(f"input shape {X.shape} != ({d}, {d})")
-    lifted = kron(X.T, np.eye(dprime)) @ rho_choi
+    lifted = np.kron(X.T, np.eye(dprime, dtype=complex)) @ rho_choi
     return d * partial_trace(lifted, d, dprime, side="A")
 
 

@@ -24,16 +24,18 @@ from .bases import (
 )
 from .channel import analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
-from .fileio import basis_to_obj, load_basis, save_basis, save_state, state_to_obj
+from .fileio import (
+    _amplitudes_to_pairs, basis_to_obj, load_basis, save_basis, save_state, state_to_obj,
+)
 from .mub import overlap_matrix
 from .search import SearchConfig, certify, max_entanglement_in_subspace
-from .states import is_maximally_entangled, weyl_operator
+from .states import ME_TOL, weyl_operator
 
 __all__ = ["main"]
 
 
 def _matrix_to_pairs(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return [_amplitudes_to_pairs(row) for row in M]
 
 
 def _format_matrix(M: np.ndarray, indent: str = "  ") -> str:
@@ -73,21 +75,17 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     basis = load_basis(args.path, check_orthonormal=False)
-    if basis.states:
-        gram_dev = float(np.abs(gram_matrix(basis) - np.eye(len(basis))).max())
-    else:
-        gram_dev = 0.0
+    gram_dev = float(np.abs(gram_matrix(basis) - np.eye(len(basis))).max()) if len(basis) else 0.0
     rows = []
     all_consistent = True
-    for k, state in enumerate(basis.states):
-        flag, dev = is_maximally_entangled(state)
-        consistent = flag == basis.me_flags[k]
+    for k, dev in enumerate(basis.me_deviations()):
+        consistent = bool(dev <= ME_TOL) == basis.me_flags[k]
         all_consistent &= consistent
         rows.append(
             {
                 "index": k,
                 "label": basis.labels[k] if basis.labels else None,
-                "me_deviation": dev,
+                "me_deviation": float(dev),
                 "me_flag": basis.me_flags[k],
                 "consistent": consistent,
             }

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bases import BasisSet, gram_matrix
 from .errors import FileFormatError
-from .states import BipartiteState, is_maximally_entangled
+from .states import ME_TOL, BipartiteState
 
 __all__ = [
     "STATE_FORMAT",
@@ -122,7 +122,7 @@ def basis_to_obj(basis: BasisSet) -> dict:
         "format": BASIS_FORMAT,
         "d": basis.d,
         "dprime": basis.dprime,
-        "states": [_amplitudes_to_pairs(s.amplitudes) for s in basis.states],
+        "states": [_amplitudes_to_pairs(a) for a in basis.amplitudes],
         "me_flags": list(basis.me_flags),
     }
     if basis.labels is not None:
@@ -163,13 +163,13 @@ def load_basis(path, check_orthonormal: bool = True) -> BasisSet:
                 and all(isinstance(x, str) for x in labels)):
             raise FileFormatError(f"{path}: labels must be {len(states)} strings")
     flags = doc.get("me_flags")
-    if flags is None:
-        flags = [is_maximally_entangled(s)[0] for s in states]
-    elif not (isinstance(flags, list) and len(flags) == len(states)
-              and all(isinstance(x, bool) for x in flags)):
+    if flags is not None and not (isinstance(flags, list) and len(flags) == len(states)
+                                  and all(isinstance(x, bool) for x in flags)):
         raise FileFormatError(f"{path}: me_flags must be {len(states)} booleans")
 
-    basis = BasisSet(d, dprime, states, me_flags=flags, labels=labels)
+    basis = BasisSet(d, dprime, states, me_flags=flags or [False] * len(states), labels=labels)
+    if flags is None:
+        basis.me_flags = [bool(dev <= ME_TOL) for dev in basis.me_deviations()]
     if check_orthonormal and states:
         dev = np.abs(gram_matrix(basis) - np.eye(len(states))).max()
         if dev > 1e-6:

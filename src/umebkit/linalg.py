@@ -13,7 +13,6 @@ from .errors import ContractViolationError, NumericalFailureError
 __all__ = [
     "svd",
     "hermitian_eig",
-    "kron",
     "partial_trace",
     "von_neumann_entropy",
 ]
@@ -68,11 +67,6 @@ def hermitian_eig(M) -> tuple[np.ndarray, np.ndarray]:
     H = (M + M.conj().T) / 2
     vals, vecs = np.linalg.eigh(H)
     return vals[::-1], vecs[:, ::-1]
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product with the row-major convention (A-index major)."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
 def partial_trace(rho, d: int, dprime: int, side: str) -> np.ndarray:

@@ -41,18 +41,16 @@ def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = 1e-9) -> OverlapRepo
         )
     dim = B1.d * B1.dprime
     for name, B in (("first", B1), ("second", B2)):
-        if len(B.states) != dim:
+        if len(B) != dim:
             raise ContractViolationError(
-                f"{name} basis is incomplete: {len(B.states)} members, need {dim}"
+                f"{name} basis is incomplete: {len(B)} members, need {dim}"
             )
         dev = np.abs(gram_matrix(B) - np.eye(dim)).max()
         if dev > 1e-9:
             raise ContractViolationError(
                 f"{name} basis is not orthonormal (Gram deviation {dev:.3e})"
             )
-    A1 = np.array([s.amplitudes for s in B1.states])
-    A2 = np.array([s.amplitudes for s in B2.states])
-    overlaps = np.abs(A1.conj() @ A2.T)
+    overlaps = np.abs(B1.amplitudes.conj() @ B2.amplitudes.T)
     target = 1.0 / np.sqrt(dim)
     max_deviation = float(np.abs(overlaps - target).max())
     return OverlapReport(

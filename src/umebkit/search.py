@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import BasisSet, CertificateReport, complement_projector, support_rank_certificate
+from .bases import BasisSet, CertificateReport, _complement_frame, _frame_certificate
 from .errors import ContractViolationError, NumericalFailureError
 from .linalg import svd
 from .states import BipartiteState
@@ -63,7 +63,9 @@ class SearchResult:
 
     ``best_min_coeff_scaled`` is ``sqrt(d) * s_min`` of the best state —
     an alternative gauge of maximal entanglement that equals 1 exactly when
-    F does.  ``iterations_used`` counts the iterations of the best restart.
+    F does.  ``iterations_used`` counts the iterations of the best restart,
+    ``restarts_used`` the restarts that produced a candidate rather than
+    collapsing.
     """
 
     best_state: BipartiteState
@@ -79,10 +81,11 @@ def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest maximally entangled state to the reshaped state ``x`` (d x d').
 
     Returns the flat amplitudes together with the smallest singular value of
-    ``x`` (whose vanishing signals a non-unique nearest point).
+    ``x`` (whose vanishing signals a non-unique nearest point).  The polar
+    factor ``L R^dag`` does not depend on the singular vectors' phases.
     """
     d = x.shape[0]
-    left, s, right_dagger = svd(x)
+    left, s, right_dagger = np.linalg.svd(x, full_matrices=False)
     m = (left @ right_dagger) / np.sqrt(d)
     return m.reshape(-1), float(s[-1])
 
@@ -159,6 +162,7 @@ def max_entanglement_in_subspace(
         raise ContractViolationError("projector has rank 0: nothing to search")
 
     best: tuple | None = None  # (F, amplitudes, iterations, converged)
+    candidates = 0
     for r in range(config.restarts):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, r]))
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -171,6 +175,7 @@ def max_entanglement_in_subspace(
         )
         if out is None:
             continue
+        candidates += 1
         psi, history, converged = out
         F = history[-1]
         if best is None or F > best[0]:
@@ -187,7 +192,7 @@ def max_entanglement_in_subspace(
         best_F=float(F),
         best_min_coeff_scaled=float(np.sqrt(d) * s[-1]),
         iterations_used=iters,
-        restarts_used=config.restarts,
+        restarts_used=candidates,
         converged=converged,
         verdict=verdict,
     )
@@ -200,14 +205,14 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     bound is below d.  Otherwise the complement is searched; a maximally
     entangled state found there is returned as an ``extendible`` witness,
     and a fruitless search downgrades the verdict to ``inconclusive`` with
-    the best overlap recorded.
+    the best overlap recorded.  The certificate and the search share one
+    complement frame.
     """
-    report = support_rank_certificate(basis)
+    Q = _complement_frame(basis)
+    report = _frame_certificate(basis, Q)
     if report.verdict == "unextendible":
         return report
-    result = max_entanglement_in_subspace(
-        complement_projector(basis), basis.d, basis.dprime, config
-    )
+    result = max_entanglement_in_subspace(Q @ Q.conj().T, basis.d, basis.dprime, config)
     if result.verdict == "found_me":
         return replace(
             report,

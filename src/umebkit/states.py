@@ -16,6 +16,7 @@ from .errors import ContractViolationError
 from .linalg import svd
 
 __all__ = [
+    "ME_TOL",
     "BipartiteState",
     "SchmidtDecomposition",
     "reshape_to_matrix",
@@ -26,6 +27,9 @@ __all__ = [
     "standard_mes",
     "apply_local",
 ]
+
+#: Default bound on a maximally entangled state's Schmidt-coefficient deviation.
+ME_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -112,7 +116,7 @@ def schmidt_rank(psi: BipartiteState, tol: float = 1e-8) -> int:
 
 
 def is_maximally_entangled(
-    psi: BipartiteState, tol: float = 1e-8
+    psi: BipartiteState, tol: float = ME_TOL
 ) -> tuple[bool, float]:
     """Test whether every Schmidt coefficient equals 1/sqrt(d).
 

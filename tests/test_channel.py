@@ -4,12 +4,11 @@ import pytest
 from umebkit import ContractViolationError
 from umebkit.bases import build_c23_first, build_weyl_umeb
 from umebkit.channel import analyze, apply_channel, complement_state
-from umebkit.linalg import kron
 
 
 def test_complement_state_23():
     rho = complement_state(build_weyl_umeb(2, 3))
-    expect = kron(np.eye(2), np.diag([0.0, 0.0, 1.0])) / 2
+    expect = np.kron(np.eye(2), np.diag([0.0, 0.0, 1.0])) / 2
     assert np.abs(rho - expect).max() < 1e-12
     assert abs(np.trace(rho) - 1.0) < 1e-12
 

@@ -157,3 +157,19 @@ def test_search_config_validation():
         SearchConfig(witness_tol=1e-13)  # not above convergence_tol
     with pytest.raises(ContractViolationError):
         SearchConfig(seed=-1)
+
+
+def test_restarts_used_counts_restarts_with_a_candidate(monkeypatch):
+    import umebkit.search as search
+
+    calls = []
+
+    def every_other_collapses(*args):
+        calls.append(args)
+        return None if len(calls) % 2 == 0 else _ascend(*args)
+
+    monkeypatch.setattr(search, "_ascend", every_other_collapses)
+    P = complement_projector(build_weyl_umeb(2, 4))
+    result = max_entanglement_in_subspace(P, 2, 4, SearchConfig(restarts=6, max_iters=500))
+    assert len(calls) == 6
+    assert result.restarts_used == 3
