@@ -77,17 +77,24 @@ class SearchResult:
     verdict: str
 
 
-def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest maximally entangled state to the reshaped state ``x`` (d x d').
+#: Norm below which a vector counts as vanished: a restart whose projection
+#: falls below it collapses, and a nearest-ME point below it is not unique.
+COLLAPSE_FLOOR = 1e-14
+
+
+def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest maximally entangled states to a stack ``x`` of d x d' states.
 
     Returns the flat amplitudes together with the smallest singular value of
-    ``x`` (whose vanishing signals a non-unique nearest point).  The polar
-    factor ``L R^dag`` does not depend on the singular vectors' phases.
+    each matrix (whose vanishing signals a non-unique nearest point).  The
+    polar factor ``L R^dag`` does not depend on the singular vectors' phases,
+    so one stacked SVD serves the whole stack.
     """
-    d = x.shape[0]
+    d = x.shape[-2]
     left, s, right_dagger = np.linalg.svd(x, full_matrices=False)
-    m = (left @ right_dagger) / np.sqrt(d)
-    return m.reshape(-1), float(s[-1])
+    m = left @ right_dagger
+    m /= np.sqrt(d)
+    return m.reshape(*x.shape[:-2], -1), s[..., -1]
 
 
 def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
@@ -96,48 +103,57 @@ def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
     With SVD ``X = L S R^dag`` of the reshaped state, the result reshapes to
     ``L R^dag / sqrt(d)`` — the polar part of X, scaled; among maximally
     entangled states it maximizes ``|<m|psi>| = sum_p s_p / sqrt(d)``.  When
-    X is rank deficient (smallest singular value <= 1e-14) the nearest point
-    is not unique; the SVD's deterministic orthonormal completion is used,
-    and with ``return_uniqueness=True`` a second return value reports
-    ``False`` in that case.
+    X is rank deficient (smallest singular value <= ``COLLAPSE_FLOOR``) the
+    nearest point is not unique; the SVD's deterministic completion is used,
+    and with ``return_uniqueness=True`` a second return value reports False.
     """
     m, s_min = _nearest_me_amplitudes(psi.amplitudes.reshape(psi.d, psi.dprime))
     state = BipartiteState(psi.d, psi.dprime, m)
     if return_uniqueness:
-        return state, s_min > 1e-14
+        return state, bool(s_min > COLLAPSE_FLOOR)
     return state
 
 
-def _ascend(
-    P: np.ndarray,
-    psi0: np.ndarray,
-    d: int,
-    dprime: int,
-    max_iters: int,
-    convergence_tol: float,
-) -> tuple[np.ndarray, list, bool] | None:
-    """One restart: alternate subspace and nearest-ME projections from psi0.
+def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol):
+    """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
-    Returns ``(psi, F_history, converged)`` — psi stays inside range(P) and
-    the recorded F values are non-decreasing — or None when the iteration
-    collapses (the projected nearest-ME state vanishes).
+    One stacked SVD per iteration over the rows still advancing.  A row stops
+    when F changes by less than ``convergence_tol`` (keeping the state just
+    evaluated), when its projection vanishes (collapsed), or after ``max_iters``
+    F evaluations (keeping the last projection).  Returns the states, their
+    last F, per-row F evaluation counts, converged and collapsed flags, and
+    per iteration the array of F evaluated on the rows then advancing.
     """
-    psi = psi0
-    history: list = []
-    converged = False
-    for _ in range(max_iters):
-        m, _ = _nearest_me_amplitudes(psi.reshape(d, dprime))
-        F = abs(np.vdot(m, psi)) ** 2
+    R = psi0.shape[0]
+    psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
+    converged, collapsed = np.zeros((2, R), dtype=bool)
+    active, history = np.arange(R), []
+    while active.size and len(history) < max_iters:
+        x = psi[active]
+        m, _ = _nearest_me_amplitudes(x.reshape(-1, d, dprime))
+        F = np.abs(np.einsum("ij,ij->i", m.conj(), x)) ** 2
+        done = np.abs(F - F_last[active]) < convergence_tol
+        F_last[active] = F
+        iterations[active] += 1
         history.append(F)
-        if len(history) > 1 and abs(history[-1] - history[-2]) < convergence_tol:
-            converged = True
-            break
-        pm = P @ m
-        norm_pm = np.linalg.norm(pm)
-        if norm_pm < 1e-14:
-            return None
-        psi = pm / norm_pm
-    return psi, history, converged
+        converged[active[done]] = True
+        active, pm = active[~done], m[~done] @ P.T
+        norm_pm = np.linalg.norm(pm, axis=1)
+        fell = norm_pm < COLLAPSE_FLOOR
+        collapsed[active[fell]] = True
+        active = active[~fell]
+        psi[active] = pm[~fell] / norm_pm[~fell, None]
+    return psi, F_last, iterations, converged, collapsed, history
+
+
+def _ascend(P, psi0, d, dprime, max_iters, convergence_tol):
+    """One restart: the batched ascent on the single row ``psi0``.
+
+    Returns ``(psi, F_history, converged)``, or None when the row collapses."""
+    psi, _, _, converged, collapsed, history = _ascend_batch(
+        P, psi0[None], d, dprime, max_iters, convergence_tol
+    )
+    return None if collapsed[0] else (psi[0], [F[0] for F in history], bool(converged[0]))
 
 
 def max_entanglement_in_subspace(
@@ -147,8 +163,9 @@ def max_entanglement_in_subspace(
 
     P must be a Hermitian idempotent of size d*dprime with rank >= 1.  Each
     restart starts from a normalized projected complex-Gaussian vector and
-    ascends F monotonically; the best restart wins (ties go to the earliest).
-    The verdict is ``found_me`` iff ``1 - best_F <= witness_tol``.
+    ascends F monotonically; all restarts advance together, and the best
+    restart wins (ties go to the earliest).  The verdict is ``found_me`` iff
+    ``1 - best_F <= witness_tol``.
     """
     if config is None:
         config = SearchConfig()
@@ -161,40 +178,29 @@ def max_entanglement_in_subspace(
     if np.trace(P).real < 0.5:
         raise ContractViolationError("projector has rank 0: nothing to search")
 
-    best: tuple | None = None  # (F, amplitudes, iterations, converged)
-    candidates = 0
-    for r in range(config.restarts):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, r]))
-        g = rng.normal(size=n) + 1j * rng.normal(size=n)
-        pg = P @ g
-        norm_pg = np.linalg.norm(pg)
-        if norm_pg < 1e-14:
-            continue
-        out = _ascend(
-            P, pg / norm_pg, d, dprime, config.max_iters, config.convergence_tol
-        )
-        if out is None:
-            continue
-        candidates += 1
-        psi, history, converged = out
-        F = history[-1]
-        if best is None or F > best[0]:
-            best = (F, psi, len(history), converged)
-    if best is None:
+    rngs = [np.random.Generator(np.random.Philox(key=[config.seed, r]))
+            for r in range(config.restarts)]
+    pg = np.array([rng.normal(size=n) + 1j * rng.normal(size=n) for rng in rngs]) @ P.T
+    norm_pg = np.linalg.norm(pg, axis=1)
+    kept = norm_pg >= COLLAPSE_FLOOR
+    pg = pg[kept] / norm_pg[kept, None]
+    psi, F, iterations, converged, collapsed, _ = _ascend_batch(
+        P, pg, d, dprime, config.max_iters, config.convergence_tol
+    )
+    if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
 
-    F, psi, iters, converged = best
-    state = BipartiteState(d, dprime, psi)
-    _, s, _ = svd(psi.reshape(d, dprime))
-    verdict = "found_me" if 1.0 - F <= config.witness_tol else "none_found"
+    b = int(np.argmax(np.where(collapsed, -np.inf, F)))
+    best = psi[b].copy()  # a view would keep the whole batch alive
+    _, s, _ = svd(best.reshape(d, dprime))
     return SearchResult(
-        best_state=state,
-        best_F=float(F),
+        best_state=BipartiteState(d, dprime, best),
+        best_F=float(F[b]),
         best_min_coeff_scaled=float(np.sqrt(d) * s[-1]),
-        iterations_used=iters,
-        restarts_used=candidates,
-        converged=converged,
-        verdict=verdict,
+        iterations_used=int(iterations[b]),
+        restarts_used=int((~collapsed).sum()),
+        converged=bool(converged[b]),
+        verdict="found_me" if 1.0 - F[b] <= config.witness_tol else "none_found",
     )
 
 
@@ -213,17 +219,11 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     if report.verdict == "unextendible":
         return report
     result = max_entanglement_in_subspace(Q @ Q.conj().T, basis.d, basis.dprime, config)
-    if result.verdict == "found_me":
-        return replace(
-            report,
-            method="numeric-search",
-            verdict="extendible",
-            witness=result.best_state,
-            search_best_F=result.best_F,
-        )
+    found = result.verdict == "found_me"
     return replace(
         report,
         method="numeric-search",
-        verdict="inconclusive",
+        verdict="extendible" if found else "inconclusive",
+        witness=result.best_state if found else None,
         search_best_F=result.best_F,
     )

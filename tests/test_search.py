@@ -6,6 +6,7 @@ from umebkit.bases import build_weyl_umeb, complement_projector
 from umebkit.search import (
     SearchConfig,
     _ascend,
+    _ascend_batch,
     certify,
     max_entanglement_in_subspace,
     nearest_me_state,
@@ -162,14 +163,75 @@ def test_search_config_validation():
 def test_restarts_used_counts_restarts_with_a_candidate(monkeypatch):
     import umebkit.search as search
 
-    calls = []
+    nearest = search._nearest_me_amplitudes
+    stack_sizes = []
 
-    def every_other_collapses(*args):
-        calls.append(args)
-        return None if len(calls) % 2 == 0 else _ascend(*args)
+    def every_other_vanishes(x):
+        m, s_min = nearest(x)
+        stack_sizes.append(x.shape[0])
+        if len(stack_sizes) == 1:
+            m[1::2] = 0.0  # rows 1, 3, 5 project to zero and collapse
+        return m, s_min
 
-    monkeypatch.setattr(search, "_ascend", every_other_collapses)
+    monkeypatch.setattr(search, "_nearest_me_amplitudes", every_other_vanishes)
     P = complement_projector(build_weyl_umeb(2, 4))
     result = max_entanglement_in_subspace(P, 2, 4, SearchConfig(restarts=6, max_iters=500))
-    assert len(calls) == 6
+    assert stack_sizes[:2] == [6, 3]
     assert result.restarts_used == 3
+
+
+@pytest.mark.parametrize("d, dprime, rank", [(3, 5, 8), (4, 6, 14)])
+def test_batched_rows_match_single_runs(d, dprime, rank):
+    rng = np.random.default_rng(34 + d)
+    n = d * dprime
+    P = random_subspace_projector(rng, n, rank)
+    starts = (rng.normal(size=(16, n)) + 1j * rng.normal(size=(16, n))) @ P.T
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    psi, F, iterations, converged, collapsed, _ = _ascend_batch(
+        P, starts, d, dprime, 5000, 1e-12
+    )
+    for r in range(16):
+        out = _ascend(P, starts[r], d, dprime, 5000, 1e-12)
+        assert (out is None) == collapsed[r]
+        if out is not None:
+            _, history, single_converged = out
+            assert abs(history[-1] - F[r]) <= 1e-10
+            assert single_converged == converged[r]
+    # the first row to converge keeps its state and F while the others advance
+    r = int(np.argmin(np.where(converged, iterations, np.iinfo(int).max)))
+    k = int(iterations[r])
+    assert k < iterations.max()
+    psi_k, F_k = _ascend_batch(P, starts, d, dprime, k, 1e-12)[:2]
+    assert np.array_equal(psi_k[r], psi[r]) and F_k[r] == F[r]
+
+
+def test_best_state_owns_its_amplitudes():
+    # a view into the batch would keep every restart's state alive
+    P = complement_projector(build_weyl_umeb(2, 4))
+    amplitudes = max_entanglement_in_subspace(P, 2, 4, FAST).best_state.amplitudes
+    root = amplitudes
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == amplitudes.nbytes
+
+
+def test_search_takes_one_stacked_svd_per_iteration(monkeypatch):
+    import umebkit.search as search
+
+    real_svd, real_batch = np.linalg.svd, search._ascend_batch
+    svd_calls, iterations = [], []
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    def recording_batch(*args):
+        out = real_batch(*args)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(search, "_ascend_batch", recording_batch)
+    P = random_subspace_projector(np.random.default_rng(35), 24, 16)
+    max_entanglement_in_subspace(P, 4, 6, SearchConfig(restarts=16, seed=3))
+    assert len(svd_calls) <= iterations[0].max() + 1 < iterations[0].sum()
