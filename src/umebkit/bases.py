@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .states import ME_TOL, BipartiteState, apply_local, standard_mes, weyl_operator
+from .states import ME_TOL, BipartiteState, _weyl_operators, apply_local, standard_mes
 
 __all__ = [
     "BasisSet",
@@ -52,8 +52,10 @@ class BasisSet:
 
     The members are held as one ``(k, d*dprime)`` array, ``amplitudes``, whose
     rows are the member amplitude vectors; ``states`` gives them back as
-    :class:`BipartiteState` objects.  Only structural consistency is enforced
-    on construction (shared dimensions, matching label/flag lengths);
+    :class:`BipartiteState` objects.  Construction enforces, in one pass over
+    the rows, what every member state must satisfy (``2 <= d <= dprime``, rows
+    of length ``d*dprime``, finite entries, unit norms within 1e-9) and the
+    structural consistency of the set (matching label/flag lengths);
     orthonormality and the correctness of the per-state entanglement flags
     are semantic invariants checked by :meth:`validate`, so that deliberately
     broken sets can still be represented and measured (e.g. by
@@ -63,8 +65,9 @@ class BasisSet:
     ----------
     d, dprime : int
         Subsystem dimensions, shared by every member.
-    states : list of BipartiteState
-        The members, in contractual order.
+    states : list of BipartiteState, or numpy array of shape (k, d*dprime)
+        The members in contractual order, as states or as the rows of one
+        amplitude array (copied).
     me_flags : list of bool
         Per-member flag: maximally entangled member or auxiliary product
         member.
@@ -73,19 +76,38 @@ class BasisSet:
     """
 
     def __init__(self, d: int, dprime: int, states, me_flags, labels=None) -> None:
-        self.d, self.dprime = d, dprime
-        self.amplitudes = np.zeros((len(states), d * dprime), dtype=complex)
-        for k, s in enumerate(states):
-            if (s.d, s.dprime) != (d, dprime):
-                raise ContractViolationError(
-                    f"member dimensions ({s.d}, {s.dprime}) != ({d}, {dprime})"
-                )
-            self.amplitudes[k] = s.amplitudes
-        self.amplitudes.flags.writeable = False
-        if len(me_flags) != len(states):
+        if not 2 <= d <= dprime:
+            raise ContractViolationError(f"need 2 <= d <= dprime, got ({d}, {dprime})")
+        if isinstance(states, np.ndarray):
+            amplitudes = np.array(states, dtype=complex)
+        else:
+            for s in states:
+                if (s.d, s.dprime) != (d, dprime):
+                    raise ContractViolationError(
+                        f"member dimensions ({s.d}, {s.dprime}) != ({d}, {dprime})"
+                    )
+            amplitudes = np.array([s.amplitudes for s in states], dtype=complex)
+            amplitudes = amplitudes.reshape(len(states), d * dprime)
+        n = d * dprime
+        if amplitudes.ndim != 2 or amplitudes.shape[1] != n:
+            raise ContractViolationError(
+                f"member amplitudes of shape {amplitudes.shape} are not rows of "
+                f"length d*dprime = {n}"
+            )
+        if not np.isfinite(amplitudes).all():
+            raise ContractViolationError("member amplitudes contain non-finite entries")
+        norm_err = np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0)
+        off = np.flatnonzero(norm_err > 1e-9)
+        if off.size:
+            raise ContractViolationError(
+                f"member {off[0]} has norm off by {norm_err[off[0]]:.3e}, more than 1e-9"
+            )
+        if len(me_flags) != len(amplitudes):
             raise ContractViolationError("me_flags length does not match states")
-        if labels is not None and len(labels) != len(states):
+        if labels is not None and len(labels) != len(amplitudes):
             raise ContractViolationError("labels length does not match states")
+        amplitudes.flags.writeable = False
+        self.d, self.dprime, self.amplitudes = d, dprime, amplitudes
         self.me_flags = [bool(f) for f in me_flags]
         self.labels = labels
 
@@ -149,14 +171,12 @@ def build_weyl_umeb(d: int, dprime: int) -> BasisSet:
     """
     if not 2 <= d < dprime:
         raise ContractViolationError(f"need 2 <= d < dprime, got ({d}, {dprime})")
-    mes = standard_mes(d, dprime)
-    eyeB = np.eye(dprime, dtype=complex)
-    states, labels = [], []
-    for n in range(d):
-        for m in range(d):
-            states.append(apply_local(mes, weyl_operator(d, n, m), eyeB))
-            labels.append(f"{n}{m}")
-    return BasisSet(d, dprime, states, me_flags=[True] * (d * d), labels=labels)
+    # One stacked (U_nm Phi) I^T: the same product, member by member, as
+    # apply_local, so every bit (signed zeros included) matches it.
+    phi = standard_mes(d, dprime).amplitudes.reshape(d, dprime)
+    members = _weyl_operators(d) @ phi @ np.eye(dprime, dtype=complex).T
+    labels = [f"{n}{m}" for n in range(d) for m in range(d)]
+    return BasisSet(d, dprime, members.reshape(d * d, -1), [True] * (d * d), labels)
 
 
 def build_c23_first() -> BasisSet:

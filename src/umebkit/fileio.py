@@ -46,7 +46,6 @@ def _amplitudes_to_pairs(amp: np.ndarray) -> list:
 def _pairs_to_amplitudes(pairs, expected_len: int, what: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != expected_len:
         raise FileFormatError(f"{what}: expected {expected_len} amplitude pairs")
-    amp = np.empty(expected_len, dtype=complex)
     for k, pair in enumerate(pairs):
         if (
             not isinstance(pair, list)
@@ -54,7 +53,10 @@ def _pairs_to_amplitudes(pairs, expected_len: int, what: str) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise FileFormatError(f"{what}: amplitude {k} is not a [real, imag] pair")
-        amp[k] = complex(pair[0], pair[1])
+    try:
+        amp = np.array(pairs, dtype=float).view(complex).reshape(-1)
+    except OverflowError as exc:  # an integer beyond the range of a double
+        raise FileFormatError(f"{what}: amplitude out of floating-point range") from exc
     if not np.all(np.isfinite(amp)):
         raise FileFormatError(f"{what}: non-finite amplitude")
     return amp
@@ -152,26 +154,28 @@ def load_basis(path, check_orthonormal: bool = True) -> BasisSet:
     raw_states = doc.get("states")
     if not isinstance(raw_states, list):
         raise FileFormatError(f"{path}: missing states array")
-    states = []
+    rows = []
     for k, pairs in enumerate(raw_states):
-        amp = _pairs_to_amplitudes(pairs, d * dprime, f"{path}: state {k}")
-        states.append(BipartiteState(d, dprime, _admit_norm(amp, f"{path}: state {k}")))
+        what = f"{path}: state {k}"
+        rows.append(_admit_norm(_pairs_to_amplitudes(pairs, d * dprime, what), what))
+    k = len(rows)
 
     labels = doc.get("labels")
     if labels is not None:
-        if not (isinstance(labels, list) and len(labels) == len(states)
+        if not (isinstance(labels, list) and len(labels) == k
                 and all(isinstance(x, str) for x in labels)):
-            raise FileFormatError(f"{path}: labels must be {len(states)} strings")
+            raise FileFormatError(f"{path}: labels must be {k} strings")
     flags = doc.get("me_flags")
-    if flags is not None and not (isinstance(flags, list) and len(flags) == len(states)
+    if flags is not None and not (isinstance(flags, list) and len(flags) == k
                                   and all(isinstance(x, bool) for x in flags)):
-        raise FileFormatError(f"{path}: me_flags must be {len(states)} booleans")
+        raise FileFormatError(f"{path}: me_flags must be {k} booleans")
 
-    basis = BasisSet(d, dprime, states, me_flags=flags or [False] * len(states), labels=labels)
+    amplitudes = np.array(rows, dtype=complex).reshape(k, d * dprime)
+    basis = BasisSet(d, dprime, amplitudes, me_flags=flags or [False] * k, labels=labels)
     if flags is None:
         basis.me_flags = [bool(dev <= ME_TOL) for dev in basis.me_deviations()]
-    if check_orthonormal and states:
-        dev = np.abs(gram_matrix(basis) - np.eye(len(states))).max()
+    if check_orthonormal and k:
+        dev = np.abs(gram_matrix(basis) - np.eye(k)).max()
         if dev > 1e-6:
             raise FileFormatError(
                 f"{path}: states are not orthonormal (Gram deviation {dev:.3e})"

@@ -37,7 +37,9 @@ class SearchConfig:
     restart stops; ``witness_tol`` is the acceptance threshold on ``1 - F``
     for declaring a witness found, and must be the looser of the two.
     ``seed`` makes the whole search deterministic: restart r draws its start
-    from an independent counter-based stream keyed by ``(seed, r)``.
+    from an independent counter-based stream keyed by ``(seed, r)``.  Seeds
+    run from 0 to ``2**63 - 1``; numpy's Philox key parser reads larger ones
+    through a float, so they would silently alias other seeds' streams.
     """
 
     restarts: int = 64
@@ -53,8 +55,8 @@ class SearchConfig:
             raise ContractViolationError("tolerances must be positive")
         if not self.witness_tol > self.convergence_tol:
             raise ContractViolationError("witness_tol must exceed convergence_tol")
-        if self.seed < 0:
-            raise ContractViolationError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**63:
+            raise ContractViolationError("seed must be an integer in [0, 2**63)")
 
 
 @dataclass(eq=False)
@@ -118,17 +120,18 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked SVD per iteration over the rows still advancing.  A row stops
-    when F changes by less than ``convergence_tol`` (keeping the state just
-    evaluated), when its projection vanishes (collapsed), or after ``max_iters``
-    F evaluations (keeping the last projection).  Returns the states, their
-    last F, per-row F evaluation counts, converged and collapsed flags, and
-    per iteration the array of F evaluated on the rows then advancing.
+    when F changes by less than ``convergence_tol``, when its projection
+    vanishes (collapsed), or after ``max_iters`` F evaluations; a row that
+    stops without collapsing keeps the state it was last evaluated at, so its
+    recorded F is that state's F.  Returns the states, their last F, per-row
+    F evaluation counts, converged and collapsed flags, and per iteration the
+    array of F evaluated on the rows then advancing.
     """
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
     converged, collapsed = np.zeros((2, R), dtype=bool)
     active, history = np.arange(R), []
-    while active.size and len(history) < max_iters:
+    while active.size:
         x = psi[active]
         m, _ = _nearest_me_amplitudes(x.reshape(-1, d, dprime))
         F = np.abs(np.einsum("ij,ij->i", m.conj(), x)) ** 2
@@ -137,6 +140,8 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol):
         iterations[active] += 1
         history.append(F)
         converged[active[done]] = True
+        if len(history) >= max_iters:
+            break
         active, pm = active[~done], m[~done] @ P.T
         norm_pm = np.linalg.norm(pm, axis=1)
         fell = norm_pm < COLLAPSE_FLOOR
@@ -154,6 +159,36 @@ def _ascend(P, psi0, d, dprime, max_iters, convergence_tol):
         P, psi0[None], d, dprime, max_iters, convergence_tol
     )
     return None if collapsed[0] else (psi[0], [F[0] for F in history], bool(converged[0]))
+
+
+def _restart_starts(seed: int, restarts: int, n: int) -> np.ndarray:
+    """Row r: the complex Gaussian start ``g + 1j h`` of restart r, with g and
+    h the first and next n standard normals of the Philox stream keyed
+    ``[seed, r]``.
+
+    Philox is counter-based: a stream is fixed by its key and a zero counter.
+    So one bit generator, re-keyed per restart (counter, buffer and cached
+    word cleared, as a fresh ``Philox(key=[seed, r])`` has them), reproduces
+    every restart's stream bit for bit, without building a generator and a
+    throwaway entropy-seeded ``SeedSequence`` per restart.
+    """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    key = np.array([seed, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # the buffer holds 4 words: position 4 means empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draws = np.empty((restarts, 2 * n))
+    for r in range(restarts):
+        key[1] = r
+        bitgen.state = state
+        rng.standard_normal(out=draws[r])
+    return draws[:, :n] + 1j * draws[:, n:]
 
 
 def max_entanglement_in_subspace(
@@ -178,9 +213,7 @@ def max_entanglement_in_subspace(
     if np.trace(P).real < 0.5:
         raise ContractViolationError("projector has rank 0: nothing to search")
 
-    rngs = [np.random.Generator(np.random.Philox(key=[config.seed, r]))
-            for r in range(config.restarts)]
-    pg = np.array([rng.normal(size=n) + 1j * rng.normal(size=n) for rng in rngs]) @ P.T
+    pg = _restart_starts(config.seed, config.restarts, n) @ P.T
     norm_pg = np.linalg.norm(pg, axis=1)
     kept = norm_pg >= COLLAPSE_FLOOR
     pg = pg[kept] / norm_pg[kept, None]

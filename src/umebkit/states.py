@@ -129,6 +129,23 @@ def is_maximally_entangled(
     return deviation <= tol, deviation
 
 
+def _weyl_phases(d: int, ns) -> np.ndarray:
+    """Row per n in ``ns``: the phases ``zeta^{n k}``, k = 0..d-1, of U_nm."""
+    zeta = np.exp(2j * np.pi / d)
+    return np.array([[zeta ** (n * k) for k in range(d)] for n in ns])
+
+
+def _weyl_operators(d: int) -> np.ndarray:
+    """The ``(d*d, d, d)`` stack of every :func:`weyl_operator`, ``U_nm`` at
+    index ``n*d + m``."""
+    phases = _weyl_phases(d, range(d))
+    k = np.arange(d)
+    ops = np.zeros((d, d, d, d), dtype=complex)
+    for m in range(d):
+        ops[:, m, (k + m) % d, k] = phases
+    return ops.reshape(d * d, d, d)
+
+
 def weyl_operator(d: int, n: int, m: int) -> np.ndarray:
     """The d x d shift-phase unitary ``sum_k zeta^{n k} |k+m mod d><k|``.
 
@@ -138,10 +155,9 @@ def weyl_operator(d: int, n: int, m: int) -> np.ndarray:
     """
     if not (0 <= n < d and 0 <= m < d):
         raise ContractViolationError(f"indices (n, m) = ({n}, {m}) out of range for d = {d}")
-    zeta = np.exp(2j * np.pi / d)
+    k = np.arange(d)
     U = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        U[(k + m) % d, k] = zeta ** (n * k)
+    U[(k + m) % d, k] = _weyl_phases(d, [n])[0]
     return U
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from umebkit.bases import (
     overlap_constraint_matrix,
     support_rank_certificate,
 )
+from umebkit.fileio import basis_to_obj
 from umebkit.states import (
     BipartiteState,
     apply_local,
     is_maximally_entangled,
     schmidt_rank,
     standard_mes,
+    weyl_operator,
 )
 
 SIGMA = [
@@ -240,3 +244,49 @@ def test_basisset_validate_catches_semantic_breaks():
     mislabeled = BasisSet(2, 3, [BipartiteState(2, 3, prod)], me_flags=[True])
     with pytest.raises(ContractViolationError):
         mislabeled.validate()
+
+
+SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
+
+
+@pytest.mark.parametrize("d, dprime", SWEEP_SHAPES + [(2, 3)])
+def test_weyl_family_matches_member_by_member_reference(d, dprime):
+    # the stacked build must reproduce apply_local bit for bit, signed zeros
+    # included, since they reach the written files
+    phi = standard_mes(d, dprime)
+    eye = np.eye(dprime)
+    reference = [apply_local(phi, weyl_operator(d, n, m), eye).amplitudes
+                 for n in range(d) for m in range(d)]
+    ref_basis = BasisSet(d, dprime, [BipartiteState(d, dprime, a) for a in reference],
+                         me_flags=[True] * (d * d),
+                         labels=[f"{n}{m}" for n in range(d) for m in range(d)])
+    basis = build_weyl_umeb(d, dprime)
+    assert basis.amplitudes.tobytes() == np.array(reference).tobytes()
+    assert json.dumps(basis_to_obj(basis)) == json.dumps(basis_to_obj(ref_basis))
+
+
+def test_basisset_array_way_in_checks_every_row():
+    amps = build_weyl_umeb(2, 3).amplitudes
+    basis = BasisSet(2, 3, amps, me_flags=[True] * 4)
+    assert np.array_equal(basis.amplitudes, amps) and not basis.amplitudes.flags.writeable
+    with pytest.raises(ContractViolationError):
+        BasisSet(2, 3, amps[:, :5], me_flags=[True] * 4)  # wrong row length
+    with pytest.raises(ContractViolationError):
+        BasisSet(2, 3, amps.reshape(-1), me_flags=[True] * 24)  # not a stack of rows
+    bad = amps.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(ContractViolationError):
+        BasisSet(2, 3, bad, me_flags=[True] * 4)  # non-finite entry
+    off = amps.copy()
+    off[3] *= 1 + 2e-9
+    with pytest.raises(ContractViolationError):
+        BasisSet(2, 3, off, me_flags=[True] * 4)  # norm off by more than 1e-9
+    off = amps.copy()
+    off[3] *= 1 + 5e-10
+    BasisSet(2, 3, off, me_flags=[True] * 4)  # within 1e-9
+    with pytest.raises(ContractViolationError):
+        BasisSet(3, 2, amps, me_flags=[True] * 4)  # d > dprime
+    with pytest.raises(ContractViolationError):
+        BasisSet(1, 6, amps, me_flags=[True] * 4)  # d < 2
+    empty = BasisSet(2, 3, np.zeros((0, 6)), me_flags=[])
+    assert len(empty) == 0 and empty.amplitudes.shape == (0, 6)

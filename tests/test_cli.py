@@ -172,3 +172,12 @@ def test_cli_runs_as_module(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["search", "certify"])
+@pytest.mark.parametrize("seed", [2**63, 2**64])
+def test_seeds_beyond_philox_keys_exit_2(tmp_path, capsys, command, seed):
+    w24 = tmp_path / "w24.json"
+    save_basis(w24, build_weyl_umeb(2, 4))
+    assert main([command, str(w24), "--seed", str(seed)]) == 2
+    assert "seed must be an integer in [0, 2**63)" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from umebkit.search import (
     SearchConfig,
     _ascend,
     _ascend_batch,
+    _restart_starts,
     certify,
     max_entanglement_in_subspace,
     nearest_me_state,
@@ -158,6 +159,38 @@ def test_search_config_validation():
         SearchConfig(witness_tol=1e-13)  # not above convergence_tol
     with pytest.raises(ContractViolationError):
         SearchConfig(seed=-1)
+    # numpy's Philox reads these keys through a float (aliasing another
+    # seed's stream) or overflows
+    for seed in (2**63, 2**64):
+        with pytest.raises(ContractViolationError):
+            SearchConfig(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "seed, restarts, n",
+    [(0, 1, 6), (0, 5, 12), (1, 64, 49), (42, 3, 20), (2**32 + 5, 4, 8), (2**63 - 1, 7, 35)],
+)
+def test_restart_starts_match_one_generator_per_restart(seed, restarts, n):
+    starts = _restart_starts(seed, restarts, n)
+    for r in range(restarts):
+        rng = np.random.Generator(np.random.Philox(key=[seed, r]))
+        reference = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert starts[r].tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("max_iters", [1, 5])
+def test_best_F_is_the_F_of_best_state_at_max_iters(max_iters):
+    d, dprime, rank = 7, 7, 30
+    n = d * dprime
+    rng = np.random.default_rng([1, d, dprime, rank, 0])
+    q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
+    result = max_entanglement_in_subspace(
+        q @ q.conj().T, d, dprime, SearchConfig(max_iters=max_iters, seed=1)
+    )
+    assert result.iterations_used == max_iters and not result.converged
+    best = result.best_state
+    F = abs(np.vdot(nearest_me_state(best).amplitudes, best.amplitudes)) ** 2
+    assert abs(result.best_F - F) <= 1e-12
 
 
 def test_restarts_used_counts_restarts_with_a_candidate(monkeypatch):
