@@ -14,7 +14,7 @@ with the transpose taken in the basis defining the states, chosen so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,17 +38,18 @@ class ChannelReport:
     after tracing out A (d' x d'), and ``marginal_B`` the operator left on A
     (d x d).  ``trace_preserving_deviation`` is the Frobenius distance of
     ``marginal_B`` from I_d/d, ``unitality_deviation`` that of ``marginal_A``
-    from I_{d'}/d'.
+    from I_{d'}/d'.  ``rho_perp`` is the complement state itself (d*d' x d*d');
+    it stays out of the ``--json`` report.
     """
 
-    rho_perp: np.ndarray
-    marginal_A: np.ndarray
-    marginal_B: np.ndarray
+    log_base: float
     trace_preserving_deviation: float
     unitality_deviation: float
     entropy_A: float
     entropy_B: float
-    log_base: float
+    marginal_A: np.ndarray
+    marginal_B: np.ndarray
+    rho_perp: np.ndarray = field(metadata={"json": False})
 
 
 def complement_state(basis: BasisSet, me_only: bool = True) -> np.ndarray:

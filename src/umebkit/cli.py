@@ -9,9 +9,11 @@ is the only thing on standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -29,13 +31,27 @@ from .fileio import (
 )
 from .mub import overlap_matrix
 from .search import SearchConfig, certify, max_entanglement_in_subspace
-from .states import ME_TOL, weyl_operator
+from .states import ME_TOL, BipartiteState, weyl_operator
 
 __all__ = ["main"]
 
 
-def _matrix_to_pairs(M: np.ndarray) -> list:
-    return [_amplitudes_to_pairs(row) for row in M]
+def _to_json(x):
+    """A report as a JSON-ready value: the one serialiser of ``--json`` reports.
+
+    A dataclass becomes a dict of its fields in declaration order, leaving out
+    those with ``metadata={"json": False}``; a state becomes its
+    ``umeb-state/1`` document, a complex array nested ``[re, im]`` pairs and a
+    real array nested floats.
+    """
+    if isinstance(x, BipartiteState):
+        return state_to_obj(x)
+    if is_dataclass(x):
+        return {f.name: _to_json(getattr(x, f.name))
+                for f in fields(x) if f.metadata.get("json", True)}
+    if isinstance(x, np.ndarray):
+        return _amplitudes_to_pairs(x) if np.iscomplexobj(x) else x.tolist()
+    return x
 
 
 def _format_matrix(M: np.ndarray, indent: str = "  ") -> str:
@@ -47,6 +63,10 @@ def _format_matrix(M: np.ndarray, indent: str = "  ") -> str:
 
 def _emit_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _search_config(args) -> SearchConfig:
+    return SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
 
 
 def cmd_construct(args) -> int:
@@ -114,26 +134,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    basis = load_basis(args.path)
-    config = SearchConfig(
-        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
-    )
-    report = certify(basis, config)
+    report = certify(load_basis(args.path), _search_config(args))
     if args.json:
-        _emit_json(
-            {
-                "method": report.method,
-                "complement_dimension": report.complement_dimension,
-                "b_support_rank": report.b_support_rank,
-                "a_support_rank": report.a_support_rank,
-                "schmidt_rank_bound": report.schmidt_rank_bound,
-                "verdict": report.verdict,
-                "witness": state_to_obj(report.witness) if report.witness else None,
-                "search_best_F": report.search_best_F,
-                "seed": args.seed,
-                "restarts": args.restarts,
-            }
-        )
+        _emit_json({**_to_json(report), "seed": args.seed, "restarts": args.restarts})
     else:
         print(f"method: {report.method}")
         print(f"complement dimension: {report.complement_dimension}")
@@ -153,26 +156,12 @@ def cmd_certify(args) -> int:
 def cmd_search(args) -> int:
     basis = load_basis(args.path)
     P = complement_projector(basis, me_only=not args.all_members)
-    config = SearchConfig(
-        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
-    )
-    result = max_entanglement_in_subspace(P, basis.d, basis.dprime, config)
+    result = max_entanglement_in_subspace(P, basis.d, basis.dprime, _search_config(args))
     if args.out:
         save_state(args.out, result.best_state)
         print(f"best state -> {args.out}", file=sys.stderr)
     if args.json:
-        _emit_json(
-            {
-                "verdict": result.verdict,
-                "best_F": result.best_F,
-                "best_min_coeff_scaled": result.best_min_coeff_scaled,
-                "iterations_used": result.iterations_used,
-                "restarts_used": result.restarts_used,
-                "converged": result.converged,
-                "seed": args.seed,
-                "best_state": state_to_obj(result.best_state),
-            }
-        )
+        _emit_json({**_to_json(result), "seed": args.seed})
     else:
         print(f"seed: {args.seed}, restarts: {result.restarts_used}")
         print(f"best F: {result.best_F:.12f}")
@@ -188,15 +177,7 @@ def cmd_mub(args) -> int:
     basis_b = load_basis(args.path_b)
     report = overlap_matrix(basis_a, basis_b, tol=args.tol)
     if args.json:
-        _emit_json(
-            {
-                "dim": report.dim,
-                "target": report.target,
-                "max_deviation": report.max_deviation,
-                "is_mub": report.is_mub,
-                "overlaps": [[float(x) for x in row] for row in report.overlaps],
-            }
-        )
+        _emit_json(_to_json(report))
     else:
         print(f"dimension: {report.dim}, target overlap: {report.target:.10f}")
         print(f"max deviation: {report.max_deviation:.3e} (tol {args.tol:g})")
@@ -209,19 +190,7 @@ def cmd_channel(args) -> int:
     log_base = {"2": 2.0, "e": math.e}.get(args.log_base, float(basis.d))
     report = analyze(basis, log_base=log_base, me_only=not args.all_members)
     if args.json:
-        _emit_json(
-            {
-                "d": basis.d,
-                "dprime": basis.dprime,
-                "log_base": report.log_base,
-                "trace_preserving_deviation": report.trace_preserving_deviation,
-                "unitality_deviation": report.unitality_deviation,
-                "entropy_A": report.entropy_A,
-                "entropy_B": report.entropy_B,
-                "marginal_A": _matrix_to_pairs(report.marginal_A),
-                "marginal_B": _matrix_to_pairs(report.marginal_B),
-            }
-        )
+        _emit_json({"d": basis.d, "dprime": basis.dprime, **_to_json(report)})
     else:
         print(f"complement state on C{basis.d} x C{basis.dprime}")
         print(f"trace-preserving deviation: {report.trace_preserving_deviation:.3e}")
@@ -250,7 +219,7 @@ def cmd_pauli(args) -> int:
             {
                 "d": args.d,
                 "operators": [
-                    {"n": n, "m": m, "entries": _matrix_to_pairs(U)}
+                    {"n": n, "m": m, "entries": _to_json(U)}
                     for n, m, U in operators
                 ],
             }
@@ -262,6 +231,7 @@ def cmd_pauli(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="umeb",
@@ -286,22 +256,22 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
-    ce = sub.add_parser("certify", help="decide unextendibility of a basis file")
-    ce.add_argument("path")
-    ce.add_argument("--restarts", type=int, default=64)
-    ce.add_argument("--max-iters", type=int, default=10000)
-    ce.add_argument("--seed", type=int, default=42)
-    ce.add_argument("--json", action="store_true")
+    # the arguments certify and search share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("path")
+    run.add_argument("--restarts", type=int, default=64)
+    run.add_argument("--max-iters", type=int, default=10000)
+    run.add_argument("--seed", type=int, default=42)
+    run.add_argument("--json", action="store_true")
+
+    ce = sub.add_parser("certify", parents=[run],
+                        help="decide unextendibility of a basis file")
     ce.set_defaults(func=cmd_certify)
 
-    s = sub.add_parser("search", help="search the complement for an entangled state")
-    s.add_argument("path")
-    s.add_argument("--restarts", type=int, default=64)
-    s.add_argument("--max-iters", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=42)
+    s = sub.add_parser("search", parents=[run],
+                       help="search the complement for an entangled state")
     s.add_argument("--all-members", action="store_true",
                    help="complement of all members, not just the flagged ones")
-    s.add_argument("--json", action="store_true")
     s.add_argument("-o", "--out", help="write the best state as a state file")
     s.set_defaults(func=cmd_search)
 
@@ -338,14 +308,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ContractViolationError, FileFormatError) as exc:
+    except (ContractViolationError, FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,9 @@ Two formats, both UTF-8 JSON with an explicit tag:
 Floats are written as Python's shortest round-trip decimals, so a
 save/load cycle reproduces every double bit-for-bit.  On load, a state whose
 norm is off by more than 1e-6 is rejected; one off by more than 1e-9 is
-renormalized with a warning.
+renormalized with a warning.  Files with ``d*dprime`` above 1024 are refused:
+the package is dense and desk-scale, and later stages build
+``d*dprime x d*dprime`` matrices.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ __all__ = [
 
 STATE_FORMAT = "umeb-state/1"
 BASIS_FORMAT = "umeb-basis/1"
+_MAX_SPACE_DIM = 1024  # largest d*dprime a file may declare
 
 
 def _amplitudes_to_pairs(amp: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in amp]
+    """``[real, imag]`` float pairs, nested like ``amp`` (any shape)."""
+    return np.stack([amp.real, amp.imag], -1).tolist()
 
 
 def _pairs_to_amplitudes(pairs, expected_len: int, what: str) -> np.ndarray:
@@ -88,6 +92,10 @@ def _check_dims(doc: dict, path) -> tuple[int, int]:
     d, dprime = doc.get("d"), doc.get("dprime")
     if not (isinstance(d, int) and isinstance(dprime, int) and 2 <= d <= dprime):
         raise FileFormatError(f"{path}: invalid dimensions d={d!r}, dprime={dprime!r}")
+    if d * dprime > _MAX_SPACE_DIM:
+        raise FileFormatError(
+            f"{path}: d*dprime = {d * dprime} exceeds the limit of {_MAX_SPACE_DIM}"
+        )
     return d, dprime
 
 
@@ -124,7 +132,7 @@ def basis_to_obj(basis: BasisSet) -> dict:
         "format": BASIS_FORMAT,
         "d": basis.d,
         "dprime": basis.dprime,
-        "states": [_amplitudes_to_pairs(a) for a in basis.amplitudes],
+        "states": _amplitudes_to_pairs(basis.amplitudes),
         "me_flags": list(basis.me_flags),
     }
     if basis.labels is not None:

@@ -22,18 +22,19 @@ class OverlapReport:
     """Cross-overlap magnitudes of two complete bases and the MU verdict."""
 
     dim: int
-    overlaps: np.ndarray
     target: float
     max_deviation: float
     is_mub: bool
+    overlaps: np.ndarray
 
 
 def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = 1e-9) -> OverlapReport:
     """All pairwise overlap magnitudes ``|<b_i|c_j>|`` of two complete bases.
 
     Both bases must be complete (d*d' members), live on the same (d, d'),
-    and be orthonormal within 1e-9.  The report's ``is_mub`` is whether every
-    overlap is within ``tol`` of 1/sqrt(d*d').
+    and be orthonormal within 1e-6, the bound the basis loader admits.  The
+    report's ``is_mub`` is whether every overlap is within ``tol`` of
+    1/sqrt(d*d').
     """
     if (B1.d, B1.dprime) != (B2.d, B2.dprime):
         raise ContractViolationError(
@@ -46,7 +47,7 @@ def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = 1e-9) -> OverlapRepo
                 f"{name} basis is incomplete: {len(B)} members, need {dim}"
             )
         dev = np.abs(gram_matrix(B) - np.eye(dim)).max()
-        if dev > 1e-9:
+        if dev > 1e-6:
             raise ContractViolationError(
                 f"{name} basis is not orthonormal (Gram deviation {dev:.3e})"
             )

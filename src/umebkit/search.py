@@ -70,13 +70,13 @@ class SearchResult:
     collapsing.
     """
 
-    best_state: BipartiteState
+    verdict: str
     best_F: float
     best_min_coeff_scaled: float
     iterations_used: int
     restarts_used: int
     converged: bool
-    verdict: str
+    best_state: BipartiteState
 
 
 #: Norm below which a vector counts as vanished: a restart whose projection

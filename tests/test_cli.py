@@ -1,13 +1,19 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from umebkit.bases import BasisSet, build_weyl_umeb
-from umebkit.cli import main
+from umebkit.bases import (
+    BasisSet, CertificateReport, build_c23_first, build_c23_second, build_weyl_umeb,
+)
+from umebkit.channel import ChannelReport
+from umebkit.cli import _build_parser, main
 from umebkit.fileio import load_basis, load_state, save_basis
+from umebkit.mub import OverlapReport
+from umebkit.search import SearchResult
 from umebkit.states import is_maximally_entangled, standard_mes
 
 
@@ -181,3 +187,66 @@ def test_seeds_beyond_philox_keys_exit_2(tmp_path, capsys, command, seed):
     save_basis(w24, build_weyl_umeb(2, 4))
     assert main([command, str(w24), "--seed", str(seed)]) == 2
     assert "seed must be an integer in [0, 2**63)" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
+    w24 = tmp_path / "w24.json"
+    save_basis(w24, build_weyl_umeb(2, 4))
+    assert _build_parser() is _build_parser()
+    assert main(["search", str(w24), "--restarts", "4", "--json", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 1
+    assert main(["search", str(w24), "--restarts", "4", "--seed", "2"]) == 0
+    assert capsys.readouterr().out.startswith("seed: 2, restarts: 4\n")
+    assert main(["search", str(w24), "--restarts", "4"]) == 0
+    assert capsys.readouterr().out.startswith("seed: 42, restarts: 4\n")
+
+
+def _json_fields(report_type) -> list:
+    return [f.name for f in fields(report_type) if f.metadata.get("json", True)]
+
+
+def test_json_reports_follow_their_dataclasses(tmp_path, capsys):
+    w24, first, second = (tmp_path / f"{name}.json" for name in ("w24", "first", "second"))
+    save_basis(w24, build_weyl_umeb(2, 4))
+    save_basis(first, build_c23_first())
+    save_basis(second, build_c23_second())
+    cases = [
+        (["certify", str(w24), "--restarts", "4"],
+         _json_fields(CertificateReport) + ["seed", "restarts"]),
+        (["search", str(w24), "--restarts", "4"], _json_fields(SearchResult) + ["seed"]),
+        (["mub", str(first), str(second)], _json_fields(OverlapReport)),
+        (["channel", str(w24)], ["d", "dprime"] + _json_fields(ChannelReport)),
+        (["pauli", "--d", "2"], ["d", "operators"]),
+    ]
+    docs = []
+    for argv, keys in cases:
+        assert main(argv + ["--json"]) in (0, 1), argv
+        docs.append(json.loads(capsys.readouterr().out))
+        assert list(docs[-1]) == keys, argv
+    certify_doc, search_doc, mub_doc, channel_doc, pauli_doc = docs
+    assert certify_doc["witness"]["format"] == "umeb-state/1"
+    assert search_doc["best_state"]["format"] == "umeb-state/1"
+    assert np.array(mub_doc["overlaps"]).shape == (6, 6)
+    assert "rho_perp" in {f.name for f in fields(ChannelReport)}
+    assert "rho_perp" not in channel_doc
+    assert np.array(channel_doc["marginal_A"]).shape == (4, 4, 2)
+    assert [list(op) for op in pauli_doc["operators"]] == [["n", "m", "entries"]] * 4
+    assert np.array(pauli_doc["operators"][0]["entries"]).shape == (2, 2, 2)
+
+
+def test_mub_admits_a_basis_the_loader_admits(tmp_path, capsys):
+    second = build_c23_second()
+    amps = second.amplitudes.copy()
+    amps[0] += 3e-7 * amps[1]  # tilt member 0 toward member 1
+    amps[0] /= np.linalg.norm(amps[0])
+    first, tilted = tmp_path / "first.json", tmp_path / "tilted.json"
+    save_basis(first, build_c23_first())
+    save_basis(tilted, BasisSet(2, 3, amps, second.me_flags, second.labels))
+    assert len(load_basis(tilted)) == 6
+    assert main(["mub", str(first), str(tilted), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert 1e-9 < doc["max_deviation"] < 2e-7
+    assert main(["mub", str(first), str(tilted), "--tol", "1e-6"]) == 0
+    save_basis(tilted, build_c23_second())
+    assert main(["mub", str(first), str(tilted)]) == 0
+    capsys.readouterr()

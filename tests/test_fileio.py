@@ -238,3 +238,19 @@ def test_out_of_range_number_exits_2_without_traceback(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "out of floating-point range" in proc.stderr
+
+
+def test_oversized_dimensions_exit_2_without_traceback(tmp_path):
+    p = tmp_path / "vast.json"
+    p.write_text(json.dumps({"format": "umeb-basis/1", "d": 4294967296,
+                             "dprime": 4294967296, "states": []}))
+    with pytest.raises(FileFormatError):
+        load_basis(p)
+    proc = subprocess.run([sys.executable, "-m", "umebkit", "verify", str(p)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "exceeds the limit of 1024" in proc.stderr
+    at_limit = tmp_path / "empty-32-32.json"
+    save_basis(at_limit, BasisSet(32, 32, [], me_flags=[]))
+    basis = load_basis(at_limit)
+    assert (basis.d, basis.dprime, len(basis)) == (32, 32, 0)
