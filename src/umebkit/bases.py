@@ -148,8 +148,10 @@ class CertificateReport:
     has Schmidt rank at most ``schmidt_rank_bound = min(d, a_rank, b_rank)``.
     A bound below d proves no maximally entangled state fits, hence
     ``unextendible``.  ``witness`` is present exactly when the verdict is
-    ``extendible``; ``search_best_F`` records the best numeric overlap when a
-    search ran without finding a witness.
+    ``extendible``.  ``search_best_F`` is present exactly when a search ran:
+    on ``extendible`` it is the F of the witness, the first state the search
+    found within ``witness_tol``; on ``inconclusive`` the best F of the whole
+    search.
     """
 
     method: str

@@ -27,7 +27,8 @@ from .bases import (
 from .channel import analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
 from .fileio import (
-    _amplitudes_to_pairs, basis_to_obj, load_basis, save_basis, save_state, state_to_obj,
+    _MAX_SPACE_DIM, _amplitudes_to_pairs, basis_to_obj, load_basis, save_basis, save_state,
+    state_to_obj,
 )
 from .mub import overlap_matrix
 from .search import SearchConfig, certify, max_entanglement_in_subspace
@@ -206,6 +207,10 @@ def cmd_channel(args) -> int:
 
 
 def cmd_pauli(args) -> int:
+    if not (2 <= args.d and args.d * args.d <= _MAX_SPACE_DIM):
+        raise ContractViolationError(
+            f"--d must satisfy 2 <= d and d*d <= {_MAX_SPACE_DIM}, got {args.d}"
+        )
     if (args.n is None) != (args.m is None):
         print("error: --n and --m must be given together", file=sys.stderr)
         return 2

@@ -36,10 +36,16 @@ class SearchConfig:
     ``convergence_tol`` bounds the per-iteration objective change at which a
     restart stops; ``witness_tol`` is the acceptance threshold on ``1 - F``
     for declaring a witness found, and must be the looser of the two.
+    ``certify`` stops the whole search at the first iteration in which some
+    restart meets ``witness_tol``; ``max_entanglement_in_subspace`` runs every
+    restart to convergence and only judges its best F against it.
     ``seed`` makes the whole search deterministic: restart r draws its start
     from an independent counter-based stream keyed by ``(seed, r)``.  Seeds
     run from 0 to ``2**63 - 1``; numpy's Philox key parser reads larger ones
     through a float, so they would silently alias other seeds' streams.
+    ``restarts``, ``max_iters`` and ``seed`` must be integers (Python or
+    numpy, not bool): a float seed would be truncated to another seed's
+    stream.
     """
 
     restarts: int = 64
@@ -49,6 +55,10 @@ class SearchConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractViolationError(f"{name} must be an integer, got {value!r}")
         if self.restarts <= 0 or self.max_iters <= 0:
             raise ContractViolationError("restarts and max_iters must be positive")
         if self.convergence_tol <= 0 or self.witness_tol <= 0:
@@ -116,16 +126,18 @@ def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
     return state
 
 
-def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol):
+def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=None):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked SVD per iteration over the rows still advancing.  A row stops
     when F changes by less than ``convergence_tol``, when its projection
     vanishes (collapsed), or after ``max_iters`` F evaluations; a row that
     stops without collapsing keeps the state it was last evaluated at, so its
-    recorded F is that state's F.  Returns the states, their last F, per-row
-    F evaluation counts, converged and collapsed flags, and per iteration the
-    array of F evaluated on the rows then advancing.
+    recorded F is that state's F.  Given ``witness_tol``, the whole batch stops
+    after the first F evaluation in which some row has ``1 - F <=
+    witness_tol``, without projecting again.  Returns the states, their last
+    F, per-row F evaluation counts, converged and collapsed flags, and per
+    iteration the array of F evaluated on the rows then advancing.
     """
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
@@ -141,6 +153,8 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol):
         history.append(F)
         converged[active[done]] = True
         if len(history) >= max_iters:
+            break
+        if witness_tol is not None and np.any(1.0 - F <= witness_tol):
             break
         active, pm = active[~done], m[~done] @ P.T
         norm_pm = np.linalg.norm(pm, axis=1)
@@ -198,10 +212,18 @@ def max_entanglement_in_subspace(
 
     P must be a Hermitian idempotent of size d*dprime with rank >= 1.  Each
     restart starts from a normalized projected complex-Gaussian vector and
-    ascends F monotonically; all restarts advance together, and the best
-    restart wins (ties go to the earliest).  The verdict is ``found_me`` iff
-    ``1 - best_F <= witness_tol``.
+    ascends F monotonically; all restarts advance together until each has
+    settled, and the best restart wins (ties go to the earliest).  The
+    verdict is ``found_me`` iff ``1 - best_F <= witness_tol``.
     """
+    return _search(P, d, dprime, config, first_witness=False)
+
+
+def _search(P, d: int, dprime: int, config: SearchConfig | None,
+            first_witness: bool) -> SearchResult:
+    """The restarted search; with ``first_witness`` it stops the batch at the
+    first F evaluation that meets ``witness_tol``, and the restart with the
+    highest F at that point is the result."""
     if config is None:
         config = SearchConfig()
     P = np.asarray(P, dtype=complex)
@@ -218,7 +240,8 @@ def max_entanglement_in_subspace(
     kept = norm_pg >= COLLAPSE_FLOOR
     pg = pg[kept] / norm_pg[kept, None]
     psi, F, iterations, converged, collapsed, _ = _ascend_batch(
-        P, pg, d, dprime, config.max_iters, config.convergence_tol
+        P, pg, d, dprime, config.max_iters, config.convergence_tol,
+        config.witness_tol if first_witness else None,
     )
     if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
@@ -241,17 +264,21 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     """Decide extendibility of a basis: analytic certificate, then search.
 
     The support-rank certificate is conclusive whenever its Schmidt-rank
-    bound is below d.  Otherwise the complement is searched; a maximally
-    entangled state found there is returned as an ``extendible`` witness,
-    and a fruitless search downgrades the verdict to ``inconclusive`` with
-    the best overlap recorded.  The certificate and the search share one
-    complement frame.
+    bound is below d.  Otherwise the complement is searched, and the search
+    stops at the first witness: the first iteration in which some restart
+    has ``1 - F <= witness_tol``.  The restart with the highest F at that
+    point is returned as the ``extendible`` witness, and ``search_best_F`` is
+    its F (not the best F a search run to convergence would reach).  Since F
+    never decreases along a restart, stopping early finds a witness exactly
+    when the full search does.  A fruitless search downgrades the verdict to
+    ``inconclusive`` with the best overlap recorded.  The certificate and the
+    search share one complement frame.
     """
     Q = _complement_frame(basis)
     report = _frame_certificate(basis, Q)
     if report.verdict == "unextendible":
         return report
-    result = max_entanglement_in_subspace(Q @ Q.conj().T, basis.d, basis.dprime, config)
+    result = _search(Q @ Q.conj().T, basis.d, basis.dprime, config, first_witness=True)
     found = result.verdict == "found_me"
     return replace(
         report,

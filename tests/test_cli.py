@@ -158,6 +158,22 @@ def test_pauli_single_and_all(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("d", ["0", "-3", "1", "33"])
+def test_pauli_dimension_out_of_range_exits_2(capsys, d):
+    # d >= 2 as everywhere else; d*d <= 1024, the loader's limit on d*d'
+    assert main(["pauli", "--d", d, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --d must satisfy")
+    assert "Traceback" not in captured.err
+
+
+def test_pauli_largest_dimension_runs(capsys):
+    assert main(["pauli", "--d", "32", "--n", "1", "--m", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert np.array(doc["operators"][0]["entries"]).shape == (32, 32, 2)
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
 

@@ -17,6 +17,7 @@ from umebkit.bases import (
     complement_projector,
     support_rank_certificate,
 )
+from umebkit.channel import analyze
 from umebkit.cli import main
 from umebkit.fileio import load_basis, save_basis
 from umebkit.search import SearchConfig, certify
@@ -106,9 +107,9 @@ def test_certify_rejects_complete_basis_file(tmp_path, capsys):
     assert "fewer than" in captured.err
 
 
-@settings(max_examples=40, deadline=None)
-@given(shape=st.sampled_from(SMALL_WEYL_SHAPES), data=st.data())
-def test_certificate_invariant_under_symmetries(shape, data):
+def weyl_and_moved(shape, data):
+    """Weyl(d, d') and a copy moved by the symmetries of the problem: a random
+    local unitary U_A (x) U_B, a member permutation and per-member phases."""
     d, dprime = shape
     basis = build_weyl_umeb(d, dprime)
     k = len(basis)
@@ -120,8 +121,30 @@ def test_certificate_invariant_under_symmetries(shape, data):
     moved = [apply_local(members[j], UA, UB) for j in order]
     moved = [BipartiteState(d, dprime, np.exp(1j * a) * s.amplitudes)
              for a, s in zip(angles, moved)]
+    return basis, BasisSet(d, dprime, moved, me_flags=[True] * k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SMALL_WEYL_SHAPES), data=st.data())
+def test_certificate_invariant_under_symmetries(shape, data):
+    basis, moved = weyl_and_moved(shape, data)
     fields = ("complement_dimension", "a_support_rank", "b_support_rank",
               "schmidt_rank_bound", "verdict")
     before = support_rank_certificate(basis)
-    after = support_rank_certificate(BasisSet(d, dprime, moved, me_flags=[True] * k))
+    after = support_rank_certificate(moved)
     assert [getattr(after, f) for f in fields] == [getattr(before, f) for f in fields]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SMALL_WEYL_SHAPES), data=st.data())
+def test_certify_and_channel_invariant_under_symmetries(shape, data):
+    basis, moved = weyl_and_moved(shape, data)
+    config = SearchConfig(restarts=8)
+    before, after = certify(basis, config), certify(moved, config)
+    assert after.verdict == before.verdict
+    if after.witness is not None:
+        assert np.abs(moved.amplitudes.conj() @ after.witness.amplitudes).max() <= 1e-9
+    fields = ("entropy_A", "entropy_B", "trace_preserving_deviation", "unitality_deviation")
+    channel_before, channel_after = analyze(basis), analyze(moved)
+    for f in fields:
+        assert abs(getattr(channel_after, f) - getattr(channel_before, f)) <= 1e-12, f

@@ -8,6 +8,7 @@ from umebkit.search import (
     _ascend,
     _ascend_batch,
     _restart_starts,
+    _search,
     certify,
     max_entanglement_in_subspace,
     nearest_me_state,
@@ -155,6 +156,14 @@ def test_certify_routes():
 def test_search_config_validation():
     with pytest.raises(ContractViolationError):
         SearchConfig(restarts=0)
+    # counts and seeds are integers: a float seed would run seed 1's stream
+    for field in ("restarts", "max_iters", "seed"):
+        for value in (2.5, 1.7, 3.0, True, "3", None):
+            with pytest.raises(ContractViolationError, match=field):
+                SearchConfig(**{field: value})
+        config = SearchConfig(**{field: np.int64(3)})
+        assert getattr(config, field) == 3
+    SearchConfig(restarts=np.uint8(2), max_iters=np.int32(5), seed=np.uint64(2**63 - 1))
     with pytest.raises(ContractViolationError):
         SearchConfig(witness_tol=1e-13)  # not above convergence_tol
     with pytest.raises(ContractViolationError):
@@ -268,3 +277,100 @@ def test_search_takes_one_stacked_svd_per_iteration(monkeypatch):
     P = random_subspace_projector(np.random.default_rng(35), 24, 16)
     max_entanglement_in_subspace(P, 4, 6, SearchConfig(restarts=16, seed=3))
     assert len(svd_calls) <= iterations[0].max() + 1 < iterations[0].sum()
+
+
+def subspace_projector(seed, d, dprime, k):
+    """Projector onto a random rank-k subspace of C^d (x) C^d', drawn as the
+    benchmark's search workloads draw theirs."""
+    n = d * dprime
+    rng = np.random.default_rng([seed, d, dprime, k, 0])
+    q, _ = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
+    return q @ q.conj().T
+
+
+def weyl_complement(d, dprime):
+    return complement_projector(build_weyl_umeb(d, dprime)), d, dprime
+
+
+# (3,5) k=5 sits at the threshold rank, where the first witness takes ~150
+# iterations; (3,5) k=10 is a search-hard case; Weyl(2,3) has no witness.
+STOP_CASES = {
+    "(3,5) k=5": lambda: (subspace_projector(1, 3, 5, 5), 3, 5),
+    "(3,5) k=10": lambda: (subspace_projector(1, 3, 5, 10), 3, 5),
+    "weyl(2,4)": lambda: weyl_complement(2, 4),
+    "weyl(2,3)": lambda: weyl_complement(2, 3),
+}
+
+
+@pytest.mark.parametrize("case", STOP_CASES)
+def test_witness_stop_ends_the_batch_at_the_first_witness(case):
+    P, d, dprime = STOP_CASES[case]()
+    witness_tol = SearchConfig().witness_tol
+    starts = _restart_starts(1, 8, d * dprime) @ P.T
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    full = _ascend_batch(P, starts, d, dprime, 400, 1e-12)
+    stopped = _ascend_batch(P, starts, d, dprime, 400, 1e-12, witness_tol)
+    full_history, history = full[5], stopped[5]
+    hits = [i for i, F in enumerate(full_history) if np.any(1.0 - F <= witness_tol)]
+    assert len(history) == (hits[0] + 1 if hits else len(full_history))
+    # up to the stop, the stopped run is the unstopped run, bit for bit, and
+    # it ends as that run cut at max_iters there: on the states last evaluated
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(history, full_history))
+    cut = _ascend_batch(P, starts, d, dprime, len(history), 1e-12)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stopped[:5], cut[:5]))
+    if case == "weyl(2,3)":
+        assert not hits
+    else:
+        assert hits and np.any(1.0 - stopped[1] <= witness_tol)
+
+
+def _check_witness(state, P, witness_tol):
+    """``state`` lies in range(P), is a unit vector, and has 1 - F <= witness_tol."""
+    amps = state.amplitudes
+    assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+    assert np.linalg.norm(amps - P @ amps) <= 1e-9
+    s = np.linalg.svd(amps.reshape(state.d, state.dprime), compute_uv=False)
+    assert 1.0 - s.sum() ** 2 / state.d <= witness_tol
+
+
+@pytest.mark.parametrize("d, dprime, k", [(3, 5, 4), (3, 5, 5), (3, 5, 10), (4, 6, 16),
+                                          (5, 7, 26)])
+def test_first_witness_search_agrees_with_full_search(d, dprime, k):
+    P = subspace_projector(1, d, dprime, k)
+    config = SearchConfig(restarts=8, max_iters=2000, seed=1)
+    full = max_entanglement_in_subspace(P, d, dprime, config)
+    first = _search(P, d, dprime, config, first_witness=True)
+    assert first.verdict == full.verdict
+    assert first.iterations_used <= full.iterations_used
+    assert first.best_F <= full.best_F
+    if first.verdict == "found_me":
+        _check_witness(first.best_state, P, config.witness_tol)
+    else:
+        assert first.best_F == full.best_F  # no witness: the same full run
+
+
+@pytest.mark.parametrize("d, dprime", [(2, 4), (2, 5), (3, 6)])
+def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dprime):
+    import umebkit.search as search
+
+    real_batch, iterations = search._ascend_batch, []
+
+    def recording_batch(*args):
+        out = real_batch(*args)
+        iterations.append(len(out[5]))
+        return out
+
+    monkeypatch.setattr(search, "_ascend_batch", recording_batch)
+    basis = build_weyl_umeb(d, dprime)
+    P = complement_projector(basis)
+    config = SearchConfig(restarts=16, seed=3)
+    report = certify(basis, config)
+    full = max_entanglement_in_subspace(P, d, dprime, config)
+    assert report.verdict == "extendible" and full.verdict == "found_me"
+    # F is 1 to rounding after two iterations; only the full search confirms it
+    assert iterations == [2, 3]
+    _check_witness(report.witness, P, config.witness_tol)
+    assert np.abs(basis.amplitudes.conj() @ report.witness.amplitudes).max() <= 1e-9
+    F = np.linalg.svd(report.witness.amplitudes.reshape(d, dprime), compute_uv=False).sum() ** 2 / d
+    assert abs(report.search_best_F - F) <= 1e-12
+    assert 1.0 - report.search_best_F <= config.witness_tol
