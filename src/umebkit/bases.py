@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .states import ME_TOL, BipartiteState, _weyl_operators, apply_local, standard_mes
+from .states import BipartiteState, _norm_errors, _weyl_operators, apply_local, standard_mes
+from .tolerances import (
+    ADMIT_TOL, EXACT_TOL, ME_TOL, NORM_SQ_TOL, NORM_TOL, RANK_CUT, cite,
+)
 
 __all__ = [
     "BasisSet",
@@ -96,11 +99,12 @@ class BasisSet:
             )
         if not np.isfinite(amplitudes).all():
             raise ContractViolationError("member amplitudes contain non-finite entries")
-        norm_err = np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0)
-        off = np.flatnonzero(norm_err > 1e-9)
+        norm_err = _norm_errors(amplitudes)
+        off = np.flatnonzero(norm_err > NORM_TOL)
         if off.size:
             raise ContractViolationError(
-                f"member {off[0]} has norm off by {norm_err[off[0]]:.3e}, more than 1e-9"
+                f"member {off[0]} has norm off by {norm_err[off[0]]:.3e}, "
+                f"more than {cite(NORM_TOL)}"
             )
         if len(me_flags) != len(amplitudes):
             raise ContractViolationError("me_flags length does not match states")
@@ -124,18 +128,24 @@ class BasisSet:
         s = np.linalg.svd(self.amplitudes.reshape(-1, self.d, self.dprime))[1]
         return np.abs(s - 1.0 / np.sqrt(self.d)).max(axis=1)
 
-    def validate(self, gram_tol: float = 1e-9, me_tol: float = ME_TOL) -> None:
-        """Check orthonormality and flag consistency; raise on violation."""
+    def validate(self) -> None:
+        """Check orthonormality and flag consistency; raise on violation.
+
+        The Gram matrix must be within ``EXACT_TOL`` (1e-9) of the identity,
+        as ``umeb verify`` demands by default, and a member must be flagged
+        exactly when its Schmidt coefficients lie within ``ME_TOL`` (1e-8) of
+        ``1/sqrt(d)``, the rule by which the loader sets missing flags.
+        """
         dev = np.abs(gram_matrix(self) - np.eye(len(self))).max() if len(self) else 0.0
-        if dev > gram_tol:
+        if dev > EXACT_TOL:
             raise ContractViolationError(
-                f"basis is not orthonormal: Gram deviation {dev:.3e} > {gram_tol:g}"
+                f"basis is not orthonormal: Gram deviation {dev:.3e} > {EXACT_TOL:g}"
             )
         for k, dev in enumerate(self.me_deviations()):
-            if (dev <= me_tol) != self.me_flags[k]:
+            if (dev <= ME_TOL) != self.me_flags[k]:
                 raise ContractViolationError(
                     f"me_flags[{k}] = {self.me_flags[k]} inconsistent with state "
-                    f"(measured {dev <= me_tol})"
+                    f"(measured {dev <= ME_TOL})"
                 )
 
 
@@ -238,7 +248,7 @@ def _complement_frame(basis: BasisSet, me_only: bool = True) -> np.ndarray:
     if not k:
         return np.eye(basis.d * basis.dprime, dtype=complex)
     gram_dev = np.abs(A.conj() @ A.T - np.eye(k)).max()
-    if gram_dev > 1e-6:
+    if gram_dev > ADMIT_TOL:
         raise ContractViolationError(
             f"selected members are not orthonormal (deviation {gram_dev:.3e})"
         )
@@ -255,7 +265,7 @@ def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
 def _frame_certificate(basis: BasisSet, Q: np.ndarray) -> CertificateReport:
     """:func:`support_rank_certificate` of ``basis``, given its complement frame Q."""
     flagged = np.array(basis.me_flags, dtype=bool)
-    false_flags = np.flatnonzero(flagged & (basis.me_deviations() > 1e-6))
+    false_flags = np.flatnonzero(flagged & (basis.me_deviations() > ADMIT_TOL))
     if len(false_flags):
         raise ContractViolationError(
             f"member {false_flags[0]} is flagged maximally entangled but is not"
@@ -268,10 +278,10 @@ def _frame_certificate(basis: BasisSet, Q: np.ndarray) -> CertificateReport:
         )
     # The A marginal of Q Q^dag is M M^dag with M = Q reshaped to d x (dprime m),
     # the B marginal likewise with the B index leading; a marginal's eigenvalues
-    # above 1e-10 are the singular values of M above 1e-5.
+    # above RANK_CUT**2 are the singular values of M above RANK_CUT.
     Q3 = Q.reshape(d, dprime, m)
     r_a, r_b = (
-        int((np.linalg.svd(M, compute_uv=False) > 1e-5).sum())
+        int((np.linalg.svd(M, compute_uv=False) > RANK_CUT).sum())
         for M in (Q3.reshape(d, dprime * m), Q3.transpose(1, 0, 2).reshape(dprime, d * m))
     )
     bound = min(d, r_a, r_b)
@@ -313,17 +323,20 @@ def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:
     Returns ``(M, det_magnitude)`` where the magnitude is computed from the
     factor determinants, ``d^{d^2/2} * prod(lambda)^{d/2} * |det U|^d`` — a
     strictly positive number, which is what rules the extension out.
+    ``U`` must be unitary within ``EXACT_TOL``, and ``lambdas`` positive with
+    a sum within ``NORM_SQ_TOL`` of 1, which the squared Schmidt coefficients
+    of every admitted state meet.
     """
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     if U.shape != (d, d):
         raise ContractViolationError(f"U must be square, got {U.shape}")
-    if np.abs(U.conj().T @ U - np.eye(d)).max() > 1e-9:
-        raise ContractViolationError("U is not unitary within 1e-9")
+    if np.abs(U.conj().T @ U - np.eye(d)).max() > EXACT_TOL:
+        raise ContractViolationError(f"U is not unitary within {cite(EXACT_TOL)}")
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != (d,):
         raise ContractViolationError(f"lambdas must have length d = {d}")
-    if lambdas.min() <= 0 or abs(lambdas.sum() - 1.0) > 1e-9:
+    if lambdas.min() <= 0 or abs(lambdas.sum() - 1.0) > NORM_SQ_TOL:
         raise ContractViolationError("lambdas must be positive and sum to 1")
 
     zeta = np.exp(2j * np.pi / d)

@@ -27,12 +27,12 @@ from .bases import (
 from .channel import analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
 from .fileio import (
-    _MAX_SPACE_DIM, _amplitudes_to_pairs, basis_to_obj, load_basis, save_basis, save_state,
-    state_to_obj,
+    _amplitudes_to_pairs, basis_to_obj, load_basis, save_basis, save_state, state_to_obj,
 )
 from .mub import overlap_matrix
 from .search import SearchConfig, certify, max_entanglement_in_subspace
-from .states import ME_TOL, BipartiteState, weyl_operator
+from .states import BipartiteState, weyl_operator
+from .tolerances import EXACT_TOL, MAX_SPACE_DIM, ME_TOL
 
 __all__ = ["main"]
 
@@ -75,6 +75,10 @@ def cmd_construct(args) -> int:
         if args.d is None or args.dprime is None:
             print("error: --kind weyl requires --d and --dprime", file=sys.stderr)
             return 2
+        if args.d * args.dprime > MAX_SPACE_DIM:
+            raise ContractViolationError(
+                f"d*dprime = {args.d * args.dprime} exceeds the limit of {MAX_SPACE_DIM}"
+            )
         basis = build_weyl_umeb(args.d, args.dprime)
     elif args.kind == "c23-first":
         basis = build_c23_first()
@@ -207,9 +211,9 @@ def cmd_channel(args) -> int:
 
 
 def cmd_pauli(args) -> int:
-    if not (2 <= args.d and args.d * args.d <= _MAX_SPACE_DIM):
+    if not (2 <= args.d and args.d * args.d <= MAX_SPACE_DIM):
         raise ContractViolationError(
-            f"--d must satisfy 2 <= d and d*d <= {_MAX_SPACE_DIM}, got {args.d}"
+            f"--d must satisfy 2 <= d and d*d <= {MAX_SPACE_DIM}, got {args.d}"
         )
     if (args.n is None) != (args.m is None):
         print("error: --n and --m must be given together", file=sys.stderr)
@@ -257,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check orthonormality and entanglement flags")
     v.add_argument("path")
-    v.add_argument("--tol", type=float, default=1e-9, help="Gram deviation tolerance")
+    v.add_argument("--tol", type=float, default=EXACT_TOL, help="Gram deviation tolerance")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
@@ -283,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mub", help="check two complete bases for mutual unbiasedness")
     m.add_argument("path_a")
     m.add_argument("path_b")
-    m.add_argument("--tol", type=float, default=1e-9)
+    m.add_argument("--tol", type=float, default=EXACT_TOL)
     m.add_argument("--json", action="store_true")
     m.set_defaults(func=cmd_mub)
 

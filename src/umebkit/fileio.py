@@ -24,7 +24,8 @@ import numpy as np
 
 from .bases import BasisSet, gram_matrix
 from .errors import FileFormatError
-from .states import ME_TOL, BipartiteState
+from .states import BipartiteState, _norm_errors
+from .tolerances import ADMIT_TOL, MAX_SPACE_DIM, ME_TOL, NORM_TOL, cite
 
 __all__ = [
     "STATE_FORMAT",
@@ -39,7 +40,6 @@ __all__ = [
 
 STATE_FORMAT = "umeb-state/1"
 BASIS_FORMAT = "umeb-basis/1"
-_MAX_SPACE_DIM = 1024  # largest d*dprime a file may declare
 
 
 def _amplitudes_to_pairs(amp: np.ndarray) -> list:
@@ -67,13 +67,16 @@ def _pairs_to_amplitudes(pairs, expected_len: int, what: str) -> np.ndarray:
 
 
 def _admit_norm(amp: np.ndarray, what: str) -> np.ndarray:
-    norm = np.linalg.norm(amp)
-    err = abs(norm - 1.0)
-    if err > 1e-6:
-        raise FileFormatError(f"{what}: norm {norm:.9f} is off by more than 1e-6")
-    if err > 1e-9:
+    # judged by the norm error BipartiteState and BasisSet judge by, so a
+    # vector kept as it is is one they admit
+    err = _norm_errors(amp)
+    if err > ADMIT_TOL:
+        raise FileFormatError(
+            f"{what}: norm {np.linalg.norm(amp):.9f} is off by more than {cite(ADMIT_TOL)}"
+        )
+    if err > NORM_TOL:
         warnings.warn(f"{what}: norm off by {err:.3e}; renormalizing")
-        return amp / norm
+        return amp / np.linalg.norm(amp)
     return amp
 
 
@@ -92,9 +95,9 @@ def _check_dims(doc: dict, path) -> tuple[int, int]:
     d, dprime = doc.get("d"), doc.get("dprime")
     if not (isinstance(d, int) and isinstance(dprime, int) and 2 <= d <= dprime):
         raise FileFormatError(f"{path}: invalid dimensions d={d!r}, dprime={dprime!r}")
-    if d * dprime > _MAX_SPACE_DIM:
+    if d * dprime > MAX_SPACE_DIM:
         raise FileFormatError(
-            f"{path}: d*dprime = {d * dprime} exceeds the limit of {_MAX_SPACE_DIM}"
+            f"{path}: d*dprime = {d * dprime} exceeds the limit of {MAX_SPACE_DIM}"
         )
     return d, dprime
 
@@ -184,7 +187,7 @@ def load_basis(path, check_orthonormal: bool = True) -> BasisSet:
         basis.me_flags = [bool(dev <= ME_TOL) for dev in basis.me_deviations()]
     if check_orthonormal and k:
         dev = np.abs(gram_matrix(basis) - np.eye(k)).max()
-        if dev > 1e-6:
+        if dev > ADMIT_TOL:
             raise FileFormatError(
                 f"{path}: states are not orthonormal (Gram deviation {dev:.3e})"
             )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
+from .tolerances import EXACT_TOL, FACTOR_TOL, cite
 
 __all__ = [
     "svd",
@@ -16,6 +17,9 @@ __all__ = [
     "partial_trace",
     "von_neumann_entropy",
 ]
+
+#: Eigenvalues at or below this are exact zeros in :func:`von_neumann_entropy`.
+EIGENVALUE_CLIP = 1e-12
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -62,8 +66,8 @@ def hermitian_eig(M) -> tuple[np.ndarray, np.ndarray]:
     M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ContractViolationError(f"matrix is not square: {M.shape}")
-    if np.abs(M - M.conj().T).max() > 1e-10:
-        raise ContractViolationError("matrix is not Hermitian within 1e-10")
+    if np.abs(M - M.conj().T).max() > FACTOR_TOL:
+        raise ContractViolationError(f"matrix is not Hermitian within {cite(FACTOR_TOL)}")
     H = (M + M.conj().T) / 2
     vals, vecs = np.linalg.eigh(H)
     return vals[::-1], vecs[:, ::-1]
@@ -97,18 +101,20 @@ def partial_trace(rho, d: int, dprime: int, side: str) -> np.ndarray:
 def von_neumann_entropy(rho, log_base: float = 2.0) -> float:
     """Entropy -sum(lam * log(lam)) of a density matrix, in the given base.
 
-    Eigenvalues below the clip threshold 1e-12 are treated as exact zeros.
-    The input must be Hermitian and PSD with unit trace (checked at 1e-9).
+    Eigenvalues at or below ``EIGENVALUE_CLIP`` count as exact zeros.  The
+    input must be Hermitian and PSD with unit trace (checked at 1e-9).
     """
     rho = _as_matrix(rho)
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
-        raise ContractViolationError("density matrix trace is not 1 within 1e-9")
-    if np.abs(rho - rho.conj().T).max() > 1e-9:
-        raise ContractViolationError("density matrix is not Hermitian within 1e-9")
+    if abs(np.trace(rho).real - 1.0) > EXACT_TOL or abs(np.trace(rho).imag) > EXACT_TOL:
+        raise ContractViolationError(f"density matrix trace is not 1 within {cite(EXACT_TOL)}")
+    if np.abs(rho - rho.conj().T).max() > EXACT_TOL:
+        raise ContractViolationError(
+            f"density matrix is not Hermitian within {cite(EXACT_TOL)}"
+        )
     vals, _ = hermitian_eig((rho + rho.conj().T) / 2)
-    if vals.min() < -1e-9:
+    if vals.min() < -EXACT_TOL:
         raise ContractViolationError(
             f"density matrix has negative eigenvalue {vals.min():.3e}"
         )
-    vals = vals[vals > 1e-12]
+    vals = vals[vals > EIGENVALUE_CLIP]
     return float(-(vals * np.log(vals)).sum() / np.log(log_base)) + 0.0

@@ -13,6 +13,7 @@ import numpy as np
 
 from .bases import BasisSet, gram_matrix
 from .errors import ContractViolationError
+from .tolerances import ADMIT_TOL, EXACT_TOL
 
 __all__ = ["OverlapReport", "overlap_matrix"]
 
@@ -28,7 +29,7 @@ class OverlapReport:
     overlaps: np.ndarray
 
 
-def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = 1e-9) -> OverlapReport:
+def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = EXACT_TOL) -> OverlapReport:
     """All pairwise overlap magnitudes ``|<b_i|c_j>|`` of two complete bases.
 
     Both bases must be complete (d*d' members), live on the same (d, d'),
@@ -47,7 +48,7 @@ def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = 1e-9) -> OverlapRepo
                 f"{name} basis is incomplete: {len(B)} members, need {dim}"
             )
         dev = np.abs(gram_matrix(B) - np.eye(dim)).max()
-        if dev > 1e-6:
+        if dev > ADMIT_TOL:
             raise ContractViolationError(
                 f"{name} basis is not orthonormal (Gram deviation {dev:.3e})"
             )

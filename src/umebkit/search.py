@@ -19,6 +19,7 @@ from .bases import BasisSet, CertificateReport, _complement_frame, _frame_certif
 from .errors import ContractViolationError, NumericalFailureError
 from .linalg import svd
 from .states import BipartiteState
+from .tolerances import EXACT_TOL, WITNESS_TOL, cite
 
 __all__ = [
     "SearchConfig",
@@ -28,14 +29,22 @@ __all__ = [
     "certify",
 ]
 
+#: Norm below which a vector counts as vanished: a restart whose projection
+#: falls below it collapses, and a nearest-ME point below it is not unique.
+COLLAPSE_FLOOR = 1e-14
+
+#: Change of F between two iterations below which a restart has converged.
+CONVERGENCE_TOL = 1e-12
+
 
 @dataclass(eq=False)
 class SearchConfig:
     """Knobs for the restarted alternating-projection search.
 
-    ``convergence_tol`` bounds the per-iteration objective change at which a
-    restart stops; ``witness_tol`` is the acceptance threshold on ``1 - F``
-    for declaring a witness found, and must be the looser of the two.
+    ``witness_tol`` (default ``WITNESS_TOL``, 1e-6) is the acceptance
+    threshold on ``1 - F`` for declaring a witness found.  It must exceed
+    :data:`CONVERGENCE_TOL`, the per-iteration change of F at which a
+    restart stops, which is fixed rather than a knob.
     ``certify`` stops the whole search at the first iteration in which some
     restart meets ``witness_tol``; ``max_entanglement_in_subspace`` runs every
     restart to convergence and only judges its best F against it.
@@ -50,8 +59,7 @@ class SearchConfig:
 
     restarts: int = 64
     max_iters: int = 10000
-    convergence_tol: float = 1e-12
-    witness_tol: float = 1e-6
+    witness_tol: float = WITNESS_TOL
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -61,10 +69,10 @@ class SearchConfig:
                 raise ContractViolationError(f"{name} must be an integer, got {value!r}")
         if self.restarts <= 0 or self.max_iters <= 0:
             raise ContractViolationError("restarts and max_iters must be positive")
-        if self.convergence_tol <= 0 or self.witness_tol <= 0:
-            raise ContractViolationError("tolerances must be positive")
-        if not self.witness_tol > self.convergence_tol:
-            raise ContractViolationError("witness_tol must exceed convergence_tol")
+        if not self.witness_tol > CONVERGENCE_TOL:
+            raise ContractViolationError(
+                f"witness_tol must exceed the convergence tolerance {CONVERGENCE_TOL:g}"
+            )
         if not 0 <= self.seed < 2**63:
             raise ContractViolationError("seed must be an integer in [0, 2**63)")
 
@@ -87,11 +95,6 @@ class SearchResult:
     restarts_used: int
     converged: bool
     best_state: BipartiteState
-
-
-#: Norm below which a vector counts as vanished: a restart whose projection
-#: falls below it collapses, and a nearest-ME point below it is not unique.
-COLLAPSE_FLOOR = 1e-14
 
 
 def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,8 +233,8 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
     n = d * dprime
     if P.shape != (n, n):
         raise ContractViolationError(f"projector shape {P.shape} != ({n}, {n})")
-    if np.abs(P - P.conj().T).max() > 1e-9 or np.abs(P @ P - P).max() > 1e-9:
-        raise ContractViolationError("P is not a Hermitian projector within 1e-9")
+    if np.abs(P - P.conj().T).max() > EXACT_TOL or np.abs(P @ P - P).max() > EXACT_TOL:
+        raise ContractViolationError(f"P is not a Hermitian projector within {cite(EXACT_TOL)}")
     if np.trace(P).real < 0.5:
         raise ContractViolationError("projector has rank 0: nothing to search")
 
@@ -240,7 +243,7 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
     kept = norm_pg >= COLLAPSE_FLOOR
     pg = pg[kept] / norm_pg[kept, None]
     psi, F, iterations, converged, collapsed, _ = _ascend_batch(
-        P, pg, d, dprime, config.max_iters, config.convergence_tol,
+        P, pg, d, dprime, config.max_iters, CONVERGENCE_TOL,
         config.witness_tol if first_witness else None,
     )
     if collapsed.all():

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import svd
+from .tolerances import EXACT_TOL, FACTOR_TOL, ME_TOL, NORM_SQ_TOL, NORM_TOL, cite
 
 __all__ = [
     "ME_TOL",
@@ -28,8 +29,16 @@ __all__ = [
     "apply_local",
 ]
 
-#: Default bound on a maximally entangled state's Schmidt-coefficient deviation.
-ME_TOL = 1e-8
+
+def _norm_errors(amplitudes: np.ndarray) -> np.ndarray:
+    """``| ||row|| - 1 |`` per row of ``amplitudes`` (a scalar for one vector).
+
+    The one norm-error computation of the admission chain: the loader,
+    :class:`BipartiteState` and ``BasisSet`` all judge a vector by it, so
+    none of them refuses a vector another one admitted.  Norms along the
+    last axis round alike for one vector and for each row of a stack.
+    """
+    return np.abs(np.linalg.norm(amplitudes, axis=-1) - 1.0)
 
 
 @dataclass(eq=False)
@@ -64,9 +73,9 @@ class BipartiteState:
             )
         if not np.all(np.isfinite(amp)):
             raise ContractViolationError("amplitudes contain non-finite entries")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-9:
+        if _norm_errors(amp) > NORM_TOL:
             raise ContractViolationError(
-                f"state norm {np.linalg.norm(amp):.12f} is not 1 within 1e-9"
+                f"state norm {np.linalg.norm(amp):.12f} is not 1 within {cite(NORM_TOL)}"
             )
         self.amplitudes = amp
 
@@ -77,7 +86,9 @@ class SchmidtDecomposition:
 
     ``coefficients`` are the d singular values of the reshaped state, sorted
     descending; ``left_vectors`` (d x d) and ``right_vectors`` (dprime x d)
-    hold the corresponding local basis vectors as columns.
+    hold the corresponding local basis vectors as columns.  The squared
+    coefficients must sum to 1 within ``NORM_SQ_TOL``, which every state
+    admitted at ``NORM_TOL`` meets.
     """
 
     coefficients: np.ndarray
@@ -86,11 +97,11 @@ class SchmidtDecomposition:
 
     def __post_init__(self) -> None:
         s = np.asarray(self.coefficients, dtype=float)
-        if abs((s**2).sum() - 1.0) > 1e-9:
+        if abs((s**2).sum() - 1.0) > NORM_SQ_TOL:
             raise ContractViolationError("squared Schmidt coefficients do not sum to 1")
         for vecs in (self.left_vectors, self.right_vectors):
             gram = vecs.conj().T @ vecs
-            if np.abs(gram - np.eye(gram.shape[0])).max() > 1e-10:
+            if np.abs(gram - np.eye(gram.shape[0])).max() > FACTOR_TOL:
                 raise ContractViolationError("Schmidt vectors are not orthonormal")
         self.coefficients = s
 
@@ -110,7 +121,7 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
     )
 
 
-def schmidt_rank(psi: BipartiteState, tol: float = 1e-8) -> int:
+def schmidt_rank(psi: BipartiteState, tol: float = ME_TOL) -> int:
     """Number of Schmidt coefficients exceeding ``tol``."""
     return int((schmidt(psi).coefficients > tol).sum())
 
@@ -194,6 +205,6 @@ def apply_local(psi: BipartiteState, opA, opB) -> BipartiteState:
         )
     for name, op in (("A", opA), ("B", opB)):
         dev = np.abs(op.conj().T @ op - np.eye(op.shape[0])).max()
-        if dev > 1e-9:
+        if dev > EXACT_TOL:
             raise ContractViolationError(f"operator on side {name} is not unitary ({dev:.3e})")
     return BipartiteState(psi.d, psi.dprime, _apply_local_unchecked(psi, opA, opB))

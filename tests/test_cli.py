@@ -45,6 +45,20 @@ def test_construct_rejects_bad_dims(capsys):
     assert main(["construct", "--kind", "weyl"]) == 2
 
 
+def test_construct_refuses_weyl_beyond_the_space_limit(tmp_path, capsys):
+    # d*d' = 1056 > 1024, the limit the loader would refuse the file at
+    out = tmp_path / "big.json"
+    argv = ["construct", "--kind", "weyl", "--d", "32", "--dprime", "33"]
+    assert main(argv + ["-o", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: d*dprime = 1056 exceeds the limit of 1024")
+    assert "Traceback" not in captured.err
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_flags_duplicate_state(tmp_path, capsys):
     phi0 = standard_mes(2, 3)
     dup = BasisSet(2, 3, [phi0, phi0], me_flags=[True, True])

@@ -1,6 +1,6 @@
 """The complement frame: files the loader admits run through every stage,
-complete bases are refused, and the certificate is invariant under the
-symmetries of the problem."""
+complete bases are refused, and the certificate and the search are
+invariant under the symmetries of the problem."""
 
 import json
 import math
@@ -20,7 +20,7 @@ from umebkit.bases import (
 from umebkit.channel import analyze
 from umebkit.cli import main
 from umebkit.fileio import load_basis, save_basis
-from umebkit.search import SearchConfig, certify
+from umebkit.search import SearchConfig, certify, max_entanglement_in_subspace
 from umebkit.states import BipartiteState, apply_local, standard_mes
 
 PAULIS = [
@@ -148,3 +148,19 @@ def test_certify_and_channel_invariant_under_symmetries(shape, data):
     channel_before, channel_after = analyze(basis), analyze(moved)
     for f in fields:
         assert abs(getattr(channel_after, f) - getattr(channel_before, f)) <= 1e-12, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SMALL_WEYL_SHAPES), data=st.data())
+def test_search_best_F_invariant_under_symmetries(shape, data):
+    # the most entangled state in the complement of Weyl(d, d') has
+    # F = (d' - d)/d, or 1 (an ME state) once d <= d'/2
+    basis, moved = weyl_and_moved(shape, data)
+    d, dprime = shape
+    config = SearchConfig(restarts=8)
+    before, after = (
+        max_entanglement_in_subspace(complement_projector(b), d, dprime, config).best_F
+        for b in (basis, moved)
+    )
+    assert abs(after - before) <= 1e-9
+    assert abs(before - min(1.0, (dprime - d) / d)) <= 1e-9
