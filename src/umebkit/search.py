@@ -33,6 +33,15 @@ __all__ = [
 #: falls below it collapses, and a nearest-ME point below it is not unique.
 COLLAPSE_FLOOR = 1e-14
 
+#: Gram ratio ``w_min / w_max = (s_min / s_max)**2`` above which the nearest
+#: maximally entangled point is taken from the eigendecomposition of the d x d
+#: Gram matrix, and at or below which from the SVD.  The Gram route's error is
+#: about ``eps * k**2`` in the point and ``eps * k`` in F, ``k = s_max / s_min``
+#: (Higham, SIAM J. Sci. Stat. Comput. 7, 1986); with ``k`` up to 100, random
+#: states at (2,3), (3,5) and (7,7) stay within about 1e-12 and 2e-14 of the
+#: SVD's point and F.
+GRAM_CUTOFF = 1e-4
+
 #: Change of F between two iterations below which a restart has converged.
 CONVERGENCE_TOL = 1e-12
 
@@ -102,14 +111,29 @@ def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the flat amplitudes together with the smallest singular value of
     each matrix (whose vanishing signals a non-unique nearest point).  The
-    polar factor ``L R^dag`` does not depend on the singular vectors' phases,
-    so one stacked SVD serves the whole stack.
+    nearest point is the polar factor ``(x x^dag)^{-1/2} x = L R^dag`` of
+    ``x = L S R^dag``, scaled by ``1/sqrt(d)``.  One stacked eigendecomposition
+    ``x x^dag = U diag(w) U^dag`` of the d x d Gram matrices gives it as
+    ``U diag(w^{-1/2}) U^dag x`` on each row with ``w_min / w_max`` above
+    :data:`GRAM_CUTOFF`; the other rows (rank deficient or nearly so) take it
+    from one stacked SVD as ``L R^dag``, which does not depend on the singular
+    vectors' phases.  Each row's route and arithmetic depend on that row
+    alone, never on the rest of the stack.
     """
-    d = x.shape[-2]
-    left, s, right_dagger = np.linalg.svd(x, full_matrices=False)
-    m = left @ right_dagger
+    d, dprime = x.shape[-2:]
+    xs = x.reshape(-1, d, dprime)
+    w, U = np.linalg.eigh(xs @ xs.conj().transpose(0, 2, 1))
+    gram = w[:, 0] > GRAM_CUTOFF * w[:, -1]
+    rows = slice(None) if gram.all() else gram  # a slice takes views, not copies
+    m, s_min = np.empty_like(xs), np.sqrt(np.maximum(w[:, 0], 0.0))
+    Ug = U[rows]
+    m[rows] = (Ug * w[rows, None, :] ** -0.5) @ (Ug.conj().transpose(0, 2, 1) @ xs[rows])
+    if rows is gram:
+        left, s, right_dagger = np.linalg.svd(xs[~gram], full_matrices=False)
+        m[~gram] = left @ right_dagger
+        s_min[~gram] = s[:, -1]
     m /= np.sqrt(d)
-    return m.reshape(*x.shape[:-2], -1), s[..., -1]
+    return m.reshape(*x.shape[:-2], -1), s_min.reshape(x.shape[:-2])
 
 
 def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
@@ -117,10 +141,12 @@ def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
 
     With SVD ``X = L S R^dag`` of the reshaped state, the result reshapes to
     ``L R^dag / sqrt(d)`` — the polar part of X, scaled; among maximally
-    entangled states it maximizes ``|<m|psi>| = sum_p s_p / sqrt(d)``.  When
-    X is rank deficient (smallest singular value <= ``COLLAPSE_FLOOR``) the
-    nearest point is not unique; the SVD's deterministic completion is used,
-    and with ``return_uniqueness=True`` a second return value reports False.
+    entangled states it maximizes ``|<m|psi>| = sum_p s_p / sqrt(d)``.  It is
+    computed from the Gram matrix ``X X^dag`` when X is well conditioned, and
+    from the SVD otherwise (see :func:`_nearest_me_amplitudes`).  When X is
+    rank deficient (smallest singular value <= ``COLLAPSE_FLOOR``) the nearest
+    point is not unique; the SVD's deterministic completion is used, and with
+    ``return_uniqueness=True`` a second return value reports False.
     """
     m, s_min = _nearest_me_amplitudes(psi.amplitudes.reshape(psi.d, psi.dprime))
     state = BipartiteState(psi.d, psi.dprime, m)
@@ -132,15 +158,16 @@ def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
 def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=None):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
-    One stacked SVD per iteration over the rows still advancing.  A row stops
-    when F changes by less than ``convergence_tol``, when its projection
-    vanishes (collapsed), or after ``max_iters`` F evaluations; a row that
-    stops without collapsing keeps the state it was last evaluated at, so its
-    recorded F is that state's F.  Given ``witness_tol``, the whole batch stops
-    after the first F evaluation in which some row has ``1 - F <=
-    witness_tol``, without projecting again.  Returns the states, their last
-    F, per-row F evaluation counts, converged and collapsed flags, and per
-    iteration the array of F evaluated on the rows then advancing.
+    One stacked projection (:func:`_nearest_me_amplitudes`) per iteration
+    over the rows still advancing.  A row stops when F changes by less than
+    ``convergence_tol``, when its projection vanishes (collapsed), or after
+    ``max_iters`` F evaluations; a row that stops without collapsing keeps
+    the state it was last evaluated at, so its recorded F is that state's F.
+    Given ``witness_tol``, the whole batch stops after the first F evaluation
+    in which some row has ``1 - F <= witness_tol``, without projecting again.
+    Returns the states, their last F, per-row F evaluation counts, converged
+    and collapsed flags, and per iteration the array of F evaluated on the
+    rows then advancing.
     """
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)

@@ -193,8 +193,9 @@ def _apply_local_unchecked(
 def apply_local(psi: BipartiteState, opA, opB) -> BipartiteState:
     """Apply the product operator ``opA (x) opB`` to a state.
 
-    Both factors must be unitary (checked at 1e-9) so the result is again a
-    valid unit state.
+    Both factors must be unitary within ``EXACT_TOL``, so the result is a unit
+    state up to those errors and the state's own.  A result whose norm is off
+    by more than ``NORM_TOL`` is renormalised; any other is kept bit for bit.
     """
     opA = np.asarray(opA, dtype=complex)
     opB = np.asarray(opB, dtype=complex)
@@ -207,4 +208,7 @@ def apply_local(psi: BipartiteState, opA, opB) -> BipartiteState:
         dev = np.abs(op.conj().T @ op - np.eye(op.shape[0])).max()
         if dev > EXACT_TOL:
             raise ContractViolationError(f"operator on side {name} is not unitary ({dev:.3e})")
-    return BipartiteState(psi.d, psi.dprime, _apply_local_unchecked(psi, opA, opB))
+    amp = _apply_local_unchecked(psi, opA, opB)
+    if _norm_errors(amp) > NORM_TOL:
+        amp = amp / np.linalg.norm(amp)
+    return BipartiteState(psi.d, psi.dprime, amp)

@@ -35,8 +35,9 @@ Checks of operators a caller hands in (the unitaries of ``apply_local`` and
 use :data:`EXACT_TOL`; the two checks next to a factorisation, of the
 orthonormality of the SVD's Schmidt vectors and of the Hermiticity of
 ``hermitian_eig``'s input, use the tighter :data:`FACTOR_TOL`.  Constants
-that one algorithm owns (the search's convergence and collapse thresholds,
-the entropy's eigenvalue clip) stay named in their own module.
+that one algorithm owns (the search's convergence and collapse thresholds
+and its Gram cutoff, the entropy's eigenvalue clip) stay named in their own
+module.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ __all__ = [
 MAX_SPACE_DIM = 1024
 
 #: Bound on ``| ||psi|| - 1 |`` for every held state and basis row; the loader
-#: renormalises a vector whose norm is off by more.
+#: and ``apply_local`` renormalise a vector whose norm is off by more.
 NORM_TOL = 1e-9
 
 #: The loader's admission bound: the largest norm error it renormalises and

@@ -60,6 +60,115 @@ def test_nearest_me_rank_deficient_flagged():
     assert flag
 
 
+def svd_polar(x):
+    """The SVD route of the kernel: ``L R^dag / sqrt(d)`` and ``s_min``,
+    flattened, computed as the kernel computed it before the Gram route."""
+    left, s, right_dagger = np.linalg.svd(x, full_matrices=False)
+    m = left @ right_dagger
+    m /= np.sqrt(x.shape[-2])
+    return m.reshape(*x.shape[:-2], -1), s[..., -1]
+
+
+def with_singular_values(rng, dprime, s):
+    """A unit-norm d x d' state with Schmidt coefficients proportional to s."""
+    d = len(s)
+    left, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    right, _ = np.linalg.qr(rng.normal(size=(dprime, d)) + 1j * rng.normal(size=(dprime, d)))
+    return (left * (np.asarray(s) / np.linalg.norm(s))) @ right.conj().T
+
+
+def count_stacked(monkeypatch, name):
+    """Record the shapes of the stacked (3-d) calls of ``np.linalg.<name>``."""
+    real, shapes = getattr(np.linalg, name), []
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
+
+
+@pytest.mark.parametrize("d, dprime", [(2, 3), (3, 5), (7, 7)])
+def test_gram_polar_factor_matches_svd_down_to_the_cutoff(monkeypatch, d, dprime):
+    import umebkit.search as search
+
+    rng = np.random.default_rng([36, d, dprime])
+    # s_min / s_max from 1 down to just above sqrt(GRAM_CUTOFF) = 1e-2; the
+    # others spread log-uniformly between, or bunched at either end
+    floor = np.sqrt(search.GRAM_CUTOFF) * (1 + 1e-6)
+    ratios = np.concatenate([[1.0, floor], np.geomspace(1.0, floor, 58)])
+    x = []
+    for ratio in ratios:
+        for middle in (rng.uniform(size=d - 2), np.zeros(d - 2), np.ones(d - 2)):
+            x.append(with_singular_values(rng, dprime, ratio ** np.r_[0.0, middle, 1.0]))
+    x = np.array(x)
+    svds = count_stacked(monkeypatch, "svd")
+    m, s_min = search._nearest_me_amplitudes(x)
+    assert svds == []  # every row took the Gram route
+    reference, s_ref = svd_polar(x)
+    assert np.abs(m - reference).max() <= 1e-11
+    assert np.abs(s_min - s_ref).max() <= 1e-12
+    flat = x.reshape(len(x), -1)
+    F = np.abs(np.einsum("ij,ij->i", m.conj(), flat)) ** 2
+    F_ref = np.abs(np.einsum("ij,ij->i", reference.conj(), flat)) ** 2
+    assert np.abs(F - F_ref).max() <= 1e-13
+
+
+def ill_conditioned_rows(rng, d, dprime):
+    """Rows the kernel must leave on the SVD route: a basis product state, a
+    random product state, a rank-deficient state and one just below the
+    cutoff."""
+    basis_product = np.zeros((d, dprime), dtype=complex)
+    basis_product[0, 2] = 1.0
+    a = rng.normal(size=d) + 1j * rng.normal(size=d)
+    b = rng.normal(size=dprime) + 1j * rng.normal(size=dprime)
+    product = np.outer(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    rank_deficient = with_singular_values(rng, dprime, np.r_[np.ones(d - 1), 0.0])
+    below = with_singular_values(rng, dprime, np.r_[1.0, np.full(d - 1, 0.99e-2)])
+    return np.array([basis_product, product, rank_deficient, below])
+
+
+@pytest.mark.parametrize("d, dprime", [(2, 3), (3, 5), (4, 4)])
+def test_rows_below_the_cutoff_keep_the_svd_route_bitwise(d, dprime):
+    import umebkit.search as search
+
+    rng = np.random.default_rng([37, d, dprime])
+    bad = ill_conditioned_rows(rng, d, dprime)
+    m, s_min = search._nearest_me_amplitudes(bad)
+    reference, s_ref = svd_polar(bad)
+    assert m.tobytes() == reference.tobytes() and s_min.tobytes() == s_ref.tobytes()
+    for row, ref in zip(bad, reference):
+        alone, _ = search._nearest_me_amplitudes(row)
+        assert alone.tobytes() == ref.tobytes() == svd_polar(row)[0].tobytes()
+    # the three rank-deficient rows have no unique nearest point
+    for row, unique in zip(bad, [False, False, False, True]):
+        state, flag = nearest_me_state(BipartiteState(d, dprime, row.reshape(-1)), True)
+        assert flag == unique
+        assert state.amplitudes.tobytes() == svd_polar(row)[0].tobytes()
+
+
+@pytest.mark.parametrize("d, dprime", [(2, 3), (3, 5), (7, 7)])
+def test_each_row_is_the_same_alone_and_in_a_mixed_stack(monkeypatch, d, dprime):
+    import umebkit.search as search
+
+    rng = np.random.default_rng([38, d, dprime])
+    good = rng.normal(size=(3, d, dprime)) + 1j * rng.normal(size=(3, d, dprime))
+    good /= np.linalg.norm(good, axis=(1, 2), keepdims=True)
+    bad = ill_conditioned_rows(rng, d, dprime)
+    mixed = np.concatenate([good[:1], bad[:2], good[1:], bad[2:]])
+    svds = count_stacked(monkeypatch, "svd")
+    m, s_min = search._nearest_me_amplitudes(mixed)
+    assert svds == [(4, d, dprime)]  # one stacked SVD, of the four bad rows
+    for row, m_row, s_row in zip(mixed, m, s_min):
+        alone, s_alone = search._nearest_me_amplitudes(row)
+        assert alone.tobytes() == m_row.tobytes() and s_alone == s_row
+    m_good, s_good = search._nearest_me_amplitudes(good)
+    assert m_good.tobytes() == m[[0, 3, 4]].tobytes()
+    assert s_good.tobytes() == s_min[[0, 3, 4]].tobytes()
+
+
 def test_search_negative_control_23():
     P = complement_projector(build_weyl_umeb(2, 3))
     res = max_entanglement_in_subspace(P, 2, 3, FAST)
@@ -257,26 +366,23 @@ def test_best_state_owns_its_amplitudes():
     assert root.nbytes == amplitudes.nbytes
 
 
-def test_search_takes_one_stacked_svd_per_iteration(monkeypatch):
+def test_search_takes_one_stacked_eigh_per_iteration(monkeypatch):
     import umebkit.search as search
 
-    real_svd, real_batch = np.linalg.svd, search._ascend_batch
-    svd_calls, iterations = [], []
-
-    def counting_svd(*args, **kwargs):
-        svd_calls.append(args[0].shape)
-        return real_svd(*args, **kwargs)
+    real_batch, iterations = search._ascend_batch, []
 
     def recording_batch(*args):
         out = real_batch(*args)
         iterations.append(out[2])
         return out
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    eighs = count_stacked(monkeypatch, "eigh")
+    svds = count_stacked(monkeypatch, "svd")
     monkeypatch.setattr(search, "_ascend_batch", recording_batch)
     P = random_subspace_projector(np.random.default_rng(35), 24, 16)
     max_entanglement_in_subspace(P, 4, 6, SearchConfig(restarts=16, seed=3))
-    assert len(svd_calls) <= iterations[0].max() + 1 < iterations[0].sum()
+    assert len(eighs) <= iterations[0].max() + 1 < iterations[0].sum()
+    assert svds == []  # every state of this search is well conditioned
 
 
 def subspace_projector(seed, d, dprime, k):

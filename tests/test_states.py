@@ -174,6 +174,18 @@ def test_apply_local_weyl_pattern():
     assert np.abs(out.amplitudes - expect).max() < 1e-12
 
 
+def test_apply_local_admits_what_its_checks_admit():
+    # a state and a unitary each off by just under their bounds: the product
+    # is off by more than NORM_TOL, and is renormalised rather than refused
+    psi = BipartiteState(2, 3, standard_mes(2, 3).amplitudes * (1 + 0.999e-9))
+    out = apply_local(psi, (1 + 0.49e-9) * np.eye(2), np.eye(3))
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-15
+    assert np.abs(out.amplitudes - standard_mes(2, 3).amplitudes).max() <= 1e-15
+    # a result within NORM_TOL keeps its bits
+    psi = BipartiteState(2, 3, standard_mes(2, 3).amplitudes * (1 + 0.5e-9))
+    assert apply_local(psi, np.eye(2), np.eye(3)).amplitudes.tobytes() == psi.amplitudes.tobytes()
+
+
 def test_apply_local_rejects_bad_operators():
     phi0 = standard_mes(2, 3)
     with pytest.raises(ContractViolationError):
