@@ -58,10 +58,10 @@ class BasisSet:
     :class:`BipartiteState` objects.  Construction enforces, in one pass over
     the rows, what every member state must satisfy (``2 <= d <= dprime``, rows
     of length ``d*dprime``, finite entries, unit norms within 1e-9) and the
-    structural consistency of the set (matching label/flag lengths);
-    orthonormality and the correctness of the per-state entanglement flags
-    are semantic invariants checked by :meth:`validate`, so that deliberately
-    broken sets can still be represented and measured (e.g. by
+    structural consistency of the set (matching label/flag lengths, string
+    labels); orthonormality and the correctness of the per-state entanglement
+    flags are semantic invariants checked by :meth:`validate`, so that
+    deliberately broken sets can still be represented and measured (e.g. by
     :func:`gram_matrix`).
 
     Parameters
@@ -110,6 +110,8 @@ class BasisSet:
             raise ContractViolationError("me_flags length does not match states")
         if labels is not None and len(labels) != len(amplitudes):
             raise ContractViolationError("labels length does not match states")
+        if labels is not None and not all(isinstance(x, str) for x in labels):
+            raise ContractViolationError("labels must be strings")
         amplitudes.flags.writeable = False
         self.d, self.dprime, self.amplitudes = d, dprime, amplitudes
         self.me_flags = [bool(f) for f in me_flags]

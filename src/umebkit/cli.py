@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .bases import (
 from .channel import analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
 from .fileio import (
-    _amplitudes_to_pairs, basis_to_obj, load_basis, save_basis, save_state, state_to_obj,
+    _amplitudes_to_pairs, _dumps, basis_to_obj, load_basis, save_basis, save_state, state_to_obj,
 )
 from .mub import overlap_matrix
 from .search import SearchConfig, certify, max_entanglement_in_subspace
@@ -41,15 +40,17 @@ def _to_json(x):
     """A report as a JSON-ready value: the one serialiser of ``--json`` reports.
 
     A dataclass becomes a dict of its fields in declaration order, leaving out
-    those with ``metadata={"json": False}``; a state becomes its
-    ``umeb-state/1`` document, a complex array nested ``[re, im]`` pairs and a
-    real array nested floats.
+    those with ``metadata={"json": False}``; a list is walked item by item; a
+    state becomes its ``umeb-state/1`` document, a complex array nested
+    ``[re, im]`` pairs and a real array nested floats.
     """
     if isinstance(x, BipartiteState):
         return state_to_obj(x)
     if is_dataclass(x):
         return {f.name: _to_json(getattr(x, f.name))
                 for f in fields(x) if f.metadata.get("json", True)}
+    if isinstance(x, list):
+        return [_to_json(v) for v in x]
     if isinstance(x, np.ndarray):
         return _amplitudes_to_pairs(x) if np.iscomplexobj(x) else x.tolist()
     return x
@@ -63,7 +64,7 @@ def _format_matrix(M: np.ndarray, indent: str = "  ") -> str:
 
 
 def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
 
 
 def _search_config(args) -> SearchConfig:
@@ -98,41 +99,47 @@ def cmd_construct(args) -> int:
     return 0
 
 
+@dataclass(eq=False)
+class MemberCheck:
+    """One member's row of a :class:`VerifyReport`: does its flag match it?"""
+
+    index: int
+    label: str | None
+    me_deviation: float
+    me_flag: bool
+    consistent: bool
+
+
+@dataclass(eq=False)
+class VerifyReport:
+    """What ``umeb verify`` measured: the Gram deviation and each member's flag."""
+
+    gram_deviation: float
+    tol: float
+    states: list[MemberCheck]
+    passed: bool
+
+
 def cmd_verify(args) -> int:
     basis = load_basis(args.path, check_orthonormal=False)
     gram_dev = float(np.abs(gram_matrix(basis) - np.eye(len(basis))).max()) if len(basis) else 0.0
-    rows = []
-    all_consistent = True
-    for k, dev in enumerate(basis.me_deviations()):
-        consistent = bool(dev <= ME_TOL) == basis.me_flags[k]
-        all_consistent &= consistent
-        rows.append(
-            {
-                "index": k,
-                "label": basis.labels[k] if basis.labels else None,
-                "me_deviation": float(dev),
-                "me_flag": basis.me_flags[k],
-                "consistent": consistent,
-            }
-        )
-    passed = gram_dev <= args.tol and all_consistent
+    rows = [
+        MemberCheck(k, basis.labels[k] if basis.labels else None, float(dev), flag,
+                    bool(dev <= ME_TOL) == flag)
+        for k, (dev, flag) in enumerate(zip(basis.me_deviations(), basis.me_flags))
+    ]
+    passed = gram_dev <= args.tol and all(row.consistent for row in rows)
+    report = VerifyReport(gram_dev, args.tol, rows, passed)
     if args.json:
-        _emit_json(
-            {
-                "gram_deviation": gram_dev,
-                "tol": args.tol,
-                "states": rows,
-                "passed": passed,
-            }
-        )
+        _emit_json(_to_json(report))
     else:
         print(f"gram deviation: {gram_dev:.3e} (tol {args.tol:g})")
         for row in rows:
-            name = f" ({row['label']})" if row["label"] else ""
+            name = f" ({row.label})" if row.label else ""
             print(
-                f"state {row['index']}{name}: me deviation {row['me_deviation']:.3e}, "
-                f"flag {str(row['me_flag']).lower()}, "
-                f"{'ok' if row['consistent'] else 'INCONSISTENT'}"
+                f"state {row.index}{name}: me deviation {row.me_deviation:.3e}, "
+                f"flag {str(row.me_flag).lower()}, "
+                f"{'ok' if row.consistent else 'INCONSISTENT'}"
             )
         print(f"result: {'pass' if passed else 'fail'}")
     return 0 if passed else 1

@@ -288,5 +288,8 @@ def test_basisset_array_way_in_checks_every_row():
         BasisSet(3, 2, amps, me_flags=[True] * 4)  # d > dprime
     with pytest.raises(ContractViolationError):
         BasisSet(1, 6, amps, me_flags=[True] * 4)  # d < 2
+    for labels in ([np.int64(i) for i in range(4)], ["a", "b", None, "d"]):
+        with pytest.raises(ContractViolationError, match="labels must be strings"):
+            BasisSet(2, 3, amps, me_flags=[True] * 4, labels=labels)  # the loader's rule
     empty = BasisSet(2, 3, np.zeros((0, 6)), me_flags=[])
     assert len(empty) == 0 and empty.amplitudes.shape == (0, 6)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from umebkit.bases import (
-    BasisSet, CertificateReport, build_c23_first, build_c23_second, build_weyl_umeb,
+    BasisSet, CertificateReport, build_c23_first, build_c23_second, build_weyl_umeb, gram_matrix,
 )
 from umebkit.channel import ChannelReport
-from umebkit.cli import _build_parser, main
+from umebkit.cli import MemberCheck, VerifyReport, _build_parser, main
 from umebkit.fileio import load_basis, load_state, save_basis
 from umebkit.mub import OverlapReport
 from umebkit.search import SearchResult
@@ -247,13 +247,18 @@ def test_json_reports_follow_their_dataclasses(tmp_path, capsys):
         (["mub", str(first), str(second)], _json_fields(OverlapReport)),
         (["channel", str(w24)], ["d", "dprime"] + _json_fields(ChannelReport)),
         (["pauli", "--d", "2"], ["d", "operators"]),
+        (["verify", str(w24)], _json_fields(VerifyReport)),
     ]
     docs = []
     for argv, keys in cases:
         assert main(argv + ["--json"]) in (0, 1), argv
-        docs.append(json.loads(capsys.readouterr().out))
+        out = capsys.readouterr().out
+        docs.append(json.loads(out))
         assert list(docs[-1]) == keys, argv
-    certify_doc, search_doc, mub_doc, channel_doc, pauli_doc = docs
+        # the text contract of every report: the stdlib's indent-2 text
+        assert out == json.dumps(docs[-1], indent=2) + "\n", argv
+    certify_doc, search_doc, mub_doc, channel_doc, pauli_doc, verify_doc = docs
+    assert [list(row) for row in verify_doc["states"]] == [_json_fields(MemberCheck)] * 4
     assert certify_doc["witness"]["format"] == "umeb-state/1"
     assert search_doc["best_state"]["format"] == "umeb-state/1"
     assert np.array(mub_doc["overlaps"]).shape == (6, 6)
@@ -280,3 +285,22 @@ def test_mub_admits_a_basis_the_loader_admits(tmp_path, capsys):
     save_basis(tilted, build_c23_second())
     assert main(["mub", str(first), str(tilted)]) == 0
     capsys.readouterr()
+
+
+def test_verify_json_keeps_its_hand_written_bytes(tmp_path, capsys):
+    phi0 = standard_mes(2, 3)
+    cases = [build_weyl_umeb(3, 4), build_c23_first(), BasisSet(2, 2, [], me_flags=[]),
+             BasisSet(2, 3, [phi0, phi0], me_flags=[True, False])]
+    for basis in cases:
+        path = tmp_path / "b.json"
+        save_basis(path, basis)
+        k = len(basis)
+        gram_dev = float(np.abs(gram_matrix(basis) - np.eye(k)).max()) if k else 0.0
+        rows = [{"index": i, "label": basis.labels[i] if basis.labels else None,
+                 "me_deviation": float(dev), "me_flag": flag,
+                 "consistent": bool(dev <= 1e-8) == flag}
+                for i, (dev, flag) in enumerate(zip(basis.me_deviations(), basis.me_flags))]
+        passed = gram_dev <= 1e-9 and all(row["consistent"] for row in rows)
+        assert main(["verify", str(path), "--json"]) == (0 if passed else 1)
+        expected = {"gram_deviation": gram_dev, "tol": 1e-9, "states": rows, "passed": passed}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"

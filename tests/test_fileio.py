@@ -13,8 +13,12 @@ from hypothesis import strategies as st
 from umebkit import ContractViolationError, FileFormatError
 from umebkit.bases import BasisSet, build_c23_first, build_c23_second, build_weyl_umeb, gram_matrix
 from umebkit.cli import main
-from umebkit.fileio import basis_to_obj, load_basis, load_state, save_basis, save_state
-from umebkit.states import BipartiteState, standard_mes
+from umebkit.fileio import (
+    _dumps, _read_states, basis_to_obj, load_basis, load_state, save_basis, save_state,
+    state_to_obj,
+)
+from umebkit.states import BipartiteState, _norm_errors, standard_mes
+from umebkit.tolerances import ADMIT_TOL, NORM_TOL, cite
 
 
 def test_state_roundtrip_bitwise(tmp_path):
@@ -23,6 +27,7 @@ def test_state_roundtrip_bitwise(tmp_path):
     psi = BipartiteState(3, 4, amp / np.linalg.norm(amp))
     path = tmp_path / "state.json"
     save_state(path, psi)
+    assert path.read_bytes() == (json.dumps(state_to_obj(psi), indent=2) + "\n").encode()
     back = load_state(path)
     assert back.d == 3 and back.dprime == 4
     assert np.array_equal(back.amplitudes, psi.amplitudes)
@@ -157,6 +162,196 @@ def test_basis_load_builds_no_member_states(tmp_path, monkeypatch):
     assert len(back) == 9 and built == []
 
 
+SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
+BUILDERS = {f"weyl({d},{dp})": (lambda d=d, dp=dp: build_weyl_umeb(d, dp)) for d, dp in SWEEP_SHAPES}
+BUILDERS.update({"c23-first": build_c23_first, "c23-second": build_c23_second})
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_saved_basis_is_the_stdlib_indent_2_text(tmp_path, name):
+    basis = BUILDERS[name]()
+    p = tmp_path / "b.json"
+    save_basis(p, basis)
+    assert p.read_bytes() == (json.dumps(basis_to_obj(basis), indent=2) + "\n").encode()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1e308, -1e308,
+               float("nan"), float("inf"), -float("inf")]
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(EDGE_FLOATS),
+    st.sampled_from(EDGE_FLOATS + [0.5, -2.25]).map(np.float64),
+)
+STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n\t\r", "\x00\x1f\x7f", "\u2028", "é", "𝄞", "a/b"]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.sampled_from([2**63, -(2**64), 10**40]), FLOATS, STRINGS)
+PAIRS = st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=5)
+
+
+@st.composite
+def regular_arrays(draw):
+    """Nested lists of floats of one shape, such as a basis's (k, n, 2) pairs."""
+    def build(shape):
+        if not shape:
+            return draw(FLOATS)
+        return [build(shape[1:]) for _ in range(shape[0])]
+    return build(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+
+
+MIXED_ROWS = st.lists(
+    st.one_of(st.lists(FLOATS, min_size=2, max_size=2), st.lists(FLOATS, max_size=3),
+              st.lists(SCALARS, max_size=3), SCALARS),
+    max_size=5)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, st.lists(FLOATS, max_size=5), st.lists(STRINGS, max_size=3),
+              PAIRS, regular_arrays(), MIXED_ROWS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(STRINGS, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=DOCUMENTS)
+def test_writer_matches_the_stdlib_indent_2_text(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(1), np.bool_(True), np.complex128(1), np.array([1.0]), (1.0, 2.0), {1.0},
+    {1: 2}, {"ok": [[1.0, 2.0], [np.int64(3), 4.0]]}, b"bytes",
+])
+def test_writer_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+def test_failed_save_leaves_the_old_file(tmp_path):
+    p = tmp_path / "w.json"
+    save_basis(p, build_weyl_umeb(2, 3))
+    before = p.read_bytes()
+    basis = build_weyl_umeb(2, 3)
+    basis.labels = [np.int64(i) for i in range(4)]  # set past the constructor's check
+    with pytest.raises(TypeError):
+        save_basis(p, basis)
+    assert p.read_bytes() == before
+
+    s = tmp_path / "s.json"
+    save_state(s, standard_mes(2, 3))
+    before = s.read_bytes()
+    psi = standard_mes(2, 3)
+    psi.d = np.int64(2)
+    with pytest.raises(TypeError):
+        save_state(s, psi)
+    assert s.read_bytes() == before
+
+
+def _reference_read_states(raw_states, n: int, path) -> np.ndarray:
+    """The loader's states, read as it read them before whole-array checks:
+    one state at a time, each pair checked in a Python loop, each norm judged
+    on its own."""
+    rows = []
+    for i, pairs in enumerate(raw_states):
+        what = f"{path}: state {i}"
+        if not isinstance(pairs, list) or len(pairs) != n:
+            raise FileFormatError(f"{what}: expected {n} amplitude pairs")
+        for k, pair in enumerate(pairs):
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                               for x in pair)):
+                raise FileFormatError(f"{what}: amplitude {k} is not a [real, imag] pair")
+        try:
+            amp = np.array(pairs, dtype=float).view(complex).reshape(-1)
+        except OverflowError as exc:
+            raise FileFormatError(f"{what}: amplitude out of floating-point range") from exc
+        if not np.all(np.isfinite(amp)):
+            raise FileFormatError(f"{what}: non-finite amplitude")
+        err = _norm_errors(amp)
+        if err > ADMIT_TOL:
+            raise FileFormatError(
+                f"{what}: norm {np.linalg.norm(amp):.9f} is off by more than {cite(ADMIT_TOL)}"
+            )
+        if err > NORM_TOL:
+            warnings.warn(f"{what}: norm off by {err:.3e}; renormalizing")
+            amp = amp / np.linalg.norm(amp)
+        rows.append(amp)
+    return np.array(rows, dtype=complex).reshape(len(rows), n)
+
+
+def _outcome(read, raw_states, n: int) -> tuple:
+    """What ``read`` makes of the states: the error text or the rows' bytes,
+    and the warnings on the way, in order."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            result = read(json.loads(json.dumps(raw_states)), n, "f.json").tobytes()
+        except FileFormatError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in seen]
+
+
+#: Amplitudes that are not ``[real, imag]`` pairs of numbers, or not finite.
+BAD_AMPLITUDES = {
+    "not a list": 0.5, "length 1": [0.5], "length 3": [0.5, 0.0, 0.0],
+    "bool": [True, 0.0], "str": [0.5, "0"], "null": [None, 0.0],
+    "nested list": [[0.5], 0.0], "dict": [0.5, {"im": 0.0}],
+    "out of range": [0.5, 10**400], "nan": [float("nan"), 0.0], "inf": [0.5, float("inf")],
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_AMPLITUDES))
+def test_loader_names_the_first_bad_amplitude_as_the_pair_loop(tmp_path, kind):
+    states = basis_to_obj(build_weyl_umeb(3, 4))["states"]
+    for i, j in [(0, 0), (0, 7), (5, 0), (8, 11)]:
+        raw = json.loads(json.dumps(states))
+        raw[i][j] = BAD_AMPLITUDES[kind]
+        reference = _outcome(_reference_read_states, raw, 12)
+        assert isinstance(reference[0], str)
+        assert _outcome(_read_states, raw, 12) == reference, (kind, i, j)
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"format": "umeb-basis/1", "d": 3, "dprime": 4, "states": raw}))
+        with pytest.raises(FileFormatError) as exc:
+            load_basis(p)
+        assert str(exc.value) == reference[0].replace("f.json", str(p))
+
+
+def test_loader_meets_faults_in_state_order():
+    states = basis_to_obj(build_weyl_umeb(3, 4))["states"]
+    cases = []
+    for scale in (1 + 1e-7, 1.01):  # renormalised, refused
+        raw = json.loads(json.dumps(states))
+        raw[2] = [[x * scale for x in p] for p in raw[2]]
+        raw[6][3] = [True, 0.0]  # a malformed state after the norm fault
+        cases.append(raw)
+        raw = json.loads(json.dumps(raw))
+        raw[1] = raw[1][:-1]  # and one before it
+        cases.append(raw)
+        raw = json.loads(json.dumps(raw))
+        raw[1] = "state"
+        cases.append(raw)
+    for raw in cases:
+        assert _outcome(_read_states, raw, 12) == _outcome(_reference_read_states, raw, 12)
+
+
+def test_norm_edge_states_warn_once_per_row_in_order(tmp_path):
+    states = basis_to_obj(build_weyl_umeb(3, 5))["states"]
+    for i, scale in [(7, 1 - 3e-8), (1, 1 + 2e-7), (4, 1 + 5e-10), (8, 1 + 9e-7)]:
+        states[i] = [[x * scale for x in p] for p in states[i]]
+    rows, seen = _outcome(_read_states, states, 15)
+    assert (rows, seen) == _outcome(_reference_read_states, states, 15)
+    assert [w.split(": ")[1] for w in seen] == ["state 1", "state 7", "state 8"]
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps({"format": "umeb-basis/1", "d": 3, "dprime": 5, "states": states}))
+    with warnings.catch_warnings(record=True) as loaded:
+        warnings.simplefilter("always")
+        basis = load_basis(p)
+    assert [str(w.message) for w in loaded] == [w.replace("f.json", str(p)) for w in seen]
+    assert basis.amplitudes.tobytes() == rows
+
+
 #: JSON values that are wrong wherever the format expects something else.
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 10), st.just(10**400),
@@ -191,7 +386,8 @@ def mutated_basis_docs(draw):
         elif kind == "pair":  # an amplitude that is not a pair
             i = draw(st.integers(0, k - 1))
             if states[i]:
-                states[i][0] = draw(st.one_of(JUNK, st.lists(st.floats(0, 1), max_size=4)))
+                j = draw(st.sampled_from([0, len(states[i]) - 1, len(states[i]) // 2]))
+                states[i][j] = draw(st.one_of(JUNK, st.lists(st.floats(0, 1), max_size=4)))
         elif kind == "length":  # a state one amplitude short or long
             i = draw(st.integers(0, k - 1))
             states[i] = states[i][:-1] if draw(st.booleans()) else states[i] + [[0.0, 0.0]]
@@ -225,6 +421,11 @@ def test_malformed_basis_files_end_in_exit_2(tmp_path, doc):
         rc = main(["certify", str(p), "--restarts", "4"])
     assert "Traceback" not in err.getvalue()
     assert rc in ((0, 1, 2, 3) if loaded else (2,))
+    d, dprime, states = doc["d"], doc["dprime"], doc["states"]
+    if (type(d) is int and type(dprime) is int and 2 <= d <= dprime and d * dprime <= 1024
+            and isinstance(states, list)):
+        n = d * dprime
+        assert _outcome(_read_states, states, n) == _outcome(_reference_read_states, states, n)
 
 
 def test_out_of_range_number_exits_2_without_traceback(tmp_path):
