@@ -112,6 +112,17 @@ class BasisSet:
             raise ContractViolationError("labels length does not match states")
         if labels is not None and not all(isinstance(x, str) for x in labels):
             raise ContractViolationError("labels must be strings")
+        self._adopt(d, dprime, amplitudes, me_flags, labels)
+
+    @classmethod
+    def _admitted(cls, d, dprime, amplitudes, me_flags, labels=None) -> "BasisSet":
+        """A basis over ``amplitudes`` as they are, without the constructor's
+        copy and checks: only for inputs that pass them, as the loader's do."""
+        basis = cls.__new__(cls)
+        basis._adopt(d, dprime, amplitudes, me_flags, labels)
+        return basis
+
+    def _adopt(self, d, dprime, amplitudes, me_flags, labels) -> None:
         amplitudes.flags.writeable = False
         self.d, self.dprime, self.amplitudes = d, dprime, amplitudes
         self.me_flags = [bool(f) for f in me_flags]

@@ -315,7 +315,7 @@ def load_basis(path, check_orthonormal: bool = True) -> BasisSet:
                                   and all(isinstance(x, bool) for x in flags)):
         raise FileFormatError(f"{path}: me_flags must be {k} booleans")
 
-    basis = BasisSet(d, dprime, amplitudes, me_flags=flags or [False] * k, labels=labels)
+    basis = BasisSet._admitted(d, dprime, amplitudes, flags or [False] * k, labels)
     if flags is None:
         basis.me_flags = [bool(dev <= ME_TOL) for dev in basis.me_deviations()]
     if check_orthonormal and k:

@@ -45,6 +45,18 @@ GRAM_CUTOFF = 1e-4
 #: Change of F between two iterations below which a restart has converged.
 CONVERGENCE_TOL = 1e-12
 
+#: Restarts a first-witness search (``certify``) starts with.  On every Weyl
+#: shape with d <= d'/2 one restart meets the witness tolerance at its second
+#: F evaluation (370 of 370 shape and seed pairs tried), and 8 rows cost about
+#: half of what 64 do to draw and ascend; 8 keeps a margin for bad starts.
+FIRST_STAGE = 8
+
+#: F evaluations without a witness after which the other restarts join the
+#: first stage (an easy witness shows at the second).  The first stage keeps
+#: going meanwhile, so a search near the threshold rank, whose witness takes
+#: hundreds of iterations, costs about what one stage of all restarts does.
+JOIN_AFTER = 4
+
 
 @dataclass(eq=False)
 class SearchConfig:
@@ -55,7 +67,8 @@ class SearchConfig:
     :data:`CONVERGENCE_TOL`, the per-iteration change of F at which a
     restart stops, which is fixed rather than a knob.
     ``certify`` stops the whole search at the first iteration in which some
-    restart meets ``witness_tol``; ``max_entanglement_in_subspace`` runs every
+    restart meets ``witness_tol`` and starts its restarts in two stages;
+    ``max_entanglement_in_subspace`` starts them all at once, runs every
     restart to convergence and only judges its best F against it.
     ``seed`` makes the whole search deterministic: restart r draws its start
     from an independent counter-based stream keyed by ``(seed, r)``.  Seeds
@@ -155,16 +168,20 @@ def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
     return state
 
 
-def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=None):
+def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=None,
+                  late=None):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked projection (:func:`_nearest_me_amplitudes`) per iteration
     over the rows still advancing.  A row stops when F changes by less than
     ``convergence_tol``, when its projection vanishes (collapsed), or after
-    ``max_iters`` F evaluations; a row that stops without collapsing keeps
-    the state it was last evaluated at, so its recorded F is that state's F.
-    Given ``witness_tol``, the whole batch stops after the first F evaluation
-    in which some row has ``1 - F <= witness_tol``, without projecting again.
+    its own ``max_iters`` F evaluations; a row that stops without collapsing
+    keeps the state it was last evaluated at, so its recorded F is that
+    state's F.  Given ``witness_tol``, the whole batch stops after the first
+    F evaluation in which some row has ``1 - F <= witness_tol``, without
+    projecting again.  Given ``late``, a callable returning more such rows,
+    they join the batch after :data:`JOIN_AFTER` F evaluations, or once
+    every row has stopped.
     Returns the states, their last F, per-row F evaluation counts, converged
     and collapsed flags, and per iteration the array of F evaluated on the
     rows then advancing.
@@ -173,7 +190,17 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=No
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
     converged, collapsed = np.zeros((2, R), dtype=bool)
     active, history = np.arange(R), []
-    while active.size:
+    while True:
+        if late is not None and (len(history) >= JOIN_AFTER or not active.size):
+            more, late = late(), None
+            k = len(more)
+            active = np.r_[active, len(psi) + np.arange(k)]
+            psi = np.concatenate([psi, more])
+            F_last = np.r_[F_last, np.full(k, -np.inf)]
+            iterations = np.r_[iterations, np.zeros(k, dtype=int)]
+            converged, collapsed = np.pad([converged, collapsed], [(0, 0), (0, k)])
+        if not active.size:
+            break
         x = psi[active]
         m, _ = _nearest_me_amplitudes(x.reshape(-1, d, dprime))
         F = np.abs(np.einsum("ij,ij->i", m.conj(), x)) ** 2
@@ -182,11 +209,10 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=No
         iterations[active] += 1
         history.append(F)
         converged[active[done]] = True
-        if len(history) >= max_iters:
-            break
         if witness_tol is not None and np.any(1.0 - F <= witness_tol):
             break
-        active, pm = active[~done], m[~done] @ P.T
+        stop = done if len(history) < max_iters else done | (iterations[active] >= max_iters)
+        active, pm = active[~stop], m[~stop] @ P.T
         norm_pm = np.linalg.norm(pm, axis=1)
         fell = norm_pm < COLLAPSE_FLOOR
         collapsed[active[fell]] = True
@@ -205,10 +231,10 @@ def _ascend(P, psi0, d, dprime, max_iters, convergence_tol):
     return None if collapsed[0] else (psi[0], [F[0] for F in history], bool(converged[0]))
 
 
-def _restart_starts(seed: int, restarts: int, n: int) -> np.ndarray:
-    """Row r: the complex Gaussian start ``g + 1j h`` of restart r, with g and
-    h the first and next n standard normals of the Philox stream keyed
-    ``[seed, r]``.
+def _restart_starts(seed: int, rows: range, n: int) -> np.ndarray:
+    """Row i: the complex Gaussian start ``g + 1j h`` of restart ``rows[i]``,
+    with g and h the first and next n standard normals of the Philox stream
+    keyed ``[seed, rows[i]]``.
 
     Philox is counter-based: a stream is fixed by its key and a zero counter.
     So one bit generator, re-keyed per restart (counter, buffer and cached
@@ -227,11 +253,11 @@ def _restart_starts(seed: int, restarts: int, n: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    draws = np.empty((restarts, 2 * n))
-    for r in range(restarts):
+    draws = np.empty((len(rows), 2 * n))
+    for i, r in enumerate(rows):
         key[1] = r
         bitgen.state = state
-        rng.standard_normal(out=draws[r])
+        rng.standard_normal(out=draws[i])
     return draws[:, :n] + 1j * draws[:, n:]
 
 
@@ -253,7 +279,8 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
             first_witness: bool) -> SearchResult:
     """The restarted search; with ``first_witness`` it stops the batch at the
     first F evaluation that meets ``witness_tol``, and the restart with the
-    highest F at that point is the result."""
+    highest F at that point is the result, and its restarts come in the two
+    stages that :func:`certify` describes."""
     if config is None:
         config = SearchConfig()
     P = np.asarray(P, dtype=complex)
@@ -265,13 +292,18 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
     if np.trace(P).real < 0.5:
         raise ContractViolationError("projector has rank 0: nothing to search")
 
-    pg = _restart_starts(config.seed, config.restarts, n) @ P.T
-    norm_pg = np.linalg.norm(pg, axis=1)
-    kept = norm_pg >= COLLAPSE_FLOOR
-    pg = pg[kept] / norm_pg[kept, None]
+    def starts(rows: range) -> np.ndarray:  # projected; collapsed starts dropped
+        pg = _restart_starts(config.seed, rows, n) @ P.T
+        norm_pg = np.linalg.norm(pg, axis=1)
+        kept = norm_pg >= COLLAPSE_FLOOR
+        return pg[kept] / norm_pg[kept, None]
+
+    R = config.restarts
+    first = min(FIRST_STAGE, R) if first_witness else R
     psi, F, iterations, converged, collapsed, _ = _ascend_batch(
-        P, pg, d, dprime, config.max_iters, CONVERGENCE_TOL,
+        P, starts(range(first)), d, dprime, config.max_iters, CONVERGENCE_TOL,
         config.witness_tol if first_witness else None,
+        (lambda: starts(range(first, R))) if first < R else None,
     )
     if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
@@ -294,15 +326,18 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     """Decide extendibility of a basis: analytic certificate, then search.
 
     The support-rank certificate is conclusive whenever its Schmidt-rank
-    bound is below d.  Otherwise the complement is searched, and the search
+    bound is below d.  Otherwise the complement is searched, by restarts
+    below :data:`FIRST_STAGE` first and by all once :data:`JOIN_AFTER` F
+    evaluations pass without a witness (or the first all stop).  The search
     stops at the first witness: the first iteration in which some restart
     has ``1 - F <= witness_tol``.  The restart with the highest F at that
-    point is returned as the ``extendible`` witness, and ``search_best_F`` is
-    its F (not the best F a search run to convergence would reach).  Since F
-    never decreases along a restart, stopping early finds a witness exactly
-    when the full search does.  A fruitless search downgrades the verdict to
-    ``inconclusive`` with the best overlap recorded.  The certificate and the
-    search share one complement frame.
+    point is returned as the ``extendible`` witness and ``search_best_F`` is
+    its F (not the converged best), both from the first stage that meets the
+    tolerance.  A restart ascends alike in either stage (to rounding while
+    it advances alone) and F never decreases along it, so stopping early
+    finds a witness exactly when the full search does.  A fruitless search
+    downgrades the verdict to ``inconclusive`` with the best overlap
+    recorded.  The certificate and the search share one complement frame.
     """
     Q = _complement_frame(basis)
     report = _frame_certificate(basis, Q)

@@ -18,7 +18,7 @@ from umebkit.fileio import (
     state_to_obj,
 )
 from umebkit.states import BipartiteState, _norm_errors, standard_mes
-from umebkit.tolerances import ADMIT_TOL, NORM_TOL, cite
+from umebkit.tolerances import ADMIT_TOL, ME_TOL, NORM_TOL, cite
 
 
 def test_state_roundtrip_bitwise(tmp_path):
@@ -160,6 +160,34 @@ def test_basis_load_builds_no_member_states(tmp_path, monkeypatch):
                         lambda self: built.append(self) or real_init(self))
     back = load_basis(p)
     assert len(back) == 9 and built == []
+
+
+@pytest.mark.parametrize("edit", ["as saved", "no flags or labels", "rows renormalised", "empty"])
+def test_loaded_basis_is_the_public_constructors_bit_for_bit(tmp_path, edit):
+    # the loader builds its basis without the constructor's copy and checks;
+    # the constructor must admit the same rows and build the same basis
+    doc = basis_to_obj(BasisSet(2, 2, [], me_flags=[]) if edit == "empty" else build_c23_second())
+    if edit == "no flags or labels":
+        del doc["me_flags"], doc["labels"]
+    elif edit == "rows renormalised":
+        for i, scale in [(1, 1 + 2e-7), (4, 1 - 3e-8)]:
+            doc["states"][i] = [[x * scale for x in p] for p in doc["states"][i]]
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        loaded = load_basis(p)
+        rows = _read_states(doc["states"], doc["d"] * doc["dprime"], p)
+    flags = doc.get("me_flags")
+    built = BasisSet(doc["d"], doc["dprime"], rows, flags or [False] * len(rows), doc.get("labels"))
+    if flags is None:
+        built.me_flags = [bool(dev <= ME_TOL) for dev in built.me_deviations()]
+    assert vars(loaded).keys() == vars(built).keys()
+    assert (loaded.d, loaded.dprime, loaded.me_flags, loaded.labels) == (
+        built.d, built.dprime, built.me_flags, built.labels)
+    a, b = loaded.amplitudes, built.amplitudes
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert not a.flags.writeable
 
 
 SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]

@@ -289,7 +289,7 @@ def test_search_config_validation():
     [(0, 1, 6), (0, 5, 12), (1, 64, 49), (42, 3, 20), (2**32 + 5, 4, 8), (2**63 - 1, 7, 35)],
 )
 def test_restart_starts_match_one_generator_per_restart(seed, restarts, n):
-    starts = _restart_starts(seed, restarts, n)
+    starts = _restart_starts(seed, range(restarts), n)
     for r in range(restarts):
         rng = np.random.Generator(np.random.Philox(key=[seed, r]))
         reference = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -412,7 +412,7 @@ STOP_CASES = {
 def test_witness_stop_ends_the_batch_at_the_first_witness(case):
     P, d, dprime = STOP_CASES[case]()
     witness_tol = SearchConfig().witness_tol
-    starts = _restart_starts(1, 8, d * dprime) @ P.T
+    starts = _restart_starts(1, range(8), d * dprime) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     full = _ascend_batch(P, starts, d, dprime, 400, 1e-12)
     stopped = _ascend_batch(P, starts, d, dprime, 400, 1e-12, witness_tol)
@@ -480,3 +480,122 @@ def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dpr
     F = np.linalg.svd(report.witness.amplitudes.reshape(d, dprime), compute_uv=False).sum() ** 2 / d
     assert abs(report.search_best_F - F) <= 1e-12
     assert 1.0 - report.search_best_F <= config.witness_tol
+
+
+def projected_starts(P, seed, rows):
+    """The starts of ``rows`` as ``_search`` projects and normalises them."""
+    pg = _restart_starts(seed, rows, P.shape[0]) @ P.T
+    return pg / np.linalg.norm(pg, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed, n", [(1, 15), (42, 49), (2**63 - 1, 6)])
+def test_restart_starts_over_a_range_are_that_slice_of_the_full_draw(seed, n):
+    full = _restart_starts(seed, range(64), n)
+    for rows in (range(0, 8), range(8, 64), range(5, 6), range(64, 64)):
+        part = _restart_starts(seed, rows, n)
+        assert part.shape == (len(rows), n)
+        assert part.tobytes() == full[rows.start:rows.stop].tobytes()
+
+
+def ascended_alone(P, start, d, dprime, max_iters):
+    """One restart's ascent on its own, as two copies of its start: a stack of
+    one row would take numpy's one-row matmul path (gemv), which rounds
+    differently from the matrix path that every stack of two or more rows
+    takes, whatever its other rows."""
+    psi, F, iterations, converged = _ascend_batch(
+        P, np.stack([start, start]), d, dprime, max_iters, 1e-12
+    )[:4]
+    return psi[0], F[0], iterations[0], converged[0]
+
+
+# (3,5) k=5: the late rows join and a witness appears after ~150 iterations;
+# (3,5) k=4: no witness, every row runs to its cap of 150 iterations (the
+# first to converge needs 178), so two or more rows advance at every step.
+@pytest.mark.parametrize("k", [5, 4])
+def test_staged_rows_are_their_restarts_ascended_alone(k):
+    import umebkit.search as search
+
+    d, dprime, R, max_iters = 3, 5, 24, 2000 if k == 5 else 150
+    P = subspace_projector(1, d, dprime, k)
+    psi, F, iterations, converged, collapsed, history = _ascend_batch(
+        P, projected_starts(P, 1, range(search.FIRST_STAGE)), d, dprime, max_iters, 1e-12,
+        SearchConfig().witness_tol, lambda: projected_starts(P, 1, range(search.FIRST_STAGE, R)),
+    )
+    assert len(psi) == R and not collapsed.any()
+    assert min(map(len, history)) >= 2
+    assert len(history) == search.JOIN_AFTER + iterations[search.FIRST_STAGE:].max()
+    assert (k == 5) == bool(np.any(1.0 - F <= SearchConfig().witness_tol))
+    # each row, late ones included, is its restart ascended alone and cut where
+    # the staged run stopped it
+    starts = projected_starts(P, 1, range(R))
+    for r in range(R):
+        alone = ascended_alone(P, starts[r], d, dprime, int(iterations[r]))
+        assert alone[0].tobytes() == psi[r].tobytes() and alone[1] == F[r]
+        assert alone[2:] == (iterations[r], converged[r])
+
+
+def test_a_late_row_keeps_its_full_max_iters():
+    import umebkit.search as search
+
+    d, dprime, max_iters = 3, 5, 10
+    P = subspace_projector(1, d, dprime, 4)  # no row converges in 10 iterations
+    iterations, converged, _, history = _ascend_batch(
+        P, projected_starts(P, 1, range(8)), d, dprime, max_iters, 1e-12, None,
+        lambda: projected_starts(P, 1, range(8, 16)),
+    )[2:]
+    assert not converged.any()
+    assert iterations.tolist() == [max_iters] * 16
+    assert len(history) == search.JOIN_AFTER + max_iters
+
+
+@pytest.mark.parametrize("stages_collapsing", [1, 2])
+def test_every_restart_collapsed_only_when_every_stage_has(monkeypatch, stages_collapsing):
+    import umebkit.search as search
+    from umebkit import NumericalFailureError
+
+    nearest = search._nearest_me_amplitudes
+    stack_sizes = []
+
+    def vanishing(x):
+        m, s_min = nearest(x)
+        stack_sizes.append(x.shape[0])
+        if len(stack_sizes) <= stages_collapsing:
+            m[:] = 0.0  # every row of this call projects to zero and collapses
+        return m, s_min
+
+    monkeypatch.setattr(search, "_nearest_me_amplitudes", vanishing)
+    P = complement_projector(build_weyl_umeb(2, 4))
+    config = SearchConfig(restarts=16, seed=3)
+    if stages_collapsing == 2:
+        with pytest.raises(NumericalFailureError, match="every restart collapsed"):
+            _search(P, 2, 4, config, first_witness=True)
+        assert stack_sizes == [8, 8]
+    else:
+        # the first stage collapses at once, so the second joins and finds a witness
+        result = _search(P, 2, 4, config, first_witness=True)
+        assert result.verdict == "found_me" and result.restarts_used == 8
+        assert stack_sizes == [8, 8, 8]
+
+
+SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_certify_verdicts_match_the_full_search_on_the_sweep(seed):
+    config = SearchConfig(seed=seed)
+    for d, dprime in SWEEP_SHAPES:
+        basis = build_weyl_umeb(d, dprime)
+        report = certify(basis, config)
+        full = max_entanglement_in_subspace(complement_projector(basis), d, dprime, config)
+        assert (report.verdict == "extendible") == (full.verdict == "found_me"), (d, dprime)
+        assert (report.verdict == "extendible") == (2 * d <= dprime), (d, dprime)
+
+
+def test_fruitless_first_witness_search_keeps_the_full_best_F():
+    P = subspace_projector(1, 3, 5, 4)
+    config = SearchConfig(seed=1)  # 64 restarts: two stages
+    first = _search(P, 3, 5, config, first_witness=True)
+    full = max_entanglement_in_subspace(P, 3, 5, config)
+    assert first.verdict == full.verdict == "none_found"
+    assert first.best_F == full.best_F
+    assert first.best_state.amplitudes.tobytes() == full.best_state.amplitudes.tobytes()
