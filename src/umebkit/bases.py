@@ -174,7 +174,8 @@ class CertificateReport:
     ``extendible``.  ``search_best_F`` is present exactly when a search ran:
     on ``extendible`` it is the F of the witness, the first state the search
     found within ``witness_tol``; on ``inconclusive`` the best F of the whole
-    search.
+    search.  ``restarts_used`` is present exactly when a search ran: the
+    restarts it drew and ascended without collapse.
     """
 
     method: str
@@ -185,6 +186,7 @@ class CertificateReport:
     verdict: str
     witness: BipartiteState | None = None
     search_best_F: float | None = None
+    restarts_used: int | None = None
 
 
 def build_weyl_umeb(d: int, dprime: int) -> BasisSet:

@@ -159,6 +159,7 @@ def cmd_certify(args) -> int:
         print(f"schmidt rank bound: {report.schmidt_rank_bound}")
         if report.method == "numeric-search":
             print(f"seed: {args.seed}, restarts: {args.restarts}")
+            print(f"restarts used: {report.restarts_used}")
         if report.search_best_F is not None:
             print(f"search best F: {report.search_best_F:.12f}")
         print(f"verdict: {report.verdict}")
@@ -176,6 +177,7 @@ def cmd_search(args) -> int:
         _emit_json({**_to_json(result), "seed": args.seed})
     else:
         print(f"seed: {args.seed}, restarts: {result.restarts_used}")
+        print(f"restarts polished: {result.restarts_polished}")
         print(f"best F: {result.best_F:.12f}")
         print(f"sqrt(d) * s_min: {result.best_min_coeff_scaled:.12f}")
         print(f"iterations (best restart): {result.iterations_used}")

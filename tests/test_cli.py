@@ -231,6 +231,29 @@ def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("seed: 42, restarts: 4\n")
 
 
+def test_reports_count_the_restarts_that_ran_and_were_polished(tmp_path, capsys):
+    w24, w34 = tmp_path / "w24.json", tmp_path / "w34.json"
+    save_basis(w24, build_weyl_umeb(2, 4))
+    save_basis(w34, build_weyl_umeb(3, 4))
+    # an easy witness comes from certify's first stage of 8 restarts
+    assert main(["certify", str(w24), "--json", "--seed", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["restarts_used"], doc["seed"], doc["restarts"]) == (8, 1, 64)
+    assert main(["certify", str(w24), "--seed", "1"]) == 1
+    assert "seed: 1, restarts: 64\nrestarts used: 8\n" in capsys.readouterr().out
+    # the certificate decides Weyl(3,4): no search ran
+    assert main(["certify", str(w34), "--json", "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["restarts_used"] is None and doc["restarts"] == 64
+    # every restart of the full search parks at its second F evaluation and
+    # the polish stage's exact test accepts it
+    assert main(["search", str(w24), "--json", "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["restarts_polished"] == 64 and 1.0 - doc["best_F"] <= 1e-12
+    assert main(["search", str(w24), "--seed", "1"]) == 0
+    assert "seed: 1, restarts: 64\nrestarts polished: 64\n" in capsys.readouterr().out
+
+
 def _json_fields(report_type) -> list:
     return [f.name for f in fields(report_type) if f.metadata.get("json", True)]
 

@@ -338,7 +338,7 @@ def test_batched_rows_match_single_runs(d, dprime, rank):
     P = random_subspace_projector(rng, n, rank)
     starts = (rng.normal(size=(16, n)) + 1j * rng.normal(size=(16, n))) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    psi, F, iterations, converged, collapsed, _ = _ascend_batch(
+    psi, F, iterations, converged, collapsed, _, _ = _ascend_batch(
         P, starts, d, dprime, 5000, 1e-12
     )
     for r in range(16):
@@ -473,8 +473,9 @@ def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dpr
     report = certify(basis, config)
     full = max_entanglement_in_subspace(P, d, dprime, config)
     assert report.verdict == "extendible" and full.verdict == "found_me"
-    # F is 1 to rounding after two iterations; only the full search confirms it
-    assert iterations == [2, 3]
+    # F is 1 to rounding after two iterations; the full search parks every
+    # row there, and its exact test accepts them without a third
+    assert iterations == [2, 2]
     _check_witness(report.witness, P, config.witness_tol)
     assert np.abs(basis.amplitudes.conj() @ report.witness.amplitudes).max() <= 1e-9
     F = np.linalg.svd(report.witness.amplitudes.reshape(d, dprime), compute_uv=False).sum() ** 2 / d
@@ -497,27 +498,16 @@ def test_restart_starts_over_a_range_are_that_slice_of_the_full_draw(seed, n):
         assert part.tobytes() == full[rows.start:rows.stop].tobytes()
 
 
-def ascended_alone(P, start, d, dprime, max_iters):
-    """One restart's ascent on its own, as two copies of its start: a stack of
-    one row would take numpy's one-row matmul path (gemv), which rounds
-    differently from the matrix path that every stack of two or more rows
-    takes, whatever its other rows."""
-    psi, F, iterations, converged = _ascend_batch(
-        P, np.stack([start, start]), d, dprime, max_iters, 1e-12
-    )[:4]
-    return psi[0], F[0], iterations[0], converged[0]
-
-
 # (3,5) k=5: the late rows join and a witness appears after ~150 iterations;
 # (3,5) k=4: no witness, every row runs to its cap of 150 iterations (the
-# first to converge needs 178), so two or more rows advance at every step.
+# first to converge needs 178).
 @pytest.mark.parametrize("k", [5, 4])
 def test_staged_rows_are_their_restarts_ascended_alone(k):
     import umebkit.search as search
 
     d, dprime, R, max_iters = 3, 5, 24, 2000 if k == 5 else 150
     P = subspace_projector(1, d, dprime, k)
-    psi, F, iterations, converged, collapsed, history = _ascend_batch(
+    psi, F, iterations, converged, collapsed, history, _ = _ascend_batch(
         P, projected_starts(P, 1, range(search.FIRST_STAGE)), d, dprime, max_iters, 1e-12,
         SearchConfig().witness_tol, lambda: projected_starts(P, 1, range(search.FIRST_STAGE, R)),
     )
@@ -529,9 +519,11 @@ def test_staged_rows_are_their_restarts_ascended_alone(k):
     # the staged run stopped it
     starts = projected_starts(P, 1, range(R))
     for r in range(R):
-        alone = ascended_alone(P, starts[r], d, dprime, int(iterations[r]))
-        assert alone[0].tobytes() == psi[r].tobytes() and alone[1] == F[r]
-        assert alone[2:] == (iterations[r], converged[r])
+        alone, alone_history, alone_converged = _ascend(
+            P, starts[r], d, dprime, int(iterations[r]), 1e-12
+        )
+        assert alone.tobytes() == psi[r].tobytes() and alone_history[-1] == F[r]
+        assert (len(alone_history), alone_converged) == (iterations[r], converged[r])
 
 
 def test_a_late_row_keeps_its_full_max_iters():
@@ -542,7 +534,7 @@ def test_a_late_row_keeps_its_full_max_iters():
     iterations, converged, _, history = _ascend_batch(
         P, projected_starts(P, 1, range(8)), d, dprime, max_iters, 1e-12, None,
         lambda: projected_starts(P, 1, range(8, 16)),
-    )[2:]
+    )[2:6]
     assert not converged.any()
     assert iterations.tolist() == [max_iters] * 16
     assert len(history) == search.JOIN_AFTER + max_iters
@@ -599,3 +591,132 @@ def test_fruitless_first_witness_search_keeps_the_full_best_F():
     assert first.verdict == full.verdict == "none_found"
     assert first.best_F == full.best_F
     assert first.best_state.amplitudes.tobytes() == full.best_state.amplitudes.tobytes()
+
+
+def test_certify_never_parks_or_polishes(monkeypatch):
+    import umebkit.search as search
+
+    def refuse(*args):
+        raise AssertionError("certify called the polish stage")
+
+    monkeypatch.setattr(search, "_polish", refuse)
+    for d, dprime in SWEEP_SHAPES:
+        certify(build_weyl_umeb(d, dprime), SearchConfig(seed=1))
+
+
+def me_residual(amplitudes, d, dprime):
+    """``max|d X X^dag - I|`` of a state: 0 exactly when it is maximally entangled."""
+    X = amplitudes.reshape(d, dprime)
+    return np.abs(d * X @ X.conj().T - np.eye(d)).max()
+
+
+@pytest.mark.parametrize("d, dprime, k", [(3, 5, 10), (7, 7, 43)])
+def test_full_search_returns_a_polished_witness(d, dprime, k):
+    import umebkit.search as search
+
+    P = subspace_projector(1, d, dprime, k)
+    result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
+    amplitudes = result.best_state.amplitudes
+    assert result.verdict == "found_me" and result.converged
+    assert result.restarts_polished == 64
+    assert me_residual(amplitudes, d, dprime) <= search.POLISH_TOL
+    assert abs(np.linalg.norm(amplitudes) - 1.0) <= 1e-12
+    assert np.linalg.norm(amplitudes - P @ amplitudes) <= 1e-12
+    s = np.linalg.svd(amplitudes.reshape(d, dprime), compute_uv=False)
+    assert abs(result.best_F - s.sum() ** 2 / d) <= 1e-12
+
+
+# (3,5) k=10: every row parks; (3,5) k=5: some rows park and the others
+# converge without a witness; Weyl(2,4): every row parks exactly.
+@pytest.mark.parametrize("case", ["(3,5) k=10", "(3,5) k=5", "weyl(2,4)"])
+def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
+    import umebkit.search as search
+
+    P, d, dprime = STOP_CASES[case]()
+    starts = projected_starts(P, 1, range(16))
+    unparked = _ascend_batch(P, starts, d, dprime, 2000, 1e-12)
+    polished = []
+
+    def reject_all(P, x, F, d, dprime):
+        polished.append(len(x))
+        return x, F, np.zeros(len(x), dtype=bool)
+
+    monkeypatch.setattr(search, "_polish", reject_all)
+    parked = _ascend_batch(P, starts, d, dprime, 2000, 1e-12,
+                           park_tol=SearchConfig().witness_tol)
+    assert len(polished) == 1 and 0 < polished[0] <= 16
+    assert not parked[6].any() and not unparked[6].any()
+    for a, b in zip(parked[:5], unparked[:5]):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_polish_accepts_exact_rows_as_they_are_and_never_lowers_F(monkeypatch):
+    import umebkit.search as search
+
+    P24, _, _ = weyl_complement(2, 4)
+    exact = _ascend_batch(P24, projected_starts(P24, 1, range(8)), 2, 4, 2, 1e-12)[0]
+    P = subspace_projector(1, 3, 5, 10)
+    rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12, 1e-12)[0]
+    real_eigh, eighs = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # F = 1 to rounding after two F evaluations: no frame, no evaluation
+    F = np.full(8, 0.5)
+    x, F_out, ok = search._polish(P24, exact, F, 2, 4)
+    assert ok.all() and x is exact and F_out is F and eighs == []
+    # rows away from the maximally entangled set take the frame of range(P)
+    # and are polished, but only where that does not lower F
+    x, F_out, ok = search._polish(P, rough, np.full(8, 0.5), 3, 5)
+    assert ok.all() and eighs[0] == (15, 15)
+    assert max(me_residual(row, 3, 5) for row in x) <= search.POLISH_TOL
+    assert np.abs(F_out - 1.0).max() <= 1e-12
+    x, F_out, ok = search._polish(P, rough, np.full(8, 2.0), 3, 5)
+    assert not ok.any()
+    assert x.tobytes() == rough.tobytes() and F_out.tolist() == [2.0] * 8
+
+
+def test_a_search_whose_parked_rows_all_fail_the_polish(monkeypatch):
+    import umebkit.search as search
+
+    # near (3,4)'s threshold rank no state of the subspace is maximally
+    # entangled: rows park within a loose witness tolerance, the polish
+    # stalls on every one, and they all ascend on as if never parked
+    P = subspace_projector(1, 3, 4, 5)
+    config = SearchConfig(restarts=8, witness_tol=1e-3, seed=1)
+    parked = []
+    real_polish = search._polish
+
+    def recording_polish(P, x, F, d, dprime):
+        out = real_polish(P, x, F, d, dprime)
+        parked.append((len(x), int(out[2].sum())))
+        return out
+
+    monkeypatch.setattr(search, "_polish", recording_polish)
+    result = max_entanglement_in_subspace(P, 3, 4, config)
+    assert len(parked) == 1 and parked[0][0] >= 1 and parked[0][1] == 0
+    assert result.verdict == "found_me" and result.restarts_polished == 0
+    starts = projected_starts(P, 1, range(8))
+    psi, F = _ascend_batch(P, starts, 3, 4, config.max_iters, 1e-12)[:2]
+    b = int(np.argmax(F))
+    assert result.best_F == F[b]
+    assert result.best_state.amplitudes.tobytes() == psi[b].tobytes()
+
+
+def test_a_full_search_keeps_its_traced_memory_small():
+    import tracemalloc
+
+    P = subspace_projector(1, 7, 7, 43)
+    config = SearchConfig(seed=1)
+    max_entanglement_in_subspace(P, 7, 7, config)  # first-call allocations
+    tracemalloc.start()
+    try:
+        result = max_entanglement_in_subspace(P, 7, 7, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.restarts_polished == 64
+    assert peak < 1.5 * 2**20
