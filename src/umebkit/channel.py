@@ -83,7 +83,11 @@ def apply_channel(rho_choi, X, d: int, dprime: int) -> np.ndarray:
 
 
 def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> ChannelReport:
-    """Full complement-state report: marginals, deviations, entropies."""
+    """Full complement-state report: marginals, deviations, entropies.
+
+    ``log_base`` must be finite, above 0 and not 1 (see
+    :func:`~umebkit.linalg.von_neumann_entropy`).
+    """
     d, dprime = basis.d, basis.dprime
     rho = complement_state(basis, me_only=me_only)
     marginal_B = partial_trace(rho, d, dprime, side="B")

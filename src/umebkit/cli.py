@@ -12,7 +12,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,35 +25,13 @@ from .bases import (
 )
 from .channel import analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
-from .fileio import (
-    _amplitudes_to_pairs, _dumps, basis_to_obj, load_basis, save_basis, save_state, state_to_obj,
-)
+from .fileio import _dumps, _report_fields, basis_to_obj, load_basis, save_basis, save_state
 from .mub import overlap_matrix
 from .search import SearchConfig, certify, max_entanglement_in_subspace
-from .states import BipartiteState, weyl_operator
+from .states import weyl_operator
 from .tolerances import EXACT_TOL, MAX_SPACE_DIM, ME_TOL
 
 __all__ = ["main"]
-
-
-def _to_json(x):
-    """A report as a JSON-ready value: the one serialiser of ``--json`` reports.
-
-    A dataclass becomes a dict of its fields in declaration order, leaving out
-    those with ``metadata={"json": False}``; a list is walked item by item; a
-    state becomes its ``umeb-state/1`` document, a complex array nested
-    ``[re, im]`` pairs and a real array nested floats.
-    """
-    if isinstance(x, BipartiteState):
-        return state_to_obj(x)
-    if is_dataclass(x):
-        return {f.name: _to_json(getattr(x, f.name))
-                for f in fields(x) if f.metadata.get("json", True)}
-    if isinstance(x, list):
-        return [_to_json(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _amplitudes_to_pairs(x) if np.iscomplexobj(x) else x.tolist()
-    return x
 
 
 def _format_matrix(M: np.ndarray, indent: str = "  ") -> str:
@@ -63,7 +41,7 @@ def _format_matrix(M: np.ndarray, indent: str = "  ") -> str:
     return "\n".join(rows)
 
 
-def _emit_json(obj: dict) -> None:
+def _emit_json(obj) -> None:
     print(_dumps(obj))
 
 
@@ -131,7 +109,7 @@ def cmd_verify(args) -> int:
     passed = gram_dev <= args.tol and all(row.consistent for row in rows)
     report = VerifyReport(gram_dev, args.tol, rows, passed)
     if args.json:
-        _emit_json(_to_json(report))
+        _emit_json(report)
     else:
         print(f"gram deviation: {gram_dev:.3e} (tol {args.tol:g})")
         for row in rows:
@@ -148,7 +126,7 @@ def cmd_verify(args) -> int:
 def cmd_certify(args) -> int:
     report = certify(load_basis(args.path), _search_config(args))
     if args.json:
-        _emit_json({**_to_json(report), "seed": args.seed, "restarts": args.restarts})
+        _emit_json({**_report_fields(report), "seed": args.seed, "restarts": args.restarts})
     else:
         print(f"method: {report.method}")
         print(f"complement dimension: {report.complement_dimension}")
@@ -174,7 +152,7 @@ def cmd_search(args) -> int:
         save_state(args.out, result.best_state)
         print(f"best state -> {args.out}", file=sys.stderr)
     if args.json:
-        _emit_json({**_to_json(result), "seed": args.seed})
+        _emit_json({**_report_fields(result), "seed": args.seed})
     else:
         print(f"seed: {args.seed}, restarts: {result.restarts_used}")
         print(f"restarts polished: {result.restarts_polished}")
@@ -191,7 +169,7 @@ def cmd_mub(args) -> int:
     basis_b = load_basis(args.path_b)
     report = overlap_matrix(basis_a, basis_b, tol=args.tol)
     if args.json:
-        _emit_json(_to_json(report))
+        _emit_json(report)
     else:
         print(f"dimension: {report.dim}, target overlap: {report.target:.10f}")
         print(f"max deviation: {report.max_deviation:.3e} (tol {args.tol:g})")
@@ -204,7 +182,7 @@ def cmd_channel(args) -> int:
     log_base = {"2": 2.0, "e": math.e}.get(args.log_base, float(basis.d))
     report = analyze(basis, log_base=log_base, me_only=not args.all_members)
     if args.json:
-        _emit_json({"d": basis.d, "dprime": basis.dprime, **_to_json(report)})
+        _emit_json({"d": basis.d, "dprime": basis.dprime, **_report_fields(report)})
     else:
         print(f"complement state on C{basis.d} x C{basis.dprime}")
         print(f"trace-preserving deviation: {report.trace_preserving_deviation:.3e}")
@@ -237,7 +215,7 @@ def cmd_pauli(args) -> int:
             {
                 "d": args.d,
                 "operators": [
-                    {"n": n, "m": m, "entries": _to_json(U)}
+                    {"n": n, "m": m, "entries": U}
                     for n, m, U in operators
                 ],
             }

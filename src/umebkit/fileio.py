@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import fields, is_dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf, isfinite
@@ -117,22 +118,40 @@ def _encode(o, nl: str) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             members.append(_quote(key) + ": " + _encode(value, inner))
         return "{" + inner + ("," + inner).join(members) + nl + "}"
+    # the objects reports hold, after plain JSON so that a file costs no extra check
+    if isinstance(o, BipartiteState):  # a dataclass too, written as its document
+        return _encode(state_to_obj(o), nl)
+    if is_dataclass(type(o)):
+        return _encode(_report_fields(o), nl)
+    if isinstance(o, np.ndarray):
+        return _encode(_amplitudes_to_pairs(o) if np.iscomplexobj(o) else o.tolist(), nl)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for every value written.
 
-    The text of every file and ``--json`` report.  It takes dicts with str
-    keys, lists, str, int, bool, None and floats (subclasses such as
-    ``np.float64`` through ``float.__repr__``; NaN and ±inf as ``NaN`` and
-    ``Infinity``) and raises ``TypeError`` on anything else.  The stdlib
-    writes indented text with its pure-Python encoder, one generator step
-    per token; this writer formats each regular array of floats, such as a
-    basis's ``[re, im]`` pairs, at C level (:func:`_array_body`), about five
-    times faster on a basis.
+    The text of every file and ``--json`` report, in one walk.  It takes
+    dicts with str keys, lists, str, int, bool, None and floats (subclasses
+    such as ``np.float64`` through ``float.__repr__``; NaN and ±inf as
+    ``NaN`` and ``Infinity``), and the objects reports hold: a
+    ``BipartiteState`` as its ``umeb-state/1`` document, any other dataclass
+    as the dict of :func:`_report_fields`, a complex array as nested
+    ``[re, im]`` pairs and a real array as its ``tolist()``.  It raises
+    ``TypeError`` on anything else (numpy scalars other than floats, tuples,
+    sets, bytes).  The stdlib writes indented text with its pure-Python
+    encoder, one generator step per token; this writer formats each regular
+    array of floats, such as a basis's ``[re, im]`` pairs, at C level
+    (:func:`_array_body`), about five times faster on a basis.
     """
     return _encode(obj, "\n")
+
+
+def _report_fields(report) -> dict:
+    """A report dataclass's fields by name, in declaration order, without
+    those marked ``metadata={"json": False}``."""
+    return {f.name: getattr(report, f.name)
+            for f in fields(report) if f.metadata.get("json", True)}
 
 
 def _amplitudes_to_pairs(amp: np.ndarray) -> list:

@@ -6,6 +6,8 @@ and enforce their preconditions with :class:`ContractViolationError`.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
@@ -102,8 +104,13 @@ def von_neumann_entropy(rho, log_base: float = 2.0) -> float:
     """Entropy -sum(lam * log(lam)) of a density matrix, in the given base.
 
     Eigenvalues at or below ``EIGENVALUE_CLIP`` count as exact zeros.  The
-    input must be Hermitian and PSD with unit trace (checked at 1e-9).
+    input must be Hermitian and PSD with unit trace (checked at 1e-9), and
+    ``log_base`` finite, above 0 and not 1.
     """
+    if not (isfinite(log_base) and log_base > 0 and log_base != 1):
+        raise ContractViolationError(
+            f"log base must be finite, above 0 and not 1, got {log_base!r}"
+        )
     rho = _as_matrix(rho)
     if abs(np.trace(rho).real - 1.0) > EXACT_TOL or abs(np.trace(rho).imag) > EXACT_TOL:
         raise ContractViolationError(f"density matrix trace is not 1 within {cite(EXACT_TOL)}")

@@ -294,13 +294,13 @@ def _gauss_newton(P, x, d, dprime):
     return polished, met
 
 
-def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=None,
-                  late=None, park_tol=None):
+def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, late=None,
+                  park_tol=None):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked projection (:func:`_nearest_me_amplitudes`) per iteration
     over the rows still advancing.  A row stops when F changes by less than
-    ``convergence_tol``, when its projection vanishes (collapsed), or after
+    :data:`CONVERGENCE_TOL`, when its projection vanishes (collapsed), or after
     its own ``max_iters`` F evaluations; a row that stops without collapsing
     keeps the state it was last evaluated at, so its recorded F is that
     state's F.  Given ``witness_tol``, the whole batch stops after the first
@@ -342,7 +342,7 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=No
         x = psi[active]
         m, _ = _nearest_me_amplitudes(x.reshape(-1, d, dprime))
         F = np.abs(np.einsum("ij,ij->i", m.conj(), x)) ** 2
-        done = np.abs(F - F_last[active]) < convergence_tol
+        done = np.abs(F - F_last[active]) < CONVERGENCE_TOL
         F_last[active] = F
         iterations[active] += 1
         history.append(F)
@@ -365,14 +365,12 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, convergence_tol, witness_tol=No
     return psi, F_last, iterations, converged, collapsed, history, polished
 
 
-def _ascend(P, psi0, d, dprime, max_iters, convergence_tol):
+def _ascend(P, psi0, d, dprime, max_iters):
     """One restart: the batched ascent on the single row ``psi0``, bit for bit
     that row of any batch that does not park.
 
     Returns ``(psi, F_history, converged)``, or None when the row collapses."""
-    psi, _, _, converged, collapsed, history, _ = _ascend_batch(
-        P, psi0[None], d, dprime, max_iters, convergence_tol
-    )
+    psi, _, _, converged, collapsed, history, _ = _ascend_batch(P, psi0[None], d, dprime, max_iters)
     return None if collapsed[0] else (psi[0], [F[0] for F in history], bool(converged[0]))
 
 
@@ -419,6 +417,14 @@ def max_entanglement_in_subspace(
     to the earliest).  The verdict is ``found_me`` iff
     ``1 - best_F <= witness_tol``.
     """
+    P = np.asarray(P, dtype=complex)
+    n = d * dprime
+    if P.shape != (n, n):
+        raise ContractViolationError(f"projector shape {P.shape} != ({n}, {n})")
+    if np.abs(P - P.conj().T).max() > EXACT_TOL or np.abs(P @ P - P).max() > EXACT_TOL:
+        raise ContractViolationError(f"P is not a Hermitian projector within {cite(EXACT_TOL)}")
+    if np.trace(P).real < 0.5:
+        raise ContractViolationError("projector has rank 0: nothing to search")
     return _search(P, d, dprime, config, first_witness=False)
 
 
@@ -428,17 +434,11 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
     first F evaluation that meets ``witness_tol``, and the restart with the
     highest F at that point is the result, and its restarts come in the two
     stages that :func:`certify` describes; without it, restarts park within
-    ``witness_tol`` and are polished."""
+    ``witness_tol`` and are polished.  P is a complex Hermitian projector of
+    rank >= 1, unchecked: the caller checked it or built it so."""
     if config is None:
         config = SearchConfig()
-    P = np.asarray(P, dtype=complex)
     n = d * dprime
-    if P.shape != (n, n):
-        raise ContractViolationError(f"projector shape {P.shape} != ({n}, {n})")
-    if np.abs(P - P.conj().T).max() > EXACT_TOL or np.abs(P @ P - P).max() > EXACT_TOL:
-        raise ContractViolationError(f"P is not a Hermitian projector within {cite(EXACT_TOL)}")
-    if np.trace(P).real < 0.5:
-        raise ContractViolationError("projector has rank 0: nothing to search")
 
     def starts(rows: range) -> np.ndarray:  # projected; collapsed starts dropped
         pg = _project(_restart_starts(config.seed, rows, n), P)
@@ -449,7 +449,7 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
     R = config.restarts
     first = min(FIRST_STAGE, R) if first_witness else R
     psi, F, iterations, converged, collapsed, _, polished = _ascend_batch(
-        P, starts(range(first)), d, dprime, config.max_iters, CONVERGENCE_TOL,
+        P, starts(range(first)), d, dprime, config.max_iters,
         config.witness_tol if first_witness else None,
         (lambda: starts(range(first, R))) if first < R else None,
         None if first_witness else config.witness_tol,
@@ -487,7 +487,9 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     F never decreases along it, so stopping early
     finds a witness exactly when the full search does.  A fruitless search
     downgrades the verdict to ``inconclusive`` with the best overlap
-    recorded.  The certificate and the search share one complement frame.
+    recorded.  The certificate and the search share one complement frame;
+    it is orthonormal by construction and the certificate refuses an empty
+    one, so its projector is not checked again.
     """
     Q = _complement_frame(basis)
     report = _frame_certificate(basis, Q)

@@ -27,14 +27,18 @@ what the stage before it admitted:
    frame is orthonormal to machine precision even at the admission limit.
 4. **Channel and search**.  They read the frame's projector and its
    marginals, which are Hermitian, idempotent and of unit trace to machine
-   precision, and check them at :data:`EXACT_TOL`.  A search state counts as
-   a witness when ``1 - F`` is at most :data:`WITNESS_TOL`.
+   precision.  The entropy checks the marginals at :data:`EXACT_TOL`.  The
+   search checks a projector only where it comes from a caller, in
+   ``max_entanglement_in_subspace``, at :data:`EXACT_TOL`; ``certify``
+   hands it the projector of the frame it built, unchecked.  A search state
+   counts as a witness when ``1 - F`` is at most :data:`WITNESS_TOL`.
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and
-``overlap_constraint_matrix``, the search's projector, a density matrix)
-use :data:`EXACT_TOL`; the two checks next to a factorisation, of the
-orthonormality of the SVD's Schmidt vectors and of the Hermiticity of
-``hermitian_eig``'s input, use the tighter :data:`FACTOR_TOL`.  Constants
+``overlap_constraint_matrix``, the projector of
+``max_entanglement_in_subspace``, a density matrix) use :data:`EXACT_TOL`;
+the two checks next to a factorisation, of the orthonormality of the SVD's
+Schmidt vectors and of the Hermiticity of ``hermitian_eig``'s input, use the
+tighter :data:`FACTOR_TOL`.  Constants
 that one algorithm owns (the search's convergence and collapse thresholds
 and its Gram cutoff, the entropy's eigenvalue clip) stay named in their own
 module.

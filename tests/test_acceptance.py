@@ -264,7 +264,7 @@ def test_criterion_11_optimizer_properties():
         ps = P @ s
         if np.linalg.norm(ps) < 1e-10:
             continue
-        out = _ascend(P, ps / np.linalg.norm(ps), d, dprime, 300, 1e-12)
+        out = _ascend(P, ps / np.linalg.norm(ps), d, dprime, 300)
         _check(failures, out is not None, f"subspace {checked}: ascent collapsed")
         if out is not None:
             _, history, _ = out

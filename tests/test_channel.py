@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,14 @@ def test_analyze_log_bases():
     assert abs(rep_e.entropy_B - np.log(2)) < 1e-9
     rep_d = analyze(basis, log_base=2.0)
     assert abs(rep_d.entropy_B - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("log_base", [-2.0, 0.0, 1.0, float("nan"), float("inf")])
+def test_analyze_refuses_a_log_base_it_cannot_use(log_base):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match="log base"):
+            analyze(build_weyl_umeb(2, 3), log_base=log_base)
 
 
 def test_entropy_formulas_across_family():

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from umebkit.bases import (
-    BasisSet, CertificateReport, build_c23_first, build_c23_second, build_weyl_umeb, gram_matrix,
+    BasisSet, CertificateReport, build_c23_first, build_c23_second, build_weyl_umeb,
+    complement_projector, gram_matrix,
 )
-from umebkit.channel import ChannelReport
+from umebkit.channel import ChannelReport, analyze
 from umebkit.cli import MemberCheck, VerifyReport, _build_parser, main
 from umebkit.fileio import load_basis, load_state, save_basis
-from umebkit.mub import OverlapReport
-from umebkit.search import SearchResult
-from umebkit.states import is_maximally_entangled, standard_mes
+from umebkit.mub import OverlapReport, overlap_matrix
+from umebkit.search import SearchConfig, SearchResult, certify, max_entanglement_in_subspace
+from umebkit.states import is_maximally_entangled, standard_mes, weyl_operator
 
 
 def test_construct_verify_roundtrip(tmp_path, capsys):
@@ -116,6 +117,15 @@ def test_search_empty_basis_full_space(tmp_path, capsys):
     save_basis(empty, BasisSet(2, 2, [], me_flags=[]))
     assert main(["search", str(empty), "--restarts", "4"]) == 0
     assert "found_me" in capsys.readouterr().out
+
+
+def test_search_of_an_empty_complement_exits_2(tmp_path, capsys):
+    first = tmp_path / "c23.json"
+    save_basis(first, build_c23_first())  # its 6 members span C2 x C3
+    assert main(["search", str(first), "--all-members"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: projector has rank 0: nothing to search\n"
 
 
 def test_mub_exit_codes(tmp_path, capsys):
@@ -327,3 +337,35 @@ def test_verify_json_keeps_its_hand_written_bytes(tmp_path, capsys):
         assert main(["verify", str(path), "--json"]) == (0 if passed else 1)
         expected = {"gram_deviation": gram_dev, "tol": 1e-9, "states": rows, "passed": passed}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_json_report_arrays_read_back_bit_for_bit(tmp_path, capsys):
+    w24, first, second = (tmp_path / f"{name}.json" for name in ("w24", "first", "second"))
+    save_basis(w24, build_weyl_umeb(2, 4))
+    save_basis(first, build_c23_first())
+    save_basis(second, build_c23_second())
+
+    def report(*argv):
+        assert main([*argv, "--json"]) in (0, 1), argv
+        return json.loads(capsys.readouterr().out)
+
+    basis, config = load_basis(w24), SearchConfig(restarts=4, seed=1)
+    channel = analyze(basis)
+    channel_doc = report("channel", str(w24))
+    cases = [
+        (report("certify", str(w24), "--restarts", "4", "--seed", "1")["witness"]["amplitudes"],
+         certify(basis, config).witness.amplitudes),
+        (report("search", str(w24), "--restarts", "4", "--seed", "1")["best_state"]["amplitudes"],
+         max_entanglement_in_subspace(complement_projector(basis), 2, 4, config)
+         .best_state.amplitudes),
+        (report("mub", str(first), str(second))["overlaps"],
+         overlap_matrix(load_basis(first), load_basis(second)).overlaps),
+        (channel_doc["marginal_A"], channel.marginal_A),
+        (channel_doc["marginal_B"], channel.marginal_B),
+    ] + [(op["entries"], weyl_operator(3, op["n"], op["m"]))
+         for op in report("pauli", "--d", "3")["operators"]]
+    for written, value in cases:
+        # complex values are written as [re, im] pairs; bytes tell -0.0 from 0.0
+        want = np.stack([value.real, value.imag], -1) if np.iscomplexobj(value) else value
+        got = np.array(written)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from umebkit import ContractViolationError, FileFormatError
-from umebkit.bases import BasisSet, build_c23_first, build_c23_second, build_weyl_umeb, gram_matrix
+from umebkit.bases import (
+    BasisSet, CertificateReport, build_c23_first, build_c23_second, build_weyl_umeb, gram_matrix,
+)
+from umebkit.channel import analyze
 from umebkit.cli import main
 from umebkit.fileio import (
     _dumps, _read_states, basis_to_obj, load_basis, load_state, save_basis, save_state,
@@ -249,12 +253,39 @@ def test_writer_matches_the_stdlib_indent_2_text(doc):
 
 
 @pytest.mark.parametrize("value", [
-    np.int64(1), np.bool_(True), np.complex128(1), np.array([1.0]), (1.0, 2.0), {1.0},
+    np.int64(1), np.bool_(True), np.complex128(1), np.float32(1.0), (1.0, 2.0), {1.0},
     {1: 2}, {"ok": [[1.0, 2.0], [np.int64(3), 4.0]]}, b"bytes",
 ])
 def test_writer_refuses_what_it_does_not_write(value):
     with pytest.raises(TypeError):
         _dumps(value)
+
+
+ARRAYS = [np.array([1.0]), np.array([]), np.array(2.5), np.array([[0.0, -0.0], [5e-324, 1e308]]),
+          np.array([np.nan, np.inf, -np.inf]), np.arange(6).reshape(2, 3), np.array([True, False]),
+          np.array([1 + 2j, -0.0 - 0.0j]), np.array([[0.1j, -1.0], [np.nan + 0j, 1e16]]),
+          np.zeros((2, 0), dtype=complex)]
+
+
+@pytest.mark.parametrize("a", ARRAYS)
+def test_writer_writes_an_array_as_the_stdlib_writes_its_list(a):
+    listed = np.stack([a.real, a.imag], -1).tolist() if np.iscomplexobj(a) else a.tolist()
+    text = _dumps(a)
+    assert text == json.dumps(listed, indent=2)
+    back = np.array(json.loads(text), dtype=a.real.dtype)  # -0.0 and NaN bits included
+    assert back.tobytes() == (a.view(a.real.dtype) if np.iscomplexobj(a) else a).tobytes()
+    assert _dumps({"a": [a]}) == json.dumps({"a": [listed]}, indent=2)
+
+
+def test_writer_writes_a_report_as_its_json_fields():
+    witness = standard_mes(2, 3)
+    report = CertificateReport("numeric-search", 2, 2, 3, 2, "extendible", witness, 1.0, 8)
+    expected = {f.name: getattr(report, f.name) for f in fields(report)}
+    expected["witness"] = state_to_obj(witness)
+    assert _dumps(report) == json.dumps(expected, indent=2)
+    # a field marked metadata={"json": False} is left out
+    channel = analyze(build_weyl_umeb(2, 3))
+    assert "rho_perp" not in json.loads(_dumps(channel))
 
 
 def test_failed_save_leaves_the_old_file(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,14 @@ def test_entropy_bounds_random():
         rho /= np.trace(rho).real
         S = von_neumann_entropy(rho, 2.0)
         assert -1e-9 <= S <= np.log2(n) + 1e-9
+
+
+@pytest.mark.parametrize("log_base", [-2.0, 0.0, 1.0, float("nan"), float("inf")])
+def test_entropy_refuses_a_log_base_it_cannot_use(log_base):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy could warn
+        with pytest.raises(ContractViolationError, match="log base"):
+            von_neumann_entropy(np.eye(2) / 2, log_base)
 
 
 def test_entropy_rejects_bad_input():

@@ -223,7 +223,7 @@ def test_ascend_monotone_on_random_subspaces():
         g = rng.normal(size=12) + 1j * rng.normal(size=12)
         psi0 = P @ g
         psi0 /= np.linalg.norm(psi0)
-        out = _ascend(P, psi0, 3, 4, 200, 1e-12)
+        out = _ascend(P, psi0, 3, 4, 200)
         assert out is not None
         _, history, _ = out
         diffs = np.diff(np.asarray(history))
@@ -274,7 +274,7 @@ def test_search_config_validation():
         assert getattr(config, field) == 3
     SearchConfig(restarts=np.uint8(2), max_iters=np.int32(5), seed=np.uint64(2**63 - 1))
     with pytest.raises(ContractViolationError):
-        SearchConfig(witness_tol=1e-13)  # not above convergence_tol
+        SearchConfig(witness_tol=1e-13)  # not above CONVERGENCE_TOL
     with pytest.raises(ContractViolationError):
         SearchConfig(seed=-1)
     # numpy's Philox reads these keys through a float (aliasing another
@@ -339,10 +339,10 @@ def test_batched_rows_match_single_runs(d, dprime, rank):
     starts = (rng.normal(size=(16, n)) + 1j * rng.normal(size=(16, n))) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     psi, F, iterations, converged, collapsed, _, _ = _ascend_batch(
-        P, starts, d, dprime, 5000, 1e-12
+        P, starts, d, dprime, 5000
     )
     for r in range(16):
-        out = _ascend(P, starts[r], d, dprime, 5000, 1e-12)
+        out = _ascend(P, starts[r], d, dprime, 5000)
         assert (out is None) == collapsed[r]
         if out is not None:
             _, history, single_converged = out
@@ -352,7 +352,7 @@ def test_batched_rows_match_single_runs(d, dprime, rank):
     r = int(np.argmin(np.where(converged, iterations, np.iinfo(int).max)))
     k = int(iterations[r])
     assert k < iterations.max()
-    psi_k, F_k = _ascend_batch(P, starts, d, dprime, k, 1e-12)[:2]
+    psi_k, F_k = _ascend_batch(P, starts, d, dprime, k)[:2]
     assert np.array_equal(psi_k[r], psi[r]) and F_k[r] == F[r]
 
 
@@ -414,15 +414,15 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(case):
     witness_tol = SearchConfig().witness_tol
     starts = _restart_starts(1, range(8), d * dprime) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    full = _ascend_batch(P, starts, d, dprime, 400, 1e-12)
-    stopped = _ascend_batch(P, starts, d, dprime, 400, 1e-12, witness_tol)
+    full = _ascend_batch(P, starts, d, dprime, 400)
+    stopped = _ascend_batch(P, starts, d, dprime, 400, witness_tol)
     full_history, history = full[5], stopped[5]
     hits = [i for i, F in enumerate(full_history) if np.any(1.0 - F <= witness_tol)]
     assert len(history) == (hits[0] + 1 if hits else len(full_history))
     # up to the stop, the stopped run is the unstopped run, bit for bit, and
     # it ends as that run cut at max_iters there: on the states last evaluated
     assert all(a.tobytes() == b.tobytes() for a, b in zip(history, full_history))
-    cut = _ascend_batch(P, starts, d, dprime, len(history), 1e-12)
+    cut = _ascend_batch(P, starts, d, dprime, len(history))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stopped[:5], cut[:5]))
     if case == "weyl(2,3)":
         assert not hits
@@ -508,7 +508,7 @@ def test_staged_rows_are_their_restarts_ascended_alone(k):
     d, dprime, R, max_iters = 3, 5, 24, 2000 if k == 5 else 150
     P = subspace_projector(1, d, dprime, k)
     psi, F, iterations, converged, collapsed, history, _ = _ascend_batch(
-        P, projected_starts(P, 1, range(search.FIRST_STAGE)), d, dprime, max_iters, 1e-12,
+        P, projected_starts(P, 1, range(search.FIRST_STAGE)), d, dprime, max_iters,
         SearchConfig().witness_tol, lambda: projected_starts(P, 1, range(search.FIRST_STAGE, R)),
     )
     assert len(psi) == R and not collapsed.any()
@@ -520,7 +520,7 @@ def test_staged_rows_are_their_restarts_ascended_alone(k):
     starts = projected_starts(P, 1, range(R))
     for r in range(R):
         alone, alone_history, alone_converged = _ascend(
-            P, starts[r], d, dprime, int(iterations[r]), 1e-12
+            P, starts[r], d, dprime, int(iterations[r])
         )
         assert alone.tobytes() == psi[r].tobytes() and alone_history[-1] == F[r]
         assert (len(alone_history), alone_converged) == (iterations[r], converged[r])
@@ -532,7 +532,7 @@ def test_a_late_row_keeps_its_full_max_iters():
     d, dprime, max_iters = 3, 5, 10
     P = subspace_projector(1, d, dprime, 4)  # no row converges in 10 iterations
     iterations, converged, _, history = _ascend_batch(
-        P, projected_starts(P, 1, range(8)), d, dprime, max_iters, 1e-12, None,
+        P, projected_starts(P, 1, range(8)), d, dprime, max_iters, None,
         lambda: projected_starts(P, 1, range(8, 16)),
     )[2:6]
     assert not converged.any()
@@ -634,7 +634,7 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
 
     P, d, dprime = STOP_CASES[case]()
     starts = projected_starts(P, 1, range(16))
-    unparked = _ascend_batch(P, starts, d, dprime, 2000, 1e-12)
+    unparked = _ascend_batch(P, starts, d, dprime, 2000)
     polished = []
 
     def reject_all(P, x, F, d, dprime):
@@ -642,7 +642,7 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
         return x, F, np.zeros(len(x), dtype=bool)
 
     monkeypatch.setattr(search, "_polish", reject_all)
-    parked = _ascend_batch(P, starts, d, dprime, 2000, 1e-12,
+    parked = _ascend_batch(P, starts, d, dprime, 2000,
                            park_tol=SearchConfig().witness_tol)
     assert len(polished) == 1 and 0 < polished[0] <= 16
     assert not parked[6].any() and not unparked[6].any()
@@ -654,9 +654,9 @@ def test_polish_accepts_exact_rows_as_they_are_and_never_lowers_F(monkeypatch):
     import umebkit.search as search
 
     P24, _, _ = weyl_complement(2, 4)
-    exact = _ascend_batch(P24, projected_starts(P24, 1, range(8)), 2, 4, 2, 1e-12)[0]
+    exact = _ascend_batch(P24, projected_starts(P24, 1, range(8)), 2, 4, 2)[0]
     P = subspace_projector(1, 3, 5, 10)
-    rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12, 1e-12)[0]
+    rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12)[0]
     real_eigh, eighs = np.linalg.eigh, []
 
     def counting_eigh(a, *args, **kwargs):
@@ -700,7 +700,7 @@ def test_a_search_whose_parked_rows_all_fail_the_polish(monkeypatch):
     assert len(parked) == 1 and parked[0][0] >= 1 and parked[0][1] == 0
     assert result.verdict == "found_me" and result.restarts_polished == 0
     starts = projected_starts(P, 1, range(8))
-    psi, F = _ascend_batch(P, starts, 3, 4, config.max_iters, 1e-12)[:2]
+    psi, F = _ascend_batch(P, starts, 3, 4, config.max_iters)[:2]
     b = int(np.argmax(F))
     assert result.best_F == F[b]
     assert result.best_state.amplitudes.tobytes() == psi[b].tobytes()
