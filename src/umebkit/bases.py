@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .states import BipartiteState, _norm_errors, _weyl_operators, apply_local, standard_mes
+from .states import BipartiteState, _norm_errors, _weyl_operators, standard_mes
 from .tolerances import (
     ADMIT_TOL, EXACT_TOL, ME_TOL, NORM_SQ_TOL, NORM_TOL, RANK_CUT, cite,
 )
@@ -32,9 +32,9 @@ __all__ = [
     "C3_UNBIASED",
 ]
 
-_SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
+#: I and the Pauli matrices: the A-side unitaries of both 2 (x) 3 bases.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                   dtype=complex)
 _C23_LABELS = ("me0", "me1", "me2", "me3", "aux0", "aux1")
 
 #: Orthonormal basis of C^3 (rows) in which every component has magnitude
@@ -189,6 +189,13 @@ class CertificateReport:
     restarts_used: int | None = None
 
 
+def _turned(ops: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Rows ``(U (x) I)|base>`` for each U of the ``(k, d, d)`` stack ``ops``,
+    ``base`` a d x d' amplitude matrix: one stacked product ``U base I^T``, the
+    product ``apply_local`` makes member by member, bit for bit."""
+    return (ops @ base @ np.eye(base.shape[1], dtype=complex).T).reshape(len(ops), -1)
+
+
 def build_weyl_umeb(d: int, dprime: int) -> BasisSet:
     """The d^2 orthonormal maximally entangled states ``(U_nm (x) I)|Phi>``.
 
@@ -198,50 +205,32 @@ def build_weyl_umeb(d: int, dprime: int) -> BasisSet:
     """
     if not 2 <= d < dprime:
         raise ContractViolationError(f"need 2 <= d < dprime, got ({d}, {dprime})")
-    # One stacked (U_nm Phi) I^T: the same product, member by member, as
-    # apply_local, so every bit (signed zeros included) matches it.
     phi = standard_mes(d, dprime).amplitudes.reshape(d, dprime)
-    members = _weyl_operators(d) @ phi @ np.eye(dprime, dtype=complex).T
     labels = [f"{n}{m}" for n in range(d) for m in range(d)]
-    return BasisSet(d, dprime, members.reshape(d * d, -1), [True] * (d * d), labels)
+    return BasisSet(d, dprime, _turned(_weyl_operators(d), phi), [True] * (d * d), labels)
+
+
+def _c23_basis(base: np.ndarray, aux: np.ndarray) -> BasisSet:
+    """The four members ``(sigma (x) I)|base>`` and the two product rows ``aux``."""
+    rows = np.vstack([_turned(_PAULIS, base), aux])
+    return BasisSet(2, 3, rows, me_flags=[True] * 4 + [False] * 2, labels=list(_C23_LABELS))
 
 
 def build_c23_first() -> BasisSet:
     """First complete 2 (x) 3 basis: four Pauli-rotated Bell-type members on
     the upper 2 x 2 block plus two product members on the last B level."""
-    phi0 = standard_mes(2, 3)
-    eye3 = np.eye(3, dtype=complex)
-    states = [phi0] + [
-        apply_local(phi0, sigma, eye3) for sigma in (_SIGMA_1, _SIGMA_2, _SIGMA_3)
-    ]
-    aux0 = np.zeros(6, dtype=complex)
-    aux0[0 * 3 + 2] = 0.5
-    aux0[1 * 3 + 2] = np.sqrt(3) / 2
-    aux1 = np.zeros(6, dtype=complex)
-    aux1[0 * 3 + 2] = np.sqrt(3) / 2
-    aux1[1 * 3 + 2] = -0.5
-    states.append(BipartiteState(2, 3, aux0))
-    states.append(BipartiteState(2, 3, aux1))
-    return BasisSet(2, 3, states, me_flags=[True] * 4 + [False] * 2, labels=list(_C23_LABELS))
+    aux = np.zeros((2, 2, 3), dtype=complex)
+    aux[:, :, 2] = [[0.5, np.sqrt(3) / 2], [np.sqrt(3) / 2, -0.5]]
+    return _c23_basis(standard_mes(2, 3).amplitudes.reshape(2, 3), aux.reshape(2, 6))
 
 
 def build_c23_second() -> BasisSet:
     """Second complete 2 (x) 3 basis, built on the :data:`C3_UNBIASED` B-side
     basis; mutually unbiased to the first one as a basis of C^6."""
     xp, yp, zp = C3_UNBIASED
-    psi0 = np.concatenate([xp, yp]) / np.sqrt(2)
-    eye3 = np.eye(3, dtype=complex)
-    base = BipartiteState(2, 3, psi0)
-    states = [base] + [
-        apply_local(base, sigma, eye3) for sigma in (_SIGMA_1, _SIGMA_2, _SIGMA_3)
-    ]
-    a = (1.0 + np.sqrt(3) * 1j) / 2
-    b = (np.sqrt(3) - 1j) / 2
-    aux0 = np.concatenate([a * zp, b * zp]) / np.sqrt(2)
-    aux1 = np.concatenate([b * zp, a * zp]) / np.sqrt(2)
-    states.append(BipartiteState(2, 3, aux0))
-    states.append(BipartiteState(2, 3, aux1))
-    return BasisSet(2, 3, states, me_flags=[True] * 4 + [False] * 2, labels=list(_C23_LABELS))
+    a, b = (1.0 + np.sqrt(3) * 1j) / 2, (np.sqrt(3) - 1j) / 2
+    aux = np.array([np.concatenate([a * zp, b * zp]), np.concatenate([b * zp, a * zp])])
+    return _c23_basis(np.array([xp, yp]) / np.sqrt(2), aux / np.sqrt(2))
 
 
 def gram_matrix(basis: BasisSet) -> np.ndarray:
@@ -277,6 +266,19 @@ def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
     return Q @ Q.conj().T
 
 
+def _frame_spectra(Q: np.ndarray, d: int, dprime: int) -> tuple:
+    """The reshapes of a complement frame Q with the A and the B index leading,
+    each with its singular values: ``((M_A, s_A), (M_B, s_B))``.  ``M M^dag``
+    is the marginal of ``Q Q^dag`` on the leading side, of eigenvalues ``s**2``.
+    """
+    m = Q.shape[1]
+    Q3 = Q.reshape(d, dprime, m)
+    return tuple(
+        (M, np.linalg.svd(M, compute_uv=False))
+        for M in (Q3.reshape(d, dprime * m), Q3.transpose(1, 0, 2).reshape(dprime, d * m))
+    )
+
+
 def _frame_certificate(basis: BasisSet, Q: np.ndarray) -> CertificateReport:
     """:func:`support_rank_certificate` of ``basis``, given its complement frame Q."""
     flagged = np.array(basis.me_flags, dtype=bool)
@@ -291,14 +293,8 @@ def _frame_certificate(basis: BasisSet, Q: np.ndarray) -> CertificateReport:
             f"the {len(basis)} members span all of C{d} x C{dprime}: "
             f"a UMEB has fewer than d*dprime = {d * dprime} members"
         )
-    # The A marginal of Q Q^dag is M M^dag with M = Q reshaped to d x (dprime m),
-    # the B marginal likewise with the B index leading; a marginal's eigenvalues
-    # above RANK_CUT**2 are the singular values of M above RANK_CUT.
-    Q3 = Q.reshape(d, dprime, m)
-    r_a, r_b = (
-        int((np.linalg.svd(M, compute_uv=False) > RANK_CUT).sum())
-        for M in (Q3.reshape(d, dprime * m), Q3.transpose(1, 0, 2).reshape(dprime, d * m))
-    )
+    # A marginal's eigenvalues above RANK_CUT**2 are its s above RANK_CUT.
+    r_a, r_b = (int((s > RANK_CUT).sum()) for _, s in _frame_spectra(Q, d, dprime))
     bound = min(d, r_a, r_b)
     verdict = "unextendible" if bound < d else "inconclusive"
     return CertificateReport(

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import BasisSet, complement_projector
+from .bases import BasisSet, _complement_frame, _frame_spectra
 from .errors import ContractViolationError
-from .linalg import partial_trace, von_neumann_entropy
+from .linalg import _entropy, partial_trace
 
 __all__ = [
     "ChannelReport",
@@ -52,21 +52,23 @@ class ChannelReport:
     rho_perp: np.ndarray = field(metadata={"json": False})
 
 
-def complement_state(basis: BasisSet, me_only: bool = True) -> np.ndarray:
-    """Maximally mixed density matrix on the complement of the basis members.
-
-    Requires exactly d^2 members in the chosen selection (the
-    maximally-entangled-flagged ones by default) and a strictly larger
-    ambient space, so the normalizer ``d*d' - d^2`` is positive.
-    """
+def _frame(basis: BasisSet, me_only: bool) -> np.ndarray:
+    """The complement frame of exactly d^2 chosen members in a larger space."""
     d, dprime = basis.d, basis.dprime
     count = sum(basis.me_flags) if me_only else len(basis)
     if count != d * d:
         raise ContractViolationError(f"need exactly d^2 = {d * d} members, got {count}")
     if d * dprime <= d * d:
         raise ContractViolationError("complement is empty: d*dprime must exceed d^2")
-    P = complement_projector(basis, me_only=me_only)
-    return P / (d * dprime - d * d)
+    return _complement_frame(basis, me_only)
+
+
+def complement_state(basis: BasisSet, me_only: bool = True) -> np.ndarray:
+    """Maximally mixed density matrix ``Q Q^dag / m`` on the complement of
+    exactly d^2 members (the maximally-entangled-flagged ones by default), Q
+    its frame of ``m = d*d' - d^2`` columns, which must be positive."""
+    Q = _frame(basis, me_only)
+    return Q @ Q.conj().T / Q.shape[1]
 
 
 def apply_channel(rho_choi, X, d: int, dprime: int) -> np.ndarray:
@@ -85,24 +87,26 @@ def apply_channel(rho_choi, X, d: int, dprime: int) -> np.ndarray:
 def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> ChannelReport:
     """Full complement-state report: marginals, deviations, entropies.
 
-    ``log_base`` must be finite, above 0 and not 1 (see
-    :func:`~umebkit.linalg.von_neumann_entropy`).
+    All of it is read off the frame Q of :func:`complement_state`: ``rho_perp
+    = Q Q^dag / m``, and each marginal is ``M M^dag / m``, of eigenvalues
+    ``s**2 / m``, for the reshapes M of Q and their singular values s that
+    the certificate counts ranks from (:func:`~umebkit.bases._frame_spectra`).
+    Gram matrices of a frame orthonormal to machine precision, the marginals
+    need no density-matrix check.  ``log_base`` must be finite, above 0, not 1.
     """
     d, dprime = basis.d, basis.dprime
-    rho = complement_state(basis, me_only=me_only)
-    marginal_B = partial_trace(rho, d, dprime, side="B")
-    marginal_A = partial_trace(rho, d, dprime, side="A")
+    Q = _frame(basis, me_only)
+    m = Q.shape[1]
+    (M_A, s_A), (M_B, s_B) = _frame_spectra(Q, d, dprime)
+    # named for the side traced out: M_A M_A^dag = Tr_B(Q Q^dag) is marginal_B
+    marginal_B, marginal_A = M_A @ M_A.conj().T / m, M_B @ M_B.conj().T / m
     return ChannelReport(
-        rho_perp=rho,
+        rho_perp=Q @ Q.conj().T / m,
         marginal_A=marginal_A,
         marginal_B=marginal_B,
-        trace_preserving_deviation=float(
-            np.linalg.norm(marginal_B - np.eye(d) / d)
-        ),
-        unitality_deviation=float(
-            np.linalg.norm(marginal_A - np.eye(dprime) / dprime)
-        ),
-        entropy_A=von_neumann_entropy(marginal_A, log_base),
-        entropy_B=von_neumann_entropy(marginal_B, log_base),
+        trace_preserving_deviation=float(np.linalg.norm(marginal_B - np.eye(d) / d)),
+        unitality_deviation=float(np.linalg.norm(marginal_A - np.eye(dprime) / dprime)),
+        entropy_A=_entropy(s_B**2 / m, log_base),
+        entropy_B=_entropy(s_A**2 / m, log_base),
         log_base=float(log_base),
     )

@@ -107,10 +107,6 @@ def von_neumann_entropy(rho, log_base: float = 2.0) -> float:
     input must be Hermitian and PSD with unit trace (checked at 1e-9), and
     ``log_base`` finite, above 0 and not 1.
     """
-    if not (isfinite(log_base) and log_base > 0 and log_base != 1):
-        raise ContractViolationError(
-            f"log base must be finite, above 0 and not 1, got {log_base!r}"
-        )
     rho = _as_matrix(rho)
     if abs(np.trace(rho).real - 1.0) > EXACT_TOL or abs(np.trace(rho).imag) > EXACT_TOL:
         raise ContractViolationError(f"density matrix trace is not 1 within {cite(EXACT_TOL)}")
@@ -122,6 +118,15 @@ def von_neumann_entropy(rho, log_base: float = 2.0) -> float:
     if vals.min() < -EXACT_TOL:
         raise ContractViolationError(
             f"density matrix has negative eigenvalue {vals.min():.3e}"
+        )
+    return _entropy(vals, log_base)
+
+
+def _entropy(vals: np.ndarray, log_base: float) -> float:
+    """:func:`von_neumann_entropy` of a density matrix with eigenvalues ``vals``."""
+    if not (isfinite(log_base) and log_base > 0 and log_base != 1):
+        raise ContractViolationError(
+            f"log base must be finite, above 0 and not 1, got {log_base!r}"
         )
     vals = vals[vals > EIGENVALUE_CLIP]
     return float(-(vals * np.log(vals)).sum() / np.log(log_base)) + 0.0

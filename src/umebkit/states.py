@@ -182,14 +182,6 @@ def standard_mes(d: int, dprime: int) -> BipartiteState:
     return BipartiteState(d, dprime, amp)
 
 
-def _apply_local_unchecked(
-    psi: BipartiteState, opA: np.ndarray, opB: np.ndarray
-) -> np.ndarray:
-    """Amplitudes of (opA (x) opB)|psi>, with no unitarity or norm checks."""
-    X = opA @ reshape_to_matrix(psi) @ opB.T
-    return X.reshape(-1)
-
-
 def apply_local(psi: BipartiteState, opA, opB) -> BipartiteState:
     """Apply the product operator ``opA (x) opB`` to a state.
 
@@ -208,7 +200,7 @@ def apply_local(psi: BipartiteState, opA, opB) -> BipartiteState:
         dev = np.abs(op.conj().T @ op - np.eye(op.shape[0])).max()
         if dev > EXACT_TOL:
             raise ContractViolationError(f"operator on side {name} is not unitary ({dev:.3e})")
-    amp = _apply_local_unchecked(psi, opA, opB)
+    amp = (opA @ reshape_to_matrix(psi) @ opB.T).reshape(-1)
     if _norm_errors(amp) > NORM_TOL:
         amp = amp / np.linalg.norm(amp)
     return BipartiteState(psi.d, psi.dprime, amp)

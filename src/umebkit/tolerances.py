@@ -23,14 +23,14 @@ what the stage before it admitted:
    members whose Gram matrix is within :data:`ADMIT_TOL` of the identity,
    as the loader does; the certificate refuses a flagged member only when
    its Schmidt coefficients are off by more than :data:`ADMIT_TOL`, and
-   counts the support-rank singular values above :data:`RANK_CUT`.  The
-   frame is orthonormal to machine precision even at the admission limit.
-4. **Channel and search**.  They read the frame's projector and its
-   marginals, which are Hermitian, idempotent and of unit trace to machine
-   precision.  The entropy checks the marginals at :data:`EXACT_TOL`.  The
-   search checks a projector only where it comes from a caller, in
-   ``max_entanglement_in_subspace``, at :data:`EXACT_TOL`; ``certify``
-   hands it the projector of the frame it built, unchecked.  A search state
+   counts the singular values of the frame's two reshapes above
+   :data:`RANK_CUT`.  The frame is orthonormal to machine precision even at
+   the admission limit.
+4. **Channel and search**.  They read that frame unchecked: the channel's
+   marginals and entropies come from the certificate's reshapes, and
+   ``certify`` hands the search the frame's projector.  The search checks a
+   projector only where a caller hands it in, to
+   ``max_entanglement_in_subspace``, at :data:`EXACT_TOL`.  A search state
    counts as a witness when ``1 - F`` is at most :data:`WITNESS_TOL`.
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and

@@ -1,11 +1,15 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from umebkit import ContractViolationError
-from umebkit.bases import build_c23_first, build_weyl_umeb
+from umebkit import ContractViolationError, bases, channel, linalg
+from umebkit.bases import BasisSet, build_c23_first, build_c23_second, build_weyl_umeb
 from umebkit.channel import analyze, apply_channel, complement_state
+from umebkit.linalg import partial_trace, von_neumann_entropy
+
+SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
 
 
 def test_complement_state_23():
@@ -112,3 +116,60 @@ def test_entropy_formulas_across_family():
             expect_A = np.diag([0.0] * d + [1.0] * (dprime - d)) / (dprime - d)
             assert np.abs(rep.marginal_A - expect_A).max() < 1e-10
             assert np.abs(rep.marginal_B - np.eye(d) / d).max() < 1e-10
+
+
+def _reference_report(basis, log_base, me_only):
+    """The report through the public route: the complement state, its two
+    partial traces and their checked entropies."""
+    d, dprime = basis.d, basis.dprime
+    rho = complement_state(basis, me_only=me_only)
+    marginal_B = partial_trace(rho, d, dprime, side="B")
+    marginal_A = partial_trace(rho, d, dprime, side="A")
+    return {
+        "rho_perp": rho,
+        "marginal_A": marginal_A,
+        "marginal_B": marginal_B,
+        "trace_preserving_deviation": float(np.linalg.norm(marginal_B - np.eye(d) / d)),
+        "unitality_deviation": float(np.linalg.norm(marginal_A - np.eye(dprime) / dprime)),
+        "entropy_A": von_neumann_entropy(marginal_A, log_base),
+        "entropy_B": von_neumann_entropy(marginal_B, log_base),
+        "log_base": float(log_base),
+    }
+
+
+def _reference_cases():
+    """Every sweep shape, its copy under a random local unitary (both also
+    with ``me_only=False``), and the two 2 (x) 3 bases."""
+    rng = np.random.default_rng(14)
+    for d, dprime in SWEEP_SHAPES:
+        weyl = build_weyl_umeb(d, dprime)
+        X = weyl.amplitudes.reshape(-1, d, dprime)
+        UA, UB = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+                  for n in (d, dprime))
+        turned = BasisSet(d, dprime, (UA @ X @ UB.T).reshape(d * d, -1), weyl.me_flags)
+        for basis in (weyl, turned):
+            yield basis, True
+            yield basis, False
+    yield build_c23_first(), True
+    yield build_c23_second(), True
+
+
+def test_analyze_matches_the_partial_trace_route(monkeypatch):
+    cases = [(basis, me_only, log_base)
+             for basis, me_only in _reference_cases() for log_base in (2.0, math.e)]
+    assert len(cases) == 2 * (4 * len(SWEEP_SHAPES) + 2)
+    want = [_reference_report(basis, log_base, me_only) for basis, me_only, log_base in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze must not take this route")
+
+    for module in (bases, channel, linalg):
+        for name in ("complement_projector", "partial_trace", "von_neumann_entropy",
+                     "hermitian_eig"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for (basis, me_only, log_base), ref in zip(cases, want):
+        rep = analyze(basis, log_base=log_base, me_only=me_only)
+        assert rep.rho_perp.tobytes() == ref["rho_perp"].tobytes()
+        for key, value in ref.items():
+            assert np.abs(getattr(rep, key) - value).max() <= 1e-14, (basis.d, basis.dprime, key)
