@@ -49,6 +49,14 @@ def _search_config(args) -> SearchConfig:
     return SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
 
 
+def _tolerance(text: str) -> float:
+    """The type of ``--tol``: a finite float, at least 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
+
+
 def cmd_construct(args) -> int:
     if args.kind == "weyl":
         if args.d is None or args.dprime is None:
@@ -248,16 +256,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check orthonormality and entanglement flags")
     v.add_argument("path")
-    v.add_argument("--tol", type=float, default=EXACT_TOL, help="Gram deviation tolerance")
+    v.add_argument("--tol", type=_tolerance, default=EXACT_TOL, help="Gram deviation tolerance")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
     # the arguments certify and search share
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("path")
-    run.add_argument("--restarts", type=int, default=64)
-    run.add_argument("--max-iters", type=int, default=10000)
-    run.add_argument("--seed", type=int, default=42)
+    run.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    run.add_argument("--max-iters", type=int, default=SearchConfig.max_iters)
+    run.add_argument("--seed", type=int, default=SearchConfig.seed)
     run.add_argument("--json", action="store_true")
 
     ce = sub.add_parser("certify", parents=[run],
@@ -274,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mub", help="check two complete bases for mutual unbiasedness")
     m.add_argument("path_a")
     m.add_argument("path_b")
-    m.add_argument("--tol", type=float, default=EXACT_TOL)
+    m.add_argument("--tol", type=_tolerance, default=EXACT_TOL)
     m.add_argument("--json", action="store_true")
     m.set_defaults(func=cmd_mub)
 

@@ -7,6 +7,7 @@ dimension, since the bases are bases of the composite space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,10 @@ def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = EXACT_TOL) -> Overla
     Both bases must be complete (d*d' members), live on the same (d, d'),
     and be orthonormal within 1e-6, the bound the basis loader admits.  The
     report's ``is_mub`` is whether every overlap is within ``tol`` of
-    1/sqrt(d*d').
+    1/sqrt(d*d'); ``tol`` must be finite and at least 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ContractViolationError(f"tol must be finite and at least 0, got {tol!r}")
     if (B1.d, B1.dprime) != (B2.d, B2.dprime):
         raise ContractViolationError(
             f"dimension mismatch: ({B1.d}, {B1.dprime}) vs ({B2.d}, {B2.dprime})"

@@ -45,17 +45,16 @@ GRAM_CUTOFF = 1e-4
 #: Change of F between two iterations below which a restart has converged.
 CONVERGENCE_TOL = 1e-12
 
-#: Restarts a first-witness search (``certify``) starts with.  On every Weyl
-#: shape with d <= d'/2 one restart meets the witness tolerance at its second
+#: Restarts a first-witness search (``certify``) runs first.  On every Weyl
+#: shape with d <= d'/2 one of them meets the witness tolerance at its second
 #: F evaluation (370 of 370 shape and seed pairs tried), and 8 rows cost about
 #: half of what 64 do to draw and ascend; 8 keeps a margin for bad starts.
 FIRST_STAGE = 8
 
-#: F evaluations without a witness after which the other restarts join the
-#: first stage (an easy witness shows at the second).  The first stage keeps
-#: going meanwhile, so a search near the threshold rank, whose witness takes
-#: hundreds of iterations, costs about what one stage of all restarts does.
-JOIN_AFTER = 4
+#: F evaluations the first :data:`FIRST_STAGE` restarts get when more are
+#: asked for (an easy witness shows at the second).  Without a witness by
+#: then, every restart runs from its start, the first ones again.
+FIRST_RUN_EVALS = 4
 
 #: Largest ``max|d X X^dag - I|`` at which a parked row counts as maximally
 #: entangled: the exact test's bound and the Gauss-Newton polish's target.
@@ -87,7 +86,9 @@ class SearchConfig:
     :data:`CONVERGENCE_TOL`, the per-iteration change of F at which a
     restart stops, which is fixed rather than a knob.
     ``certify`` stops the whole search at the first iteration in which some
-    restart meets ``witness_tol`` and starts its restarts in two stages;
+    restart meets ``witness_tol``: restarts 0-7 run first, for at most
+    :data:`FIRST_RUN_EVALS` F evaluations, and if none meets it, all restarts run
+    again from their starts;
     ``max_entanglement_in_subspace`` starts them all at once, parks each
     restart at its first F evaluation that meets it, polishes the parked
     ones (:func:`_polish`) and judges its best F against it.
@@ -294,8 +295,7 @@ def _gauss_newton(P, x, d, dprime):
     return polished, met
 
 
-def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, late=None,
-                  park_tol=None):
+def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, park_tol=None):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked projection (:func:`_nearest_me_amplitudes`) per iteration
@@ -305,9 +305,7 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, late=None,
     keeps the state it was last evaluated at, so its recorded F is that
     state's F.  Given ``witness_tol``, the whole batch stops after the first
     F evaluation in which some row has ``1 - F <= witness_tol``, without
-    projecting again.  Given ``late``, a callable returning more such rows,
-    they join the batch after :data:`JOIN_AFTER` F evaluations, or once
-    every row has stopped.  Given ``park_tol``, a row that would advance
+    projecting again.  Given ``park_tol``, a row that would advance
     from an F evaluation with ``1 - F <= park_tol`` is parked instead, at
     the state evaluated; once no row advances, the parked rows are finished
     by one :func:`_polish`, and a row it does not accept resumes its ascent
@@ -322,15 +320,6 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, late=None,
     converged, collapsed, polished = np.zeros((3, R), dtype=bool)
     active, history, parked, ahead = np.arange(R), [], [], []
     while True:
-        if late is not None and (len(history) >= JOIN_AFTER or not active.size):
-            more, late = late(), None
-            k = len(more)
-            active = np.r_[active, len(psi) + np.arange(k)]
-            psi = np.concatenate([psi, more])
-            F_last = np.r_[F_last, np.full(k, -np.inf)]
-            iterations = np.r_[iterations, np.zeros(k, dtype=int)]
-            converged, collapsed, polished = np.pad(
-                [converged, collapsed, polished], [(0, 0), (0, k)])
         if not active.size and parked:
             rows, ahead = np.concatenate(parked), np.concatenate(ahead)
             psi[rows], F_last[rows], ok = _polish(P, psi[rows], F_last[rows], d, dprime)
@@ -432,13 +421,13 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
             first_witness: bool) -> SearchResult:
     """The restarted search; with ``first_witness`` it stops the batch at the
     first F evaluation that meets ``witness_tol``, and the restart with the
-    highest F at that point is the result, and its restarts come in the two
-    stages that :func:`certify` describes; without it, restarts park within
+    highest F at that point is the result, and its restarts run as
+    :func:`certify` describes; without it, restarts park within
     ``witness_tol`` and are polished.  P is a complex Hermitian projector of
     rank >= 1, unchecked: the caller checked it or built it so."""
     if config is None:
         config = SearchConfig()
-    n = d * dprime
+    n, R, tol = d * dprime, config.restarts, config.witness_tol
 
     def starts(rows: range) -> np.ndarray:  # projected; collapsed starts dropped
         pg = _project(_restart_starts(config.seed, rows, n), P)
@@ -446,14 +435,16 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
         kept = norm_pg >= COLLAPSE_FLOOR
         return pg[kept] / norm_pg[kept, None]
 
-    R = config.restarts
-    first = min(FIRST_STAGE, R) if first_witness else R
-    psi, F, iterations, converged, collapsed, _, polished = _ascend_batch(
-        P, starts(range(first)), d, dprime, config.max_iters,
-        config.witness_tol if first_witness else None,
-        (lambda: starts(range(first, R))) if first < R else None,
-        None if first_witness else config.witness_tol,
-    )
+    if not first_witness:
+        run = _ascend_batch(P, starts(range(R)), d, dprime, config.max_iters, None, tol)
+    else:
+        first = starts(range(min(FIRST_STAGE, R)))
+        cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
+        run = _ascend_batch(P, first, d, dprime, cap, tol)
+        if R > FIRST_STAGE and not np.any(1.0 - run[1] <= tol):
+            run = _ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
+                                d, dprime, config.max_iters, tol)
+    psi, F, iterations, converged, collapsed, _, polished = run
     if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
 
@@ -468,7 +459,7 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
         restarts_used=int((~collapsed).sum()),
         restarts_polished=int(polished.sum()),
         converged=bool(converged[b]),
-        verdict="found_me" if 1.0 - F[b] <= config.witness_tol else "none_found",
+        verdict="found_me" if 1.0 - F[b] <= tol else "none_found",
     )
 
 
@@ -476,20 +467,20 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     """Decide extendibility of a basis: analytic certificate, then search.
 
     The support-rank certificate is conclusive whenever its Schmidt-rank
-    bound is below d.  Otherwise the complement is searched, by restarts
-    below :data:`FIRST_STAGE` first and by all once :data:`JOIN_AFTER` F
-    evaluations pass without a witness (or the first all stop).  The search
-    stops at the first witness: the first iteration in which some restart
-    has ``1 - F <= witness_tol``.  The restart with the highest F at that
-    point is returned as the ``extendible`` witness and ``search_best_F`` is
-    its F (not the converged best), both from the first stage that meets the
-    tolerance.  A restart ascends alike, bit for bit, in either stage, and
-    F never decreases along it, so stopping early
-    finds a witness exactly when the full search does.  A fruitless search
-    downgrades the verdict to ``inconclusive`` with the best overlap
-    recorded.  The certificate and the search share one complement frame;
-    it is orthonormal by construction and the certificate refuses an empty
-    one, so its projector is not checked again.
+    bound is below d.  Otherwise the complement is searched: restarts below
+    :data:`FIRST_STAGE` run first, for at most :data:`FIRST_RUN_EVALS` F
+    evaluations, and if none of them meets ``witness_tol``, all restarts run
+    from their starts.  Each run stops at the first witness: the first
+    iteration in which some restart has ``1 - F <= witness_tol``.  The
+    restart with the highest F at that point is returned as the
+    ``extendible`` witness and ``search_best_F`` is its F (not the converged
+    best).  A restart ascends alike, bit for bit, in either run, and F never
+    decreases along it, so stopping early finds a witness exactly when the
+    full search does.  A fruitless search downgrades the verdict to
+    ``inconclusive`` with the best overlap recorded.  The certificate and
+    the search share one complement frame; it is orthonormal by
+    construction and the certificate refuses an empty one, so its projector
+    is not checked again.
     """
     Q = _complement_frame(basis)
     report = _frame_certificate(basis, Q)

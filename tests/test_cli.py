@@ -128,6 +128,33 @@ def test_search_of_an_empty_complement_exits_2(tmp_path, capsys):
     assert captured.err == "error: projector has rank 0: nothing to search\n"
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-9", "1e400", "NaN"])
+def test_tol_refuses_a_value_that_is_not_finite_or_is_negative(tmp_path, capsys, bad):
+    w23, first, second = (tmp_path / f"{name}.json" for name in ("w23", "first", "second"))
+    save_basis(w23, build_weyl_umeb(2, 3))
+    save_basis(first, build_c23_first())
+    save_basis(second, build_c23_second())
+    cases = [(["verify", str(w23), "--json"], 0),  # orthonormal: passes at a good tol
+             (["mub", str(first), str(second)], 0),  # the paper's unbiased pair
+             (["mub", str(first), str(first)], 1)]  # no basis is unbiased to itself
+    for argv, code in cases:
+        assert main(argv + [f"--tol={bad}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: must be finite and at least 0, got '{bad}'" in captured.err
+        assert main(argv + ["--tol", "1e-9"]) == code
+        assert main(argv + ["--tol", "0.0"]) in (0, 1)
+        capsys.readouterr()
+
+
+def test_search_options_default_to_search_config():
+    config = SearchConfig()
+    for command in ("certify", "search"):
+        args = _build_parser().parse_args([command, "b.json"])
+        assert (args.restarts, args.max_iters, args.seed) == (
+            config.restarts, config.max_iters, config.seed)
+
+
 def test_mub_exit_codes(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -83,3 +83,11 @@ def test_overlap_matrix_rejects_incomplete_or_mismatched():
         overlap_matrix(build_weyl_umeb(2, 3), build_c23_first())  # 4 members
     with pytest.raises(ContractViolationError):
         overlap_matrix(computational_basis(2, 3), computational_basis(2, 4))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
+def test_overlap_matrix_refuses_a_tol_that_is_not_finite_or_is_negative(tol):
+    first, second = build_c23_first(), build_c23_second()
+    with pytest.raises(ContractViolationError, match="tol must be finite and at least 0"):
+        overlap_matrix(first, second, tol=tol)
+    assert overlap_matrix(first, second, tol=0.0).max_deviation >= 0.0

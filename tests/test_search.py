@@ -24,6 +24,21 @@ def random_subspace_projector(rng, n, rank):
     return q @ q.conj().T
 
 
+def record_runs(monkeypatch):
+    """Record each ``_ascend_batch`` run of the search as (arguments, outputs)."""
+    import umebkit.search as search
+
+    real_batch, runs = search._ascend_batch, []
+
+    def recording_batch(*args):
+        out = real_batch(*args)
+        runs.append((args, out))
+        return out
+
+    monkeypatch.setattr(search, "_ascend_batch", recording_batch)
+    return runs
+
+
 def test_nearest_me_fixed_point():
     phi0 = standard_mes(2, 3)
     m = nearest_me_state(phi0)
@@ -367,21 +382,13 @@ def test_best_state_owns_its_amplitudes():
 
 
 def test_search_takes_one_stacked_eigh_per_iteration(monkeypatch):
-    import umebkit.search as search
-
-    real_batch, iterations = search._ascend_batch, []
-
-    def recording_batch(*args):
-        out = real_batch(*args)
-        iterations.append(out[2])
-        return out
-
     eighs = count_stacked(monkeypatch, "eigh")
     svds = count_stacked(monkeypatch, "svd")
-    monkeypatch.setattr(search, "_ascend_batch", recording_batch)
+    runs = record_runs(monkeypatch)
     P = random_subspace_projector(np.random.default_rng(35), 24, 16)
     max_entanglement_in_subspace(P, 4, 6, SearchConfig(restarts=16, seed=3))
-    assert len(eighs) <= iterations[0].max() + 1 < iterations[0].sum()
+    iterations = runs[0][1][2]
+    assert len(eighs) <= iterations.max() + 1 < iterations.sum()
     assert svds == []  # every state of this search is well conditioned
 
 
@@ -457,16 +464,7 @@ def test_first_witness_search_agrees_with_full_search(d, dprime, k):
 
 @pytest.mark.parametrize("d, dprime", [(2, 4), (2, 5), (3, 6)])
 def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dprime):
-    import umebkit.search as search
-
-    real_batch, iterations = search._ascend_batch, []
-
-    def recording_batch(*args):
-        out = real_batch(*args)
-        iterations.append(len(out[5]))
-        return out
-
-    monkeypatch.setattr(search, "_ascend_batch", recording_batch)
+    runs = record_runs(monkeypatch)
     basis = build_weyl_umeb(d, dprime)
     P = complement_projector(basis)
     config = SearchConfig(restarts=16, seed=3)
@@ -475,7 +473,7 @@ def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dpr
     assert report.verdict == "extendible" and full.verdict == "found_me"
     # F is 1 to rounding after two iterations; the full search parks every
     # row there, and its exact test accepts them without a third
-    assert iterations == [2, 2]
+    assert [len(out[5]) for _, out in runs] == [2, 2]
     _check_witness(report.witness, P, config.witness_tol)
     assert np.abs(basis.amplitudes.conj() @ report.witness.amplitudes).max() <= 1e-9
     F = np.linalg.svd(report.witness.amplitudes.reshape(d, dprime), compute_uv=False).sum() ** 2 / d
@@ -498,46 +496,60 @@ def test_restart_starts_over_a_range_are_that_slice_of_the_full_draw(seed, n):
         assert part.tobytes() == full[rows.start:rows.stop].tobytes()
 
 
-# (3,5) k=5: the late rows join and a witness appears after ~150 iterations;
-# (3,5) k=4: no witness, every row runs to its cap of 150 iterations (the
-# first to converge needs 178).
+# (3,5) k=5: no witness in the first run's 4 F evaluations, and one after
+# ~150 in the second; (3,5) k=4: no witness, every row of the second run runs
+# to its cap of 150 iterations (the first to converge needs 178).
 @pytest.mark.parametrize("k", [5, 4])
-def test_staged_rows_are_their_restarts_ascended_alone(k):
+def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     import umebkit.search as search
 
     d, dprime, R, max_iters = 3, 5, 24, 2000 if k == 5 else 150
     P = subspace_projector(1, d, dprime, k)
-    psi, F, iterations, converged, collapsed, history, _ = _ascend_batch(
-        P, projected_starts(P, 1, range(search.FIRST_STAGE)), d, dprime, max_iters,
-        SearchConfig().witness_tol, lambda: projected_starts(P, 1, range(search.FIRST_STAGE, R)),
-    )
-    assert len(psi) == R and not collapsed.any()
-    assert min(map(len, history)) >= 2
-    assert len(history) == search.JOIN_AFTER + iterations[search.FIRST_STAGE:].max()
-    assert (k == 5) == bool(np.any(1.0 - F <= SearchConfig().witness_tol))
-    # each row, late ones included, is its restart ascended alone and cut where
-    # the staged run stopped it
+    witness_tol = SearchConfig().witness_tol
+    runs = record_runs(monkeypatch)
+    config = SearchConfig(restarts=R, max_iters=max_iters, seed=1)
+    result = _search(P, d, dprime, config, first_witness=True)
+    (first_args, first), (args, second) = runs
+    # the first run: restarts 0-7, capped at FIRST_RUN_EVALS F evaluations
     starts = projected_starts(P, 1, range(R))
-    for r in range(R):
-        alone, alone_history, alone_converged = _ascend(
-            P, starts[r], d, dprime, int(iterations[r])
-        )
-        assert alone.tobytes() == psi[r].tobytes() and alone_history[-1] == F[r]
-        assert (len(alone_history), alone_converged) == (iterations[r], converged[r])
+    assert first_args[1].tobytes() == starts[:search.FIRST_STAGE].tobytes()
+    assert first_args[4] == len(first[5]) == search.FIRST_RUN_EVALS
+    assert not np.any(1.0 - first[1] <= witness_tol)
+    # the second: every restart from its start, with the full max_iters
+    assert args[1].tobytes() == starts.tobytes() and args[4] == max_iters
+    psi, F, iterations, converged, collapsed, history, _ = second
+    assert not collapsed.any()
+    assert min(map(len, history)) >= 2
+    assert len(history) == iterations.max()
+    assert (k == 5) == bool(np.any(1.0 - F <= witness_tol))
+    b = int(np.argmax(F))
+    assert result.best_F == F[b] and result.iterations_used == iterations[b]
+    assert result.best_state.amplitudes.tobytes() == psi[b].tobytes()
+    assert result.restarts_used == R
+    # each row of either run is its restart ascended alone and cut where that
+    # run stopped it
+    for out, rows in ((first, search.FIRST_STAGE), (second, R)):
+        for r in range(rows):
+            alone, alone_history, alone_converged = _ascend(
+                P, starts[r], d, dprime, int(out[2][r])
+            )
+            assert alone.tobytes() == out[0][r].tobytes() and alone_history[-1] == out[1][r]
+            assert (len(alone_history), alone_converged) == (out[2][r], out[3][r])
 
 
-def test_a_late_row_keeps_its_full_max_iters():
+def test_a_late_row_keeps_its_full_max_iters(monkeypatch):
     import umebkit.search as search
 
     d, dprime, max_iters = 3, 5, 10
     P = subspace_projector(1, d, dprime, 4)  # no row converges in 10 iterations
-    iterations, converged, _, history = _ascend_batch(
-        P, projected_starts(P, 1, range(8)), d, dprime, max_iters, None,
-        lambda: projected_starts(P, 1, range(8, 16)),
-    )[2:6]
+    runs = record_runs(monkeypatch)
+    config = SearchConfig(restarts=16, max_iters=max_iters, seed=1)
+    result = _search(P, d, dprime, config, first_witness=True)
+    assert [len(out[5]) for _, out in runs] == [search.FIRST_RUN_EVALS, max_iters]
+    iterations, converged = runs[1][1][2:4]
     assert not converged.any()
     assert iterations.tolist() == [max_iters] * 16
-    assert len(history) == search.JOIN_AFTER + max_iters
+    assert result.iterations_used == max_iters and result.verdict == "none_found"
 
 
 @pytest.mark.parametrize("stages_collapsing", [1, 2])
@@ -545,28 +557,32 @@ def test_every_restart_collapsed_only_when_every_stage_has(monkeypatch, stages_c
     import umebkit.search as search
     from umebkit import NumericalFailureError
 
+    P = complement_projector(build_weyl_umeb(2, 4))
+    config = SearchConfig(restarts=16, seed=3)
+    # restarts 0-7 (one stage) or all 16 (both) project to zero from their
+    # starts and collapse, in whichever run they start
+    doomed = projected_starts(P, config.seed, range(8 * stages_collapsing))
     nearest = search._nearest_me_amplitudes
     stack_sizes = []
 
     def vanishing(x):
         m, s_min = nearest(x)
         stack_sizes.append(x.shape[0])
-        if len(stack_sizes) <= stages_collapsing:
-            m[:] = 0.0  # every row of this call projects to zero and collapses
+        flat = x.reshape(len(x), -1)
+        m[np.abs(flat[:, None] - doomed).max(axis=2).min(axis=1) <= 1e-12] = 0.0
         return m, s_min
 
     monkeypatch.setattr(search, "_nearest_me_amplitudes", vanishing)
-    P = complement_projector(build_weyl_umeb(2, 4))
-    config = SearchConfig(restarts=16, seed=3)
     if stages_collapsing == 2:
         with pytest.raises(NumericalFailureError, match="every restart collapsed"):
             _search(P, 2, 4, config, first_witness=True)
-        assert stack_sizes == [8, 8]
+        assert stack_sizes == [8, 16]
     else:
-        # the first stage collapses at once, so the second joins and finds a witness
+        # the first run collapses at once, so the second runs all 16 restarts:
+        # 0-7 collapse again, and 8-15 find a witness
         result = _search(P, 2, 4, config, first_witness=True)
         assert result.verdict == "found_me" and result.restarts_used == 8
-        assert stack_sizes == [8, 8, 8]
+        assert stack_sizes == [8, 16, 8]
 
 
 SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
@@ -583,9 +599,23 @@ def test_certify_verdicts_match_the_full_search_on_the_sweep(seed):
         assert (report.verdict == "extendible") == (2 * d <= dprime), (d, dprime)
 
 
+@pytest.mark.parametrize("seed", [1, 42])
+def test_certify_of_an_extendible_sweep_shape_is_one_run_of_two_evaluations(monkeypatch, seed):
+    # the traffic the staging is for: restarts 0-7 meet the witness tolerance
+    # at their second F evaluation, and restarts 8-63 are never drawn
+    runs = record_runs(monkeypatch)
+    for d, dprime in SWEEP_SHAPES:
+        if 2 * d > dprime:
+            continue
+        runs.clear()
+        report = certify(build_weyl_umeb(d, dprime), SearchConfig(seed=seed))
+        assert [len(out[5]) for _, out in runs] == [2], (d, dprime)
+        assert report.verdict == "extendible" and report.restarts_used == 8, (d, dprime)
+
+
 def test_fruitless_first_witness_search_keeps_the_full_best_F():
     P = subspace_projector(1, 3, 5, 4)
-    config = SearchConfig(seed=1)  # 64 restarts: two stages
+    config = SearchConfig(seed=1)  # 64 restarts: two runs
     first = _search(P, 3, 5, config, first_witness=True)
     full = max_entanglement_in_subspace(P, 3, 5, config)
     assert first.verdict == full.verdict == "none_found"
