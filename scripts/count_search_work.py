@@ -7,12 +7,15 @@ subspaces of the benchmark's ``search-hard`` workload, drawn from ``--seed``
 as ``bench/workloads.py`` draws them, and counts per search:
 
 - ``evaluations``: rows the ascent evaluates F on (rows passed to
-  ``search._nearest_me_amplitudes``, outside the polish stage);
+  ``search._nearest_me_amplitudes`` outside ``search._polish``, which
+  finishes each row in the iteration where it meets ``witness_tol`` and
+  evaluates F again only on the rows it polishes);
 - ``after_witness``: those evaluations of a row whose F already met
-  ``witness_tol`` at an earlier one;
+  ``witness_tol`` at an earlier one (a row the polish rejected ascends on);
 - ``polish_steps``: Gauss-Newton steps of single rows (rows of the stacked
-  solves in ``search._polish``); 0 where the package has no polish stage;
-- ``polished``: the search's ``restarts_polished``.
+  solves in ``search._polish``); 0 where the package has no polish;
+- ``polished``: the search's ``restarts_polished``, the rows the exact test
+  or the polish accepted (in the iteration that ends the search).
 
 It prints one line per search and then one JSON line of totals.  The counts
 are exact and repeat from run to run, so two checkouts compare by running

@@ -173,8 +173,7 @@ class CertificateReport:
     ``unextendible``.  ``witness`` is present exactly when the verdict is
     ``extendible``.  ``search_best_F`` is present exactly when a search ran:
     on ``extendible`` it is the F of the witness, the first state the search
-    found within ``witness_tol``; on ``inconclusive`` the best F of the whole
-    search.  ``restarts_used`` is present exactly when a search ran: the
+    accepted as exact; on ``inconclusive`` the best F of the whole search.  ``restarts_used`` is present exactly when a search ran: the
     restarts it drew and ascended without collapse.
     """
 

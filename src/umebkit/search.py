@@ -4,14 +4,17 @@ The objective is the fully-entangled overlap ``F(psi) = (sum_p s_p)^2 / d``
 (squared overlap of ``psi`` with its nearest maximally entangled state),
 which equals 1 exactly on the maximally entangled states.  Each restart
 alternates two closed-form projections — onto the subspace and onto the
-maximally entangled set — so F never decreases within a restart.  The search
-can only ever *find* witnesses; a failed search is reported as inconclusive,
-never as a proof of absence.
+maximally entangled set — so F never decreases within a restart.  A restart
+that comes within ``witness_tol`` of F = 1 is finished at once, by an exact
+test or a Gauss-Newton polish, and the first one they accept is the witness.
+The search can only ever *find* witnesses; a failed search is reported as
+inconclusive, never as a proof of absence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -45,16 +48,20 @@ GRAM_CUTOFF = 1e-4
 #: Change of F between two iterations below which a restart has converged.
 CONVERGENCE_TOL = 1e-12
 
-#: Restarts a first-witness search (``certify``) runs first.  On every Weyl
-#: shape with d <= d'/2 one of them meets the witness tolerance at its second
-#: F evaluation (370 of 370 shape and seed pairs tried), and 8 rows cost about
-#: half of what 64 do to draw and ascend; 8 keeps a margin for bad starts.
+#: Restarts every search runs first.  On every Weyl shape with d <= d'/2 one
+#: of them is an exact witness at its second F evaluation (370 of 370 shape
+#: and seed pairs tried), and 8 rows cost about half of what 64 do to draw
+#: and ascend; 8 keeps a margin for bad starts.
 FIRST_STAGE = 8
 
 #: F evaluations the first :data:`FIRST_STAGE` restarts get when more are
-#: asked for (an easy witness shows at the second).  Without a witness by
-#: then, every restart runs from its start, the first ones again.
-FIRST_RUN_EVALS = 4
+#: asked for.  Without an accepted witness by then, every restart runs from
+#: its start, the first ones again.  An easy witness shows at the second;
+#: on the benchmark's 20 search-hard subspaces (seeds 1, 7 and 42) the first
+#: run accepts one after 8-23, so with a cap of 4 every one of them ran
+#: twice (80 searches/s at seed 1 against 211).  Uncapped, the searches that
+#: find nothing slow down: a random (5,7) rank-12 subspace took 2.9 s, not 1.8.
+FIRST_RUN_EVALS = 32
 
 #: Largest ``max|d X X^dag - I|`` at which a parked row counts as maximally
 #: entangled: the exact test's bound and the Gauss-Newton polish's target.
@@ -70,10 +77,9 @@ POLISH_TOL = 1e-11
 
 #: Parked rows polished together.  At (7,7) k=43 a row's real ``d^2 x 2k``
 #: Jacobian and its complex product ``X B_j^dag`` take about 34 kB each and
-#: ``J J^T`` 19 kB, so 8 rows keep a 64-restart search's traced peak near
-#: 1.0 MiB (0.5 MiB without the polish).  4 rows read the same peak RSS in
-#: the search-hard benchmark but about 7 % fewer searches a second; 16 add
-#: about 1 MB of RSS for no further speed.
+#: ``J J^T`` 19 kB, so 8 rows hold the polish near 0.7 MB however many rows
+#: park in one iteration.  On the search-hard subspaces 1-3 rows park at a
+#: time, and a search's traced peak is about 0.2 MiB.
 POLISH_CHUNK = 8
 
 
@@ -81,17 +87,15 @@ POLISH_CHUNK = 8
 class SearchConfig:
     """Knobs for the restarted alternating-projection search.
 
-    ``witness_tol`` (default ``WITNESS_TOL``, 1e-6) is the acceptance
-    threshold on ``1 - F`` for declaring a witness found.  It must exceed
-    :data:`CONVERGENCE_TOL`, the per-iteration change of F at which a
-    restart stops, which is fixed rather than a knob.
-    ``certify`` stops the whole search at the first iteration in which some
-    restart meets ``witness_tol``: restarts 0-7 run first, for at most
-    :data:`FIRST_RUN_EVALS` F evaluations, and if none meets it, all restarts run
-    again from their starts;
-    ``max_entanglement_in_subspace`` starts them all at once, parks each
-    restart at its first F evaluation that meets it, polishes the parked
-    ones (:func:`_polish`) and judges its best F against it.
+    ``witness_tol`` (default ``WITNESS_TOL``, 1e-6) is the threshold on
+    ``1 - F`` at which a restart parks to be finished by the exact test or
+    the polish (:func:`_polish`); only a restart they accept is a witness.
+    It must exceed :data:`CONVERGENCE_TOL`, the per-iteration change of F at
+    which a restart stops, which is fixed rather than a knob.  Both
+    ``certify`` and ``max_entanglement_in_subspace`` run restarts 0-7 first,
+    for at most :data:`FIRST_RUN_EVALS` F evaluations, and all restarts
+    again from their starts only if none of the first is accepted; the
+    first accepted restart ends the search.
     ``seed`` makes the whole search deterministic: restart r draws its start
     from an independent counter-based stream keyed by ``(seed, r)``.  Seeds
     run from 0 to ``2**63 - 1``; numpy's Philox key parser reads larger ones
@@ -128,10 +132,11 @@ class SearchResult:
     ``best_min_coeff_scaled`` is ``sqrt(d) * s_min`` of the best state —
     an alternative gauge of maximal entanglement that equals 1 exactly when
     F does.  ``iterations_used`` counts the best restart's F evaluations in
-    the ascent (a polished restart's up to the one where it parked), and
-    ``converged`` says its F settled or its polish met :data:`POLISH_TOL`.
-    ``restarts_used`` counts the restarts that produced a candidate rather
-    than collapsing, ``restarts_polished`` those the polish stage finished.
+    the ascent (an accepted restart's up to the one where it parked), and
+    ``converged`` says its F settled or it was accepted.  ``restarts_used``
+    counts the restarts of the search's last run that produced a candidate
+    rather than collapsing, ``restarts_polished`` those the exact test or
+    the polish accepted (0 on ``none_found``).
     """
 
     verdict: str
@@ -147,15 +152,17 @@ class SearchResult:
 def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest maximally entangled states to a stack ``x`` of d x d' states.
 
-    Returns the flat amplitudes together with the smallest singular value of
-    each matrix (whose vanishing signals a non-unique nearest point).  The
-    nearest point is the polar factor ``(x x^dag)^{-1/2} x = L R^dag`` of
-    ``x = L S R^dag``, scaled by ``1/sqrt(d)``.  One stacked eigendecomposition
-    ``x x^dag = U diag(w) U^dag`` of the d x d Gram matrices gives it as
-    ``U diag(w^{-1/2}) U^dag x`` on each row with ``w_min / w_max`` above
-    :data:`GRAM_CUTOFF`; the other rows (rank deficient or nearly so) take it
-    from one stacked SVD as ``L R^dag``, which does not depend on the singular
-    vectors' phases.  Each row's route and arithmetic depend on that row
+    Returns the flat amplitudes together with the ascending spectrum ``w`` of
+    each Gram matrix ``x x^dag`` (the squared singular values: the smallest
+    vanishes where the nearest point is not unique, and ``max|d w - 1|``
+    where x is maximally entangled).  The nearest point is the polar factor
+    ``(x x^dag)^{-1/2} x = L R^dag`` of ``x = L S R^dag``, scaled by
+    ``1/sqrt(d)``.  One stacked eigendecomposition ``x x^dag = U diag(w) U^dag``
+    of the d x d Gram matrices gives it as ``U diag(w^{-1/2}) U^dag x`` on each
+    row with ``w_min / w_max`` above :data:`GRAM_CUTOFF`; the other rows (rank
+    deficient or nearly so) take it from one stacked SVD as ``L R^dag``, which
+    does not depend on the singular vectors' phases, and their ``w`` from its
+    singular values.  Each row's route and arithmetic depend on that row
     alone, never on the rest of the stack.
     """
     d, dprime = x.shape[-2:]
@@ -163,15 +170,14 @@ def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, U = np.linalg.eigh(xs @ xs.conj().transpose(0, 2, 1))
     gram = w[:, 0] > GRAM_CUTOFF * w[:, -1]
     rows = slice(None) if gram.all() else gram  # a slice takes views, not copies
-    m, s_min = np.empty_like(xs), np.sqrt(np.maximum(w[:, 0], 0.0))
-    Ug = U[rows]
+    m, Ug = np.empty_like(xs), U[rows]
     m[rows] = (Ug * w[rows, None, :] ** -0.5) @ (Ug.conj().transpose(0, 2, 1) @ xs[rows])
     if rows is gram:
         left, s, right_dagger = np.linalg.svd(xs[~gram], full_matrices=False)
         m[~gram] = left @ right_dagger
-        s_min[~gram] = s[:, -1]
+        w[~gram] = s[:, ::-1] ** 2
     m /= np.sqrt(d)
-    return m.reshape(*x.shape[:-2], -1), s_min.reshape(x.shape[:-2])
+    return m.reshape(*x.shape[:-2], -1), w.reshape(*x.shape[:-2], d)
 
 
 def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
@@ -186,10 +192,10 @@ def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
     point is not unique; the SVD's deterministic completion is used, and with
     ``return_uniqueness=True`` a second return value reports False.
     """
-    m, s_min = _nearest_me_amplitudes(psi.amplitudes.reshape(psi.d, psi.dprime))
+    m, w = _nearest_me_amplitudes(psi.amplitudes.reshape(psi.d, psi.dprime))
     state = BipartiteState(psi.d, psi.dprime, m)
     if return_uniqueness:
-        return state, bool(s_min > COLLAPSE_FLOOR)
+        return state, bool(w[0] > COLLAPSE_FLOOR**2)
     return state
 
 
@@ -204,49 +210,39 @@ def _project(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
     return rows @ P.T
 
 
-def _residual(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``H = X X^dag - I/d`` of each d x d' state X of a stack, and each
-    ``max|d H|``, which vanishes exactly on the maximally entangled states."""
-    d = xs.shape[-2]
-    H = xs @ xs.conj().transpose(0, 2, 1)
-    H[:, range(d), range(d)] -= 1.0 / d
-    return H, d * np.abs(H).max(axis=(1, 2))
+def _polish(frame, x, F, w, d, dprime):
+    """Finish parked rows ``x`` (unit vectors in range(P) whose F is ``F``
+    and whose Gram spectra are ``w``).
 
-
-def _polish(P, x, F, d, dprime):
-    """Finish parked rows ``x`` (unit vectors in range(P) whose F is ``F``).
-
-    One test of ``max|d X X^dag - I| <= POLISH_TOL`` accepts the rows that
-    are already exact, as they are; the others go to :func:`_gauss_newton`.
-    A row it brings within the tolerance is accepted only if its F,
-    evaluated as the ascent evaluates it, is not below its ``F``.
-    Returns the states, their F and the accepted flags; a row not accepted
-    keeps its state and F.
+    A row with ``max|d w - 1| <= POLISH_TOL`` is exact and accepted as it
+    is: that spectral bound is at least the entrywise ``max|d X X^dag - I|``.
+    The others go to :func:`_gauss_newton` on ``frame()``, an orthonormal
+    frame of range(P), and a row it brings within the tolerance is accepted
+    with its F evaluated as the ascent evaluates it.  Returns the states,
+    their F and the accepted flags; a row not accepted keeps its state and F.
     """
-    ok = _residual(x.reshape(-1, d, dprime))[1] <= POLISH_TOL
+    ok = np.abs(d * w - 1.0).max(axis=1) <= POLISH_TOL
     todo = np.flatnonzero(~ok)
     if not todo.size:
         return x, F, ok
-    polished, met = _gauss_newton(P, x[todo], d, dprime)
+    polished, met = _gauss_newton(frame(), x[todo], d, dprime)
     polished, todo = polished[met], todo[met]
     if not todo.size:
         return x, F, ok
     m, _ = _nearest_me_amplitudes(polished.reshape(-1, d, dprime))
-    F_new = np.abs(np.einsum("ij,ij->i", m.conj(), polished)) ** 2
-    keep = F_new >= F[todo]
-    todo, polished, F_new = todo[keep], polished[keep], F_new[keep]
     x, F = x.copy(), F.copy()
-    x[todo], F[todo], ok[todo] = polished, F_new, True
+    x[todo], ok[todo] = polished, True
+    F[todo] = np.abs(np.einsum("ij,ij->i", m.conj(), polished)) ** 2
     return x, F, ok
 
 
-def _gauss_newton(P, x, d, dprime):
+def _gauss_newton(Q, x, d, dprime):
     """Minimum-norm Gauss-Newton on ``r = X X^dag - I/d`` from the rows of x.
 
-    The unknowns are the coordinates c of ``X = sum_j c_j B_j``, the B_j an
-    orthonormal frame of range(P) from ``eigh(P)``, and the rows go
-    :data:`POLISH_CHUNK` at a time.  A Hermitian H is stored as the real
-    ``Re H + Im H``, which keeps its norm, so the real ``d^2 x 2k`` Jacobian
+    The unknowns are the coordinates c of ``X = sum_j c_j B_j``, the B_j the
+    orthonormal columns of Q, and the rows go :data:`POLISH_CHUNK` at a time.
+    A Hermitian H is stored as the real ``Re H + Im H``, which keeps its
+    norm, so the real ``d^2 x 2k`` Jacobian
     has the columns ``X B_j^dag + B_j X^dag`` (for ``Re c_j``) and
     ``i (B_j X^dag - X B_j^dag)`` (for ``Im c_j``); each step solves
     ``(J J^T) y = -r``, moves c by ``J^T y`` and renormalises it.  A row is
@@ -254,8 +250,6 @@ def _gauss_newton(P, x, d, dprime):
     longer halves it (or J J^T is singular).  Returns the states and the
     done flags; a failed row's state is its start.
     """
-    w, V = np.linalg.eigh(P)
-    Q = V[:, w > 0.5]
     k = Q.shape[1]
     # Bc[j d + b] = conj((1 + i) B_j)[b]: Bc X^T = ((1 - i) X B_j^dag)^T, every j at once
     Bc = ((1 - 1j) * Q.T.conj()).reshape(k * d, dprime)
@@ -265,7 +259,9 @@ def _gauss_newton(P, x, d, dprime):
         c, live, err_last = x[rows] @ Q.conj(), np.arange(len(rows)), np.full(len(rows), np.inf)
         while live.size:
             X = (c[live] @ Q.T).reshape(-1, d, dprime)
-            H, err = _residual(X)
+            H = X @ X.conj().transpose(0, 2, 1)
+            H[:, range(d), range(d)] -= 1.0 / d
+            err = d * np.abs(H).max(axis=(1, 2))
             done = err <= POLISH_TOL
             met[rows[live[done]]] = True
             polished[rows[live[done]]] = X[done].reshape(-1, d * dprime)
@@ -295,7 +291,7 @@ def _gauss_newton(P, x, d, dprime):
     return polished, met
 
 
-def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, park_tol=None):
+def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, frame=None):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked projection (:func:`_nearest_me_amplitudes`) per iteration
@@ -303,60 +299,53 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, park_tol=None
     :data:`CONVERGENCE_TOL`, when its projection vanishes (collapsed), or after
     its own ``max_iters`` F evaluations; a row that stops without collapsing
     keeps the state it was last evaluated at, so its recorded F is that
-    state's F.  Given ``witness_tol``, the whole batch stops after the first
-    F evaluation in which some row has ``1 - F <= witness_tol``, without
-    projecting again.  Given ``park_tol``, a row that would advance
-    from an F evaluation with ``1 - F <= park_tol`` is parked instead, at
-    the state evaluated; once no row advances, the parked rows are finished
-    by one :func:`_polish`, and a row it does not accept resumes its ascent
-    from where it was parked, never to park again.
+    state's F.  Given ``witness_tol``, a row parks at its first F evaluation
+    with ``1 - F <= witness_tol``, and :func:`_polish` finishes it in the same
+    iteration, its Gauss-Newton steps on the frame of range(P) that
+    ``frame()`` returns.  The first iteration in which a row is accepted ends
+    the whole batch, without projecting again; a row not accepted ascends on
+    as if it had never parked, and never parks again.
     Returns the states, their last F, per-row F evaluation counts, converged
     and collapsed flags, per iteration the array of F evaluated on the rows
-    then advancing, and the flags of the rows the polish accepted (which
-    count as converged).
+    then advancing, and the flags of the accepted rows (which count as
+    converged, and hold their polished states and F).
     """
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
-    converged, collapsed, polished = np.zeros((3, R), dtype=bool)
-    active, history, parked, ahead = np.arange(R), [], [], []
-    while True:
-        if not active.size and parked:
-            rows, ahead = np.concatenate(parked), np.concatenate(ahead)
-            psi[rows], F_last[rows], ok = _polish(P, psi[rows], F_last[rows], d, dprime)
-            polished[rows] = converged[rows] = ok
-            psi[rows[~ok]] = ahead[~ok]  # the states their ascent goes on from
-            active, parked, ahead, park_tol = np.sort(rows[~ok]), [], [], None
-        if not active.size:
-            break
+    converged, collapsed, parked, accepted = np.zeros((4, R), dtype=bool)
+    active, history = np.arange(R), []
+    while active.size:
         x = psi[active]
-        m, _ = _nearest_me_amplitudes(x.reshape(-1, d, dprime))
+        m, w = _nearest_me_amplitudes(x.reshape(-1, d, dprime))
         F = np.abs(np.einsum("ij,ij->i", m.conj(), x)) ** 2
         done = np.abs(F - F_last[active]) < CONVERGENCE_TOL
         F_last[active] = F
         iterations[active] += 1
         history.append(F)
         converged[active[done]] = True
-        if witness_tol is not None and np.any(1.0 - F <= witness_tol):
-            break
+        if witness_tol is not None:
+            park = (1.0 - F <= witness_tol) & ~parked[active]
+            if park.any():
+                rows = active[park]
+                parked[rows] = True
+                psi[rows], F_last[rows], accepted[rows] = _polish(
+                    frame, x[park], F[park], w[park], d, dprime)
+                if accepted.any():
+                    converged |= accepted
+                    break
         stop = done if len(history) < max_iters else done | (iterations[active] >= max_iters)
         active, pm = active[~stop], _project(m[~stop], P)
         norm_pm = np.linalg.norm(pm, axis=1)
         kept = norm_pm >= COLLAPSE_FLOOR
         collapsed[active[~kept]] = True
         active, pm = active[kept], pm[kept] / norm_pm[kept, None]
-        if park_tol is not None:
-            park = 1.0 - F_last[active] <= park_tol
-            if park.any():
-                parked.append(active[park])
-                ahead.append(pm[park])
-                active, pm = active[~park], pm[~park]
         psi[active] = pm
-    return psi, F_last, iterations, converged, collapsed, history, polished
+    return psi, F_last, iterations, converged, collapsed, history, accepted
 
 
 def _ascend(P, psi0, d, dprime, max_iters):
     """One restart: the batched ascent on the single row ``psi0``, bit for bit
-    that row of any batch that does not park.
+    that row of any batch that accepts no row.
 
     Returns ``(psi, F_history, converged)``, or None when the row collapses."""
     psi, _, _, converged, collapsed, history, _ = _ascend_batch(P, psi0[None], d, dprime, max_iters)
@@ -400,11 +389,11 @@ def max_entanglement_in_subspace(
 
     P must be a Hermitian idempotent of size d*dprime with rank >= 1.  Each
     restart starts from a normalized projected complex-Gaussian vector and
-    ascends F monotonically; all restarts advance together until each has
-    settled or parked within ``witness_tol``, the parked ones are polished
-    (:func:`_polish`; F never decreases), and the best restart wins (ties go
-    to the earliest).  The verdict is ``found_me`` iff
-    ``1 - best_F <= witness_tol``.
+    ascends F monotonically; the restarts run as :func:`_search` describes.
+    The verdict is ``found_me`` iff the exact test or the polish accepted a
+    restart, which is then the result; otherwise every restart has run to
+    convergence (or ``max_iters``) and the best one is the result (ties go
+    to the earliest), whatever its F.
     """
     P = np.asarray(P, dtype=complex)
     n = d * dprime
@@ -414,20 +403,34 @@ def max_entanglement_in_subspace(
         raise ContractViolationError(f"P is not a Hermitian projector within {cite(EXACT_TOL)}")
     if np.trace(P).real < 0.5:
         raise ContractViolationError("projector has rank 0: nothing to search")
-    return _search(P, d, dprime, config, first_witness=False)
+    return _search(P, d, dprime, config)
 
 
-def _search(P, d: int, dprime: int, config: SearchConfig | None,
-            first_witness: bool) -> SearchResult:
-    """The restarted search; with ``first_witness`` it stops the batch at the
-    first F evaluation that meets ``witness_tol``, and the restart with the
-    highest F at that point is the result, and its restarts run as
-    :func:`certify` describes; without it, restarts park within
-    ``witness_tol`` and are polished.  P is a complex Hermitian projector of
-    rank >= 1, unchecked: the caller checked it or built it so."""
+def _search(P, d: int, dprime: int, config: SearchConfig | None, Q=None) -> SearchResult:
+    """The restarted search of both callers, ended by the first accepted row.
+
+    Restarts below :data:`FIRST_STAGE` run first, for at most
+    :data:`FIRST_RUN_EVALS` F evaluations when more are asked for; only if
+    none of them is accepted do all restarts run again from their starts,
+    with the full ``max_iters``.  Each run parks and finishes rows as
+    :func:`_ascend_batch` describes and stops at the first accepted row.  The
+    result is the accepted row with the highest F (ties go to the earliest),
+    verdict ``found_me``; without one, the best row of all, ``none_found``.
+    P is a complex Hermitian projector of rank >= 1, unchecked: the caller
+    checked it or built it so.  Q, if given, is an orthonormal frame of
+    range(P) for the polish; otherwise one is built from P at the first
+    Gauss-Newton call of the search, if any, and kept for the rest of it.
+    """
     if config is None:
         config = SearchConfig()
     n, R, tol = d * dprime, config.restarts, config.witness_tol
+
+    @cache
+    def frame() -> np.ndarray:
+        if Q is not None:
+            return Q
+        w, V = np.linalg.eigh(P)
+        return V[:, w > 0.5]
 
     def starts(rows: range) -> np.ndarray:  # projected; collapsed starts dropped
         pg = _project(_restart_starts(config.seed, rows, n), P)
@@ -435,20 +438,17 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
         kept = norm_pg >= COLLAPSE_FLOOR
         return pg[kept] / norm_pg[kept, None]
 
-    if not first_witness:
-        run = _ascend_batch(P, starts(range(R)), d, dprime, config.max_iters, None, tol)
-    else:
-        first = starts(range(min(FIRST_STAGE, R)))
-        cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
-        run = _ascend_batch(P, first, d, dprime, cap, tol)
-        if R > FIRST_STAGE and not np.any(1.0 - run[1] <= tol):
-            run = _ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
-                                d, dprime, config.max_iters, tol)
-    psi, F, iterations, converged, collapsed, _, polished = run
+    first = starts(range(min(FIRST_STAGE, R)))
+    cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
+    run = _ascend_batch(P, first, d, dprime, cap, tol, frame)
+    if R > FIRST_STAGE and not run[6].any():
+        run = _ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
+                            d, dprime, config.max_iters, tol, frame)
+    psi, F, iterations, converged, collapsed, _, accepted = run
     if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
 
-    b = int(np.argmax(np.where(collapsed, -np.inf, F)))
+    b = int(np.argmax(np.where(accepted if accepted.any() else ~collapsed, F, -np.inf)))
     best = psi[b].copy()  # a view would keep the whole batch alive
     _, s, _ = svd(best.reshape(d, dprime))
     return SearchResult(
@@ -457,9 +457,9 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None,
         best_min_coeff_scaled=float(np.sqrt(d) * s[-1]),
         iterations_used=int(iterations[b]),
         restarts_used=int((~collapsed).sum()),
-        restarts_polished=int(polished.sum()),
+        restarts_polished=int(accepted.sum()),
         converged=bool(converged[b]),
-        verdict="found_me" if 1.0 - F[b] <= tol else "none_found",
+        verdict="found_me" if accepted[b] else "none_found",
     )
 
 
@@ -467,26 +467,24 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     """Decide extendibility of a basis: analytic certificate, then search.
 
     The support-rank certificate is conclusive whenever its Schmidt-rank
-    bound is below d.  Otherwise the complement is searched: restarts below
-    :data:`FIRST_STAGE` run first, for at most :data:`FIRST_RUN_EVALS` F
-    evaluations, and if none of them meets ``witness_tol``, all restarts run
-    from their starts.  Each run stops at the first witness: the first
-    iteration in which some restart has ``1 - F <= witness_tol``.  The
-    restart with the highest F at that point is returned as the
-    ``extendible`` witness and ``search_best_F`` is its F (not the converged
-    best).  A restart ascends alike, bit for bit, in either run, and F never
-    decreases along it, so stopping early finds a witness exactly when the
-    full search does.  A fruitless search downgrades the verdict to
-    ``inconclusive`` with the best overlap recorded.  The certificate and
-    the search share one complement frame; it is orthonormal by
-    construction and the certificate refuses an empty one, so its projector
-    is not checked again.
+    bound is below d.  Otherwise the complement is searched by
+    :func:`_search`, the search of ``max_entanglement_in_subspace``, on the
+    certificate's complement frame: the first restart that the exact test
+    or the polish accepts is returned as the ``extendible`` witness, and
+    ``search_best_F`` is its F.  On the Weyl shapes with d <= d'/2 one of
+    restarts 0-7 is exact at its second F evaluation, so restarts 8 and up
+    are never drawn and no Gauss-Newton step is taken.  A search that
+    accepts no restart downgrades the verdict to ``inconclusive`` with the
+    best overlap of every restart run to convergence recorded.  The
+    certificate and the search share one complement frame; it is orthonormal
+    by construction and the certificate refuses an empty one, so its
+    projector is not checked again.
     """
     Q = _complement_frame(basis)
     report = _frame_certificate(basis, Q)
     if report.verdict == "unextendible":
         return report
-    result = _search(Q @ Q.conj().T, basis.d, basis.dprime, config, first_witness=True)
+    result = _search(Q @ Q.conj().T, basis.d, basis.dprime, config, Q)
     found = result.verdict == "found_me"
     return replace(
         report,

@@ -31,7 +31,8 @@ what the stage before it admitted:
    ``certify`` hands the search the frame's projector.  The search checks a
    projector only where a caller hands it in, to
    ``max_entanglement_in_subspace``, at :data:`EXACT_TOL`.  A search state
-   counts as a witness when ``1 - F`` is at most :data:`WITNESS_TOL`.
+   with ``1 - F`` at most :data:`WITNESS_TOL` parks, and is a witness once
+   the search's exact test or polish accepts it (``search.POLISH_TOL``).
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and
 ``overlap_constraint_matrix``, the projector of
@@ -91,7 +92,8 @@ FACTOR_TOL = 1e-10
 #: a support rank.
 RANK_CUT = 1e-5
 
-#: Default search acceptance: a state with ``1 - F`` at most this is a witness.
+#: Default search park threshold: a state with ``1 - F`` at most this goes to
+#: the exact test and the polish, which decide whether it is a witness.
 WITNESS_TOL = 1e-6
 
 #: Bound on ``|sum(s**2) - 1|`` for the Schmidt coefficients ``s`` of a vector

@@ -282,13 +282,14 @@ def test_reports_count_the_restarts_that_ran_and_were_polished(tmp_path, capsys)
     assert main(["certify", str(w34), "--json", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["restarts_used"] is None and doc["restarts"] == 64
-    # every restart of the full search parks at its second F evaluation and
-    # the polish stage's exact test accepts it
+    # the search runs the same first stage: each of its 8 restarts parks at
+    # its second F evaluation, the exact test accepts it, and the run ends
     assert main(["search", str(w24), "--json", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["restarts_polished"] == 64 and 1.0 - doc["best_F"] <= 1e-12
+    assert doc["verdict"] == "found_me" and 1.0 - doc["best_F"] <= 1e-12
+    assert (doc["restarts_used"], doc["restarts_polished"]) == (8, 8)
     assert main(["search", str(w24), "--seed", "1"]) == 0
-    assert "seed: 1, restarts: 64\nrestarts polished: 64\n" in capsys.readouterr().out
+    assert "seed: 1, restarts: 8\nrestarts polished: 8\n" in capsys.readouterr().out
 
 
 def _json_fields(report_type) -> list:
