@@ -341,12 +341,12 @@ def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:
     d = U.shape[0]
     if U.shape != (d, d):
         raise ContractViolationError(f"U must be square, got {U.shape}")
-    if np.abs(U.conj().T @ U - np.eye(d)).max() > EXACT_TOL:
+    if not np.abs(U.conj().T @ U - np.eye(d)).max() <= EXACT_TOL:
         raise ContractViolationError(f"U is not unitary within {cite(EXACT_TOL)}")
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != (d,):
         raise ContractViolationError(f"lambdas must have length d = {d}")
-    if lambdas.min() <= 0 or abs(lambdas.sum() - 1.0) > NORM_SQ_TOL:
+    if not (lambdas.min() > 0 and abs(lambdas.sum() - 1.0) <= NORM_SQ_TOL):
         raise ContractViolationError("lambdas must be positive and sum to 1")
 
     zeta = np.exp(2j * np.pi / d)

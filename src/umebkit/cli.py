@@ -162,7 +162,8 @@ def cmd_search(args) -> int:
     if args.json:
         _emit_json({**_report_fields(result), "seed": args.seed})
     else:
-        print(f"seed: {args.seed}, restarts: {result.restarts_used}")
+        print(f"seed: {args.seed}, restarts: {args.restarts}")
+        print(f"restarts used: {result.restarts_used}")
         print(f"restarts polished: {result.restarts_polished}")
         print(f"best F: {result.best_F:.12f}")
         print(f"sqrt(d) * s_min: {result.best_min_coeff_scaled:.12f}")

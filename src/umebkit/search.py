@@ -13,7 +13,7 @@ inconclusive, never as a proof of absence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -137,6 +137,13 @@ class SearchResult:
     counts the restarts of the search's last run that produced a candidate
     rather than collapsing, ``restarts_polished`` those the exact test or
     the polish accepted (0 on ``none_found``).
+
+    Three counts give the search's work, summed over its runs, and stay out
+    of the ``--json`` report: ``evaluations``, the F evaluations of the
+    ascent, one per row per iteration; ``evaluations_after_park``, those of
+    rows after the evaluation they parked at (a row the polish rejected
+    ascends on); and ``polish_steps``, one per row per stacked Gauss-Newton
+    solve attempted, a singular one too.
     """
 
     verdict: str
@@ -147,6 +154,9 @@ class SearchResult:
     restarts_polished: int
     converged: bool
     best_state: BipartiteState
+    evaluations: int = field(metadata={"json": False})
+    evaluations_after_park: int = field(metadata={"json": False})
+    polish_steps: int = field(metadata={"json": False})
 
 
 def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,21 +229,22 @@ def _polish(frame, x, F, w, d, dprime):
     The others go to :func:`_gauss_newton` on ``frame()``, an orthonormal
     frame of range(P), and a row it brings within the tolerance is accepted
     with its F evaluated as the ascent evaluates it.  Returns the states,
-    their F and the accepted flags; a row not accepted keeps its state and F.
+    their F, the accepted flags and the Gauss-Newton steps taken; a row not
+    accepted keeps its state and F.
     """
     ok = np.abs(d * w - 1.0).max(axis=1) <= POLISH_TOL
     todo = np.flatnonzero(~ok)
     if not todo.size:
-        return x, F, ok
-    polished, met = _gauss_newton(frame(), x[todo], d, dprime)
+        return x, F, ok, 0
+    polished, met, steps = _gauss_newton(frame(), x[todo], d, dprime)
     polished, todo = polished[met], todo[met]
     if not todo.size:
-        return x, F, ok
+        return x, F, ok, steps
     m, _ = _nearest_me_amplitudes(polished.reshape(-1, d, dprime))
     x, F = x.copy(), F.copy()
     x[todo], ok[todo] = polished, True
     F[todo] = np.abs(np.einsum("ij,ij->i", m.conj(), polished)) ** 2
-    return x, F, ok
+    return x, F, ok, steps
 
 
 def _gauss_newton(Q, x, d, dprime):
@@ -247,14 +258,15 @@ def _gauss_newton(Q, x, d, dprime):
     ``i (B_j X^dag - X B_j^dag)`` (for ``Im c_j``); each step solves
     ``(J J^T) y = -r``, moves c by ``J^T y`` and renormalises it.  A row is
     done once ``max|d X X^dag - I| <= POLISH_TOL``, and fails once a step no
-    longer halves it (or J J^T is singular).  Returns the states and the
-    done flags; a failed row's state is its start.
+    longer halves it (or J J^T is singular).  Returns the states, the done
+    flags and the steps, one per row per solve attempted (a singular one
+    too); a failed row's state is its start.
     """
     k = Q.shape[1]
     # Bc[j d + b] = conj((1 + i) B_j)[b]: Bc X^T = ((1 - i) X B_j^dag)^T, every j at once
     Bc = ((1 - 1j) * Q.T.conj()).reshape(k * d, dprime)
     J = np.empty((min(POLISH_CHUNK, len(x)), 2, k, d, d))  # J^T: a row per real coordinate
-    polished, met = x.copy(), np.zeros(len(x), dtype=bool)
+    polished, met, steps = x.copy(), np.zeros(len(x), dtype=bool), 0
     for rows in np.split(np.arange(len(x)), range(POLISH_CHUNK, len(x), POLISH_CHUNK)):
         c, live, err_last = x[rows] @ Q.conj(), np.arange(len(rows)), np.full(len(rows), np.inf)
         while live.size:
@@ -280,6 +292,7 @@ def _gauss_newton(Q, x, d, dprime):
             np.add(W.real, W.imag.swapaxes(2, 3), out=J[:n, 1])
             del W  # freed before J J^T is formed: the polish's peak memory
             Jt = J[:n].reshape(n, 2 * k, d * d)
+            steps += n
             try:
                 y = np.linalg.solve(Jt.transpose(0, 2, 1) @ Jt,
                                     -(H.real + H.imag).reshape(n, -1, 1))
@@ -288,7 +301,7 @@ def _gauss_newton(Q, x, d, dprime):
             step = (Jt @ y)[..., 0]
             c_next = c[live] + step[:, :k] + 1j * step[:, k:]
             c[live] = c_next / np.linalg.norm(c_next, axis=1, keepdims=True)
-    return polished, met
+    return polished, met, steps
 
 
 def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, frame=None):
@@ -307,13 +320,14 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, frame=None):
     as if it had never parked, and never parks again.
     Returns the states, their last F, per-row F evaluation counts, converged
     and collapsed flags, per iteration the array of F evaluated on the rows
-    then advancing, and the flags of the accepted rows (which count as
-    converged, and hold their polished states and F).
+    then advancing, the flags of the accepted rows (which count as
+    converged, and hold their polished states and F), the F evaluations of
+    rows after the one they parked at, and the Gauss-Newton steps.
     """
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
     converged, collapsed, parked, accepted = np.zeros((4, R), dtype=bool)
-    active, history = np.arange(R), []
+    active, history, park_evals, polish_steps = np.arange(R), [], 0, 0
     while active.size:
         x = psi[active]
         m, w = _nearest_me_amplitudes(x.reshape(-1, d, dprime))
@@ -328,8 +342,10 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, frame=None):
             if park.any():
                 rows = active[park]
                 parked[rows] = True
-                psi[rows], F_last[rows], accepted[rows] = _polish(
+                park_evals += int(iterations[rows].sum())  # evaluations up to the park
+                psi[rows], F_last[rows], accepted[rows], steps = _polish(
                     frame, x[park], F[park], w[park], d, dprime)
+                polish_steps += steps
                 if accepted.any():
                     converged |= accepted
                     break
@@ -340,7 +356,9 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, frame=None):
         collapsed[active[~kept]] = True
         active, pm = active[kept], pm[kept] / norm_pm[kept, None]
         psi[active] = pm
-    return psi, F_last, iterations, converged, collapsed, history, accepted
+    after_park = int(iterations[parked].sum()) - park_evals if park_evals else 0
+    return (psi, F_last, iterations, converged, collapsed, history, accepted,
+            after_park, polish_steps)
 
 
 def _ascend(P, psi0, d, dprime, max_iters):
@@ -348,7 +366,8 @@ def _ascend(P, psi0, d, dprime, max_iters):
     that row of any batch that accepts no row.
 
     Returns ``(psi, F_history, converged)``, or None when the row collapses."""
-    psi, _, _, converged, collapsed, history, _ = _ascend_batch(P, psi0[None], d, dprime, max_iters)
+    psi, _, _, converged, collapsed, history = _ascend_batch(
+        P, psi0[None], d, dprime, max_iters)[:6]
     return None if collapsed[0] else (psi[0], [F[0] for F in history], bool(converged[0]))
 
 
@@ -387,7 +406,7 @@ def max_entanglement_in_subspace(
 ) -> SearchResult:
     """Restarted search for the most entangled state in the range of P.
 
-    P must be a Hermitian idempotent of size d*dprime with rank >= 1.  Each
+    P must be a finite Hermitian idempotent of size d*dprime with rank >= 1.  Each
     restart starts from a normalized projected complex-Gaussian vector and
     ascends F monotonically; the restarts run as :func:`_search` describes.
     The verdict is ``found_me`` iff the exact test or the polish accepted a
@@ -399,8 +418,10 @@ def max_entanglement_in_subspace(
     n = d * dprime
     if P.shape != (n, n):
         raise ContractViolationError(f"projector shape {P.shape} != ({n}, {n})")
-    if np.abs(P - P.conj().T).max() > EXACT_TOL or np.abs(P @ P - P).max() > EXACT_TOL:
-        raise ContractViolationError(f"P is not a Hermitian projector within {cite(EXACT_TOL)}")
+    if not (np.isfinite(P).all() and np.abs(P - P.conj().T).max() <= EXACT_TOL
+            and np.abs(P @ P - P).max() <= EXACT_TOL):
+        raise ContractViolationError(
+            f"P is not a finite Hermitian projector within {cite(EXACT_TOL)}")
     if np.trace(P).real < 0.5:
         raise ContractViolationError("projector has rank 0: nothing to search")
     return _search(P, d, dprime, config)
@@ -440,11 +461,11 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None, Q=None) -> Sear
 
     first = starts(range(min(FIRST_STAGE, R)))
     cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
-    run = _ascend_batch(P, first, d, dprime, cap, tol, frame)
-    if R > FIRST_STAGE and not run[6].any():
-        run = _ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
-                            d, dprime, config.max_iters, tol, frame)
-    psi, F, iterations, converged, collapsed, _, accepted = run
+    runs = [_ascend_batch(P, first, d, dprime, cap, tol, frame)]
+    if R > FIRST_STAGE and not runs[0][6].any():
+        runs.append(_ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
+                                  d, dprime, config.max_iters, tol, frame))
+    psi, F, iterations, converged, collapsed, _, accepted = runs[-1][:7]
     if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
 
@@ -460,6 +481,9 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None, Q=None) -> Sear
         restarts_polished=int(accepted.sum()),
         converged=bool(converged[b]),
         verdict="found_me" if accepted[b] else "none_found",
+        evaluations=sum(int(run[2].sum()) for run in runs),
+        evaluations_after_park=sum(run[7] for run in runs),
+        polish_steps=sum(run[8] for run in runs),
     )
 
 

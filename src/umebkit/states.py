@@ -97,11 +97,11 @@ class SchmidtDecomposition:
 
     def __post_init__(self) -> None:
         s = np.asarray(self.coefficients, dtype=float)
-        if abs((s**2).sum() - 1.0) > NORM_SQ_TOL:
+        if not abs((s**2).sum() - 1.0) <= NORM_SQ_TOL:
             raise ContractViolationError("squared Schmidt coefficients do not sum to 1")
         for vecs in (self.left_vectors, self.right_vectors):
             gram = vecs.conj().T @ vecs
-            if np.abs(gram - np.eye(gram.shape[0])).max() > FACTOR_TOL:
+            if not np.abs(gram - np.eye(gram.shape[0])).max() <= FACTOR_TOL:
                 raise ContractViolationError("Schmidt vectors are not orthonormal")
         self.coefficients = s
 

@@ -207,6 +207,16 @@ def test_constraint_matrix_rejects_bad_inputs():
         overlap_constraint_matrix(np.eye(2), [0.2, 0.3, 0.5])  # wrong length
 
 
+@pytest.mark.parametrize("U, lambdas", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), [0.5, 0.5]),
+    (np.eye(2), [np.nan, 0.5]),
+])
+def test_constraint_matrix_refuses_a_nan(U, lambdas):
+    # every comparison with a NaN is false, so the checks must ask for what passes
+    with pytest.raises(ContractViolationError):
+        overlap_constraint_matrix(U, lambdas)
+
+
 def test_weyl_family_full_sweep_up_to_7():
     # every (d, dprime) with dprime/2 < d < dprime <= 7
     for dprime in range(3, 8):

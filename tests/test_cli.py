@@ -288,8 +288,11 @@ def test_reports_count_the_restarts_that_ran_and_were_polished(tmp_path, capsys)
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "found_me" and 1.0 - doc["best_F"] <= 1e-12
     assert (doc["restarts_used"], doc["restarts_polished"]) == (8, 8)
+    # the search's work counts stay out of its --json report
+    assert not {"evaluations", "evaluations_after_park", "polish_steps"} & doc.keys()
     assert main(["search", str(w24), "--seed", "1"]) == 0
-    assert "seed: 1, restarts: 8\nrestarts polished: 8\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "seed: 1, restarts: 64\nrestarts used: 8\nrestarts polished: 8\n" in out
 
 
 def _json_fields(report_type) -> list:

@@ -39,6 +39,28 @@ def record_runs(monkeypatch):
     return runs
 
 
+def count_work(monkeypatch, witness_tol):
+    """Count a search's work from outside it; the returned function gives
+    the F evaluations of its recorded runs, those of rows that met
+    ``witness_tol`` at an earlier one, and the rows of its stacked solves."""
+    runs, solved, solve = record_runs(monkeypatch), [], np.linalg.solve
+
+    def counting_solve(a, b):  # counted before it runs: a singular solve too
+        solved.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+
+    def counts():
+        # F never falls within a run, so a row meets the tolerance at every
+        # evaluation from the one it parked at, and with its last F
+        met = sum(int(np.sum(1.0 - F <= witness_tol)) for _, out in runs for F in out[5])
+        rows = sum(int(np.sum(1.0 - out[1] <= witness_tol)) for _, out in runs)
+        return sum(int(out[2].sum()) for _, out in runs), met - rows, sum(solved)
+
+    return counts
+
+
 def test_nearest_me_fixed_point():
     phi0 = standard_mes(2, 3)
     m = nearest_me_state(phi0)
@@ -223,6 +245,15 @@ def test_search_rejects_bad_projector():
         max_entanglement_in_subspace(np.eye(4), 2, 3, FAST)
 
 
+@pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 1), np.nan), ((0, 0), np.inf)])
+def test_search_refuses_a_non_finite_projector(entry, value):
+    # every comparison with a NaN is false, so the check must ask for what passes
+    P = complement_projector(build_weyl_umeb(2, 4)).copy()
+    P[entry] = value
+    with pytest.raises(ContractViolationError, match="finite"):
+        max_entanglement_in_subspace(P, 2, 4, FAST)
+
+
 def test_search_deterministic():
     P = complement_projector(build_weyl_umeb(2, 4))
     a = max_entanglement_in_subspace(P, 2, 4, SearchConfig(restarts=4, seed=7))
@@ -354,9 +385,7 @@ def test_batched_rows_match_single_runs(d, dprime, rank):
     P = random_subspace_projector(rng, n, rank)
     starts = (rng.normal(size=(16, n)) + 1j * rng.normal(size=(16, n))) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    psi, F, iterations, converged, collapsed, _, _ = _ascend_batch(
-        P, starts, d, dprime, 5000
-    )
+    psi, F, iterations, converged, collapsed = _ascend_batch(P, starts, d, dprime, 5000)[:5]
     for r in range(16):
         out = _ascend(P, starts[r], d, dprime, 5000)
         assert (out is None) == collapsed[r]
@@ -540,7 +569,7 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     assert not np.any(1.0 - first[1] <= witness_tol) and not first[6].any()
     # the second: every restart from its start, with the full max_iters
     assert args[1].tobytes() == starts.tobytes() and args[4] == max_iters
-    psi, F, iterations, converged, collapsed, history, accepted = second
+    psi, F, iterations, converged, collapsed, history, accepted = second[:7]
     assert not collapsed.any()
     assert min(map(len, history)) >= 2
     assert len(history) == iterations.max()
@@ -702,7 +731,7 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
 
     def reject_all(frame, x, F, w, d, dprime):
         polished.append(len(x))
-        return x, F, np.zeros(len(x), dtype=bool)
+        return x, F, np.zeros(len(x), dtype=bool), 0
 
     monkeypatch.setattr(search, "_polish", reject_all)
     parked = _ascend_batch(P, starts, d, dprime, 2000, witness_tol, lambda: range_frame(P))
@@ -733,13 +762,13 @@ def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     # F = 1 to rounding after two F evaluations: the spectra pass the exact
     # test, so no frame is built and no F evaluated
     F = np.full(8, 0.5)
-    x, F_out, ok = search._polish(frame_of(P24), exact, F, spectra(exact, 2, 4), 2, 4)
-    assert ok.all() and x is exact and F_out is F and frames == []
+    x, F_out, ok, steps = search._polish(frame_of(P24), exact, F, spectra(exact, 2, 4), 2, 4)
+    assert ok.all() and x is exact and F_out is F and frames == [] and steps == 0
     # rows away from the maximally entangled set are polished on the frame
     P = subspace_projector(1, 3, 5, 10)
     rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12)[0]
-    x, F_out, ok = search._polish(frame_of(P), rough, F, spectra(rough, 3, 5), 3, 5)
-    assert ok.all() and frames == [(15, 15)]
+    x, F_out, ok, steps = search._polish(frame_of(P), rough, F, spectra(rough, 3, 5), 3, 5)
+    assert ok.all() and frames == [(15, 15)] and steps >= 8
     assert max(me_residual(row, 3, 5) for row in x) <= search.POLISH_TOL
     assert np.abs(x - x @ P.T).max() <= 1e-12
     assert np.abs(F_out - 1.0).max() <= 1e-12 and F.tolist() == [0.5] * 8
@@ -747,7 +776,7 @@ def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     # state and F
     P34 = subspace_projector(1, 3, 4, 5)
     stuck = _ascend_batch(P34, projected_starts(P34, 1, range(8)), 3, 4, 10000)[0]
-    x, F_out, ok = search._polish(frame_of(P34), stuck, F, spectra(stuck, 3, 4), 3, 4)
+    x, F_out, ok, _ = search._polish(frame_of(P34), stuck, F, spectra(stuck, 3, 4), 3, 4)
     assert not ok.any() and x is stuck and F_out is F
 
 
@@ -792,10 +821,14 @@ def near_miss_projector():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 42])
-def test_a_near_miss_within_the_witness_tolerance_is_no_witness(seed):
+def test_a_near_miss_within_the_witness_tolerance_is_no_witness(monkeypatch, seed):
+    counts = count_work(monkeypatch, SearchConfig().witness_tol)
     result = max_entanglement_in_subspace(near_miss_projector(), 4, 5, SearchConfig(seed=seed))
     assert result.verdict == "none_found" and result.restarts_polished == 0
     assert 2.1e-8 <= 1.0 - result.best_F <= 2.3e-8
+    # the rows the polish rejected ascend on: their work counts as any other
+    work = (result.evaluations, result.evaluations_after_park, result.polish_steps)
+    assert work == counts() and min(work) > 0
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -812,6 +845,22 @@ def test_the_threshold_rank_of_3_5_splits_found_from_none_found(k):
     else:
         assert result.verdict == "found_me"
         assert me_residual(result.best_state.amplitudes, 3, 5) <= search.POLISH_TOL
+
+
+# (3,5) k=10: the first run parks and polishes; Weyl(6,8): no witness, so
+# the search takes both runs
+@pytest.mark.parametrize("case", ["(3,5) k=10", "weyl(6,8)"])
+def test_the_search_counts_its_own_work(monkeypatch, case):
+    P, d, dprime = {**STOP_CASES, "weyl(6,8)": lambda: weyl_complement(6, 8)}[case]()
+    counts = count_work(monkeypatch, SearchConfig().witness_tol)
+    result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
+    evaluations, after_park, polish_steps = counts()
+    assert (result.evaluations, result.evaluations_after_park, result.polish_steps) == (
+        evaluations, after_park, polish_steps)
+    if case == "weyl(6,8)":
+        assert result.verdict == "none_found" and evaluations == 216 and polish_steps == 0
+    else:
+        assert result.verdict == "found_me" and polish_steps >= result.restarts_polished >= 1
 
 
 def test_a_full_search_keeps_its_traced_memory_small():

@@ -4,6 +4,7 @@ import pytest
 from umebkit import ContractViolationError
 from umebkit.states import (
     BipartiteState,
+    SchmidtDecomposition,
     apply_local,
     is_maximally_entangled,
     reshape_to_matrix,
@@ -125,6 +126,14 @@ def test_weyl_composition_closes_up_to_phase():
             ratio = np.trace(target.conj().T @ prod) / d
             assert abs(abs(ratio) - 1.0) < 1e-12
             assert np.abs(prod - ratio * target).max() < 1e-12
+
+
+@pytest.mark.parametrize("part", ["coefficients", "left_vectors", "right_vectors"])
+def test_schmidt_decomposition_refuses_a_nan(part):
+    data = {name: value.copy() for name, value in vars(schmidt(standard_mes(2, 3))).items()}
+    data[part][0] = np.nan
+    with pytest.raises(ContractViolationError):
+        SchmidtDecomposition(**data)
 
 
 def test_weyl_operator_range_check():
