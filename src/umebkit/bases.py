@@ -171,10 +171,10 @@ class CertificateReport:
     has Schmidt rank at most ``schmidt_rank_bound = min(d, a_rank, b_rank)``.
     A bound below d proves no maximally entangled state fits, hence
     ``unextendible``.  ``witness`` is present exactly when the verdict is
-    ``extendible``.  ``search_best_F`` is present exactly when a search ran:
-    on ``extendible`` it is the F of the witness, the first state the search
-    accepted as exact; on ``inconclusive`` the best F of the whole search.  ``restarts_used`` is present exactly when a search ran: the
-    restarts it drew and ascended without collapse.
+    ``extendible``.  ``search_best_F`` and ``restarts_used`` are present
+    exactly when a search ran: the witness's F on ``extendible`` (the first
+    state the search accepted as exact) or the whole search's best F on
+    ``inconclusive``, and the restarts drawn and ascended without collapse.
     """
 
     method: str

@@ -7,14 +7,13 @@ dimension, since the bases are bases of the composite space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import BasisSet, gram_matrix
 from .errors import ContractViolationError
-from .tolerances import ADMIT_TOL, EXACT_TOL
+from .tolerances import ADMIT_TOL, EXACT_TOL, check_tol
 
 __all__ = ["OverlapReport", "overlap_matrix"]
 
@@ -38,8 +37,7 @@ def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = EXACT_TOL) -> Overla
     report's ``is_mub`` is whether every overlap is within ``tol`` of
     1/sqrt(d*d'); ``tol`` must be finite and at least 0.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ContractViolationError(f"tol must be finite and at least 0, got {tol!r}")
+    check_tol(tol)
     if (B1.d, B1.dprime) != (B2.d, B2.dprime):
         raise ContractViolationError(
             f"dimension mismatch: ({B1.d}, {B1.dprime}) vs ({B2.d}, {B2.dprime})"

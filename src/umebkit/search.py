@@ -14,7 +14,6 @@ inconclusive, never as a proof of absence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
 
 import numpy as np
 
@@ -220,23 +219,22 @@ def _project(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
     return rows @ P.T
 
 
-def _polish(frame, x, F, w, d, dprime):
+def _polish(Q, x, F, w, d, dprime):
     """Finish parked rows ``x`` (unit vectors in range(P) whose F is ``F``
-    and whose Gram spectra are ``w``).
+    and whose Gram spectra are ``w``) on Q, an orthonormal frame of range(P).
 
     A row with ``max|d w - 1| <= POLISH_TOL`` is exact and accepted as it
     is: that spectral bound is at least the entrywise ``max|d X X^dag - I|``.
-    The others go to :func:`_gauss_newton` on ``frame()``, an orthonormal
-    frame of range(P), and a row it brings within the tolerance is accepted
-    with its F evaluated as the ascent evaluates it.  Returns the states,
-    their F, the accepted flags and the Gauss-Newton steps taken; a row not
-    accepted keeps its state and F.
+    The others go to :func:`_gauss_newton` on Q, and a row it brings within
+    the tolerance is accepted with its F evaluated as the ascent evaluates
+    it.  Returns the states, their F, the accepted flags and the
+    Gauss-Newton steps taken; a row not accepted keeps its state and F.
     """
     ok = np.abs(d * w - 1.0).max(axis=1) <= POLISH_TOL
     todo = np.flatnonzero(~ok)
     if not todo.size:
         return x, F, ok, 0
-    polished, met, steps = _gauss_newton(frame(), x[todo], d, dprime)
+    polished, met, steps = _gauss_newton(Q, x[todo], d, dprime)
     polished, todo = polished[met], todo[met]
     if not todo.size:
         return x, F, ok, steps
@@ -304,7 +302,7 @@ def _gauss_newton(Q, x, d, dprime):
     return polished, met, steps
 
 
-def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, frame=None):
+def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, Q=None):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked projection (:func:`_nearest_me_amplitudes`) per iteration
@@ -312,12 +310,12 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, frame=None):
     :data:`CONVERGENCE_TOL`, when its projection vanishes (collapsed), or after
     its own ``max_iters`` F evaluations; a row that stops without collapsing
     keeps the state it was last evaluated at, so its recorded F is that
-    state's F.  Given ``witness_tol``, a row parks at its first F evaluation
-    with ``1 - F <= witness_tol``, and :func:`_polish` finishes it in the same
-    iteration, its Gauss-Newton steps on the frame of range(P) that
-    ``frame()`` returns.  The first iteration in which a row is accepted ends
-    the whole batch, without projecting again; a row not accepted ascends on
-    as if it had never parked, and never parks again.
+    state's F.  Given ``witness_tol`` and Q, an orthonormal frame of
+    range(P), a row parks at its first F evaluation with
+    ``1 - F <= witness_tol``, and :func:`_polish` finishes it on Q in the
+    same iteration.  The first iteration in which a row is accepted ends the
+    whole batch, without projecting again; a row not accepted ascends on as
+    if it had never parked, and never parks again.
     Returns the states, their last F, per-row F evaluation counts, converged
     and collapsed flags, per iteration the array of F evaluated on the rows
     then advancing, the flags of the accepted rows (which count as
@@ -344,7 +342,7 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, frame=None):
                 parked[rows] = True
                 park_evals += int(iterations[rows].sum())  # evaluations up to the park
                 psi[rows], F_last[rows], accepted[rows], steps = _polish(
-                    frame, x[park], F[park], w[park], d, dprime)
+                    Q, x[park], F[park], w[park], d, dprime)
                 polish_steps += steps
                 if accepted.any():
                     converged |= accepted
@@ -406,14 +404,17 @@ def max_entanglement_in_subspace(
 ) -> SearchResult:
     """Restarted search for the most entangled state in the range of P.
 
-    P must be a finite Hermitian idempotent of size d*dprime with rank >= 1.  Each
-    restart starts from a normalized projected complex-Gaussian vector and
-    ascends F monotonically; the restarts run as :func:`_search` describes.
+    Needs ``2 <= d <= dprime`` and a finite Hermitian idempotent P of size
+    d*dprime with rank >= 1.  Each restart starts from a normalized
+    projected complex-Gaussian vector and ascends F monotonically; the
+    restarts run as :func:`_search` describes.
     The verdict is ``found_me`` iff the exact test or the polish accepted a
     restart, which is then the result; otherwise every restart has run to
     convergence (or ``max_iters``) and the best one is the result (ties go
     to the earliest), whatever its F.
     """
+    if not 2 <= d <= dprime:
+        raise ContractViolationError(f"need 2 <= d <= dprime, got ({d}, {dprime})")
     P = np.asarray(P, dtype=complex)
     n = d * dprime
     if P.shape != (n, n):
@@ -422,12 +423,14 @@ def max_entanglement_in_subspace(
             and np.abs(P @ P - P).max() <= EXACT_TOL):
         raise ContractViolationError(
             f"P is not a finite Hermitian projector within {cite(EXACT_TOL)}")
-    if np.trace(P).real < 0.5:
+    w, V = np.linalg.eigh(P)
+    Q = V[:, w > 0.5]
+    if not Q.shape[1]:
         raise ContractViolationError("projector has rank 0: nothing to search")
-    return _search(P, d, dprime, config)
+    return _search(P, Q, d, dprime, config)
 
 
-def _search(P, d: int, dprime: int, config: SearchConfig | None, Q=None) -> SearchResult:
+def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchResult:
     """The restarted search of both callers, ended by the first accepted row.
 
     Restarts below :data:`FIRST_STAGE` run first, for at most
@@ -437,21 +440,13 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None, Q=None) -> Sear
     :func:`_ascend_batch` describes and stops at the first accepted row.  The
     result is the accepted row with the highest F (ties go to the earliest),
     verdict ``found_me``; without one, the best row of all, ``none_found``.
-    P is a complex Hermitian projector of rank >= 1, unchecked: the caller
-    checked it or built it so.  Q, if given, is an orthonormal frame of
-    range(P) for the polish; otherwise one is built from P at the first
-    Gauss-Newton call of the search, if any, and kept for the rest of it.
+    P is a complex Hermitian projector of rank >= 1 and Q an orthonormal
+    frame of its range, which the polish steps on; both are unchecked: the
+    caller checked them or built them so.
     """
     if config is None:
         config = SearchConfig()
     n, R, tol = d * dprime, config.restarts, config.witness_tol
-
-    @cache
-    def frame() -> np.ndarray:
-        if Q is not None:
-            return Q
-        w, V = np.linalg.eigh(P)
-        return V[:, w > 0.5]
 
     def starts(rows: range) -> np.ndarray:  # projected; collapsed starts dropped
         pg = _project(_restart_starts(config.seed, rows, n), P)
@@ -461,10 +456,10 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None, Q=None) -> Sear
 
     first = starts(range(min(FIRST_STAGE, R)))
     cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
-    runs = [_ascend_batch(P, first, d, dprime, cap, tol, frame)]
+    runs = [_ascend_batch(P, first, d, dprime, cap, tol, Q)]
     if R > FIRST_STAGE and not runs[0][6].any():
         runs.append(_ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
-                                  d, dprime, config.max_iters, tol, frame))
+                                  d, dprime, config.max_iters, tol, Q))
     psi, F, iterations, converged, collapsed, _, accepted = runs[-1][:7]
     if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
@@ -491,24 +486,23 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     """Decide extendibility of a basis: analytic certificate, then search.
 
     The support-rank certificate is conclusive whenever its Schmidt-rank
-    bound is below d.  Otherwise the complement is searched by
-    :func:`_search`, the search of ``max_entanglement_in_subspace``, on the
-    certificate's complement frame: the first restart that the exact test
-    or the polish accepts is returned as the ``extendible`` witness, and
+    bound is below d.  Otherwise :func:`_search`, the search of
+    ``max_entanglement_in_subspace``, runs on the certificate's complement
+    frame Q and its projector ``Q Q^dag``: the first restart that the exact
+    test or the polish accepts is returned as the ``extendible`` witness, and
     ``search_best_F`` is its F.  On the Weyl shapes with d <= d'/2 one of
     restarts 0-7 is exact at its second F evaluation, so restarts 8 and up
     are never drawn and no Gauss-Newton step is taken.  A search that
     accepts no restart downgrades the verdict to ``inconclusive`` with the
-    best overlap of every restart run to convergence recorded.  The
-    certificate and the search share one complement frame; it is orthonormal
-    by construction and the certificate refuses an empty one, so its
-    projector is not checked again.
+    best overlap of every restart run to convergence recorded.  The frame is
+    orthonormal by construction and the certificate refuses an empty one, so
+    neither it nor its projector is checked again.
     """
     Q = _complement_frame(basis)
     report = _frame_certificate(basis, Q)
     if report.verdict == "unextendible":
         return report
-    result = _search(Q @ Q.conj().T, basis.d, basis.dprime, config, Q)
+    result = _search(Q @ Q.conj().T, Q, basis.d, basis.dprime, config)
     found = result.verdict == "found_me"
     return replace(
         report,

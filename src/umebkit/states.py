@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import svd
-from .tolerances import EXACT_TOL, FACTOR_TOL, ME_TOL, NORM_SQ_TOL, NORM_TOL, cite
+from .tolerances import EXACT_TOL, FACTOR_TOL, ME_TOL, NORM_SQ_TOL, NORM_TOL, check_tol, cite
 
 __all__ = [
     "ME_TOL",
@@ -60,12 +60,8 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ContractViolationError(f"d must be >= 2, got {self.d}")
-        if self.dprime < self.d:
-            raise ContractViolationError(
-                f"dprime must be >= d, got d={self.d}, dprime={self.dprime}"
-            )
+        if not 2 <= self.d <= self.dprime:
+            raise ContractViolationError(f"need 2 <= d <= dprime, got ({self.d}, {self.dprime})")
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.shape[0] != self.d * self.dprime:
             raise ContractViolationError(
@@ -122,7 +118,8 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
 
 
 def schmidt_rank(psi: BipartiteState, tol: float = ME_TOL) -> int:
-    """Number of Schmidt coefficients exceeding ``tol``."""
+    """Number of Schmidt coefficients exceeding ``tol`` (finite, at least 0)."""
+    check_tol(tol)
     return int((schmidt(psi).coefficients > tol).sum())
 
 
@@ -133,8 +130,9 @@ def is_maximally_entangled(
 
     Returns ``(flag, deviation)`` where ``deviation`` is the largest distance
     of any of the d coefficients from 1/sqrt(d) and ``flag`` is whether that
-    deviation is within ``tol``.
+    deviation is within ``tol``, which must be finite and at least 0.
     """
+    check_tol(tol)
     s = schmidt(psi).coefficients
     deviation = float(np.abs(s - 1.0 / np.sqrt(psi.d)).max())
     return deviation <= tol, deviation

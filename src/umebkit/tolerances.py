@@ -28,26 +28,28 @@ what the stage before it admitted:
    the admission limit.
 4. **Channel and search**.  They read that frame unchecked: the channel's
    marginals and entropies come from the certificate's reshapes, and
-   ``certify`` hands the search the frame's projector.  The search checks a
-   projector only where a caller hands it in, to
-   ``max_entanglement_in_subspace``, at :data:`EXACT_TOL`.  A search state
-   with ``1 - F`` at most :data:`WITNESS_TOL` parks, and is a witness once
-   the search's exact test or polish accepts it (``search.POLISH_TOL``).
+   ``certify`` hands the search the frame and its projector.  Only a
+   projector handed to ``max_entanglement_in_subspace`` is checked, at
+   :data:`EXACT_TOL`, and framed by ``eigh``.  A search state with
+   ``1 - F`` at most :data:`WITNESS_TOL` parks, and is a witness once the
+   search's exact test or polish accepts it (``search.POLISH_TOL``).
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and
 ``overlap_constraint_matrix``, the projector of
 ``max_entanglement_in_subspace``, a density matrix) use :data:`EXACT_TOL`;
 the two checks next to a factorisation, of the orthonormality of the SVD's
 Schmidt vectors and of the Hermiticity of ``hermitian_eig``'s input, use the
-tighter :data:`FACTOR_TOL`.  Constants
-that one algorithm owns (the search's convergence and collapse thresholds
-and its Gram cutoff, the entropy's eigenvalue clip) stay named in their own
-module.
+tighter :data:`FACTOR_TOL`; a tolerance a caller hands in must be finite and
+at least 0 (:func:`check_tol`).  Constants that one algorithm owns (the
+search's convergence and collapse thresholds and its Gram cutoff, the
+entropy's eigenvalue clip) stay named in their own module.
 """
 
 from __future__ import annotations
 
 import sys
+
+from .errors import ContractViolationError
 
 __all__ = [
     "NORM_TOL",
@@ -60,6 +62,7 @@ __all__ = [
     "MAX_SPACE_DIM",
     "NORM_SQ_TOL",
     "cite",
+    "check_tol",
 ]
 
 #: Largest ``d*dprime`` a file, ``umeb construct`` or ``umeb pauli`` accepts:
@@ -107,3 +110,9 @@ NORM_SQ_TOL = (1 + NORM_TOL) ** 2 - 1 + MAX_SPACE_DIM * sys.float_info.epsilon
 def cite(tol: float) -> str:
     """``tol`` as error messages write it: ``1e-9``, not ``1e-09``."""
     return f"{tol:g}".replace("e-0", "e-")
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a caller's tolerance that is not finite or is below 0."""
+    if not 0 <= tol < float("inf"):
+        raise ContractViolationError(f"tol must be finite and at least 0, got {tol!r}")

@@ -245,6 +245,18 @@ def test_search_rejects_bad_projector():
         max_entanglement_in_subspace(np.eye(4), 2, 3, FAST)
 
 
+@pytest.mark.parametrize("d, dprime", [(3, 2), (1, 6), (6, 1)])
+def test_search_refuses_dimensions_outside_2_le_d_le_dprime(monkeypatch, d, dprime):
+    import umebkit.search as search
+
+    def refuse(*args):
+        raise AssertionError("the ascent ran")
+
+    monkeypatch.setattr(search, "_ascend_batch", refuse)
+    with pytest.raises(ContractViolationError, match=r"need 2 <= d <= dprime, got"):
+        max_entanglement_in_subspace(np.eye(6), d, dprime, FAST)
+
+
 @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 1), np.nan), ((0, 0), np.inf)])
 def test_search_refuses_a_non_finite_projector(entry, value):
     # every comparison with a NaN is false, so the check must ask for what passes
@@ -436,7 +448,8 @@ def weyl_complement(d, dprime):
 
 
 def range_frame(P):
-    """An orthonormal frame of range(P), as the search builds one."""
+    """An orthonormal frame of range(P), as ``max_entanglement_in_subspace``
+    builds one."""
     w, V = np.linalg.eigh(P)
     return V[:, w > 0.5]
 
@@ -460,7 +473,7 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(case):
     starts = _restart_starts(1, range(8), d * dprime) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     full = _ascend_batch(P, starts, d, dprime, 400)
-    stopped = _ascend_batch(P, starts, d, dprime, 400, witness_tol, lambda: range_frame(P))
+    stopped = _ascend_batch(P, starts, d, dprime, 400, witness_tol, range_frame(P))
     full_history, history, accepted = full[5], stopped[5], stopped[6]
     hits = [i for i, F in enumerate(full_history) if np.any(1.0 - F <= witness_tol)]
     assert len(history) == (hits[0] + 1 if hits else len(full_history))
@@ -560,7 +573,7 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     witness_tol = SearchConfig().witness_tol
     runs = record_runs(monkeypatch)
     config = SearchConfig(restarts=R, max_iters=max_iters, seed=1)
-    result = _search(P, d, dprime, config)
+    result = _search(P, range_frame(P), d, dprime, config)
     (first_args, first), (args, second) = runs
     # the first run: restarts 0-7, capped at FIRST_RUN_EVALS F evaluations
     starts = projected_starts(P, 1, range(R))
@@ -600,7 +613,7 @@ def test_a_late_row_keeps_its_full_max_iters(monkeypatch):
     P = subspace_projector(1, d, dprime, 4)  # no row converges in 40 iterations
     runs = record_runs(monkeypatch)
     config = SearchConfig(restarts=16, max_iters=max_iters, seed=1)
-    result = _search(P, d, dprime, config)
+    result = _search(P, range_frame(P), d, dprime, config)
     assert [len(out[5]) for _, out in runs] == [search.FIRST_RUN_EVALS, max_iters]
     iterations, converged = runs[1][1][2:4]
     assert not converged.any()
@@ -631,12 +644,12 @@ def test_every_restart_collapsed_only_when_every_stage_has(monkeypatch, stages_c
     monkeypatch.setattr(search, "_nearest_me_amplitudes", vanishing)
     if stages_collapsing == 2:
         with pytest.raises(NumericalFailureError, match="every restart collapsed"):
-            _search(P, 2, 4, config)
+            _search(P, range_frame(P), 2, 4, config)
         assert stack_sizes == [8, 16]
     else:
         # the first run collapses at once, so the second runs all 16 restarts:
         # 0-7 collapse again, and 8-15 find a witness
-        result = _search(P, 2, 4, config)
+        result = _search(P, range_frame(P), 2, 4, config)
         assert result.verdict == "found_me" and result.restarts_used == 8
         assert stack_sizes == [8, 16, 8]
 
@@ -672,7 +685,7 @@ def test_certify_of_an_extendible_sweep_shape_is_one_run_of_two_evaluations(monk
 def test_fruitless_first_witness_search_keeps_the_full_best_F():
     P = subspace_projector(1, 3, 5, 4)
     config = SearchConfig(seed=1)  # 64 restarts: two runs
-    first = _search(P, 3, 5, config)
+    first = _search(P, range_frame(P), 3, 5, config)
     # the 64 restarts ascended together to convergence, never parked
     psi, F, iterations = _ascend_batch(P, projected_starts(P, 1, range(64)), 3, 5,
                                        config.max_iters)[:3]
@@ -729,12 +742,12 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
     unparked = _ascend_batch(P, starts, d, dprime, 2000)
     polished = []
 
-    def reject_all(frame, x, F, w, d, dprime):
+    def reject_all(Q, x, F, w, d, dprime):
         polished.append(len(x))
         return x, F, np.zeros(len(x), dtype=bool), 0
 
     monkeypatch.setattr(search, "_polish", reject_all)
-    parked = _ascend_batch(P, starts, d, dprime, 2000, witness_tol, lambda: range_frame(P))
+    parked = _ascend_batch(P, starts, d, dprime, 2000, witness_tol, range_frame(P))
     # each row that meets the tolerance parks once, and only once
     met = int(np.sum(1.0 - unparked[1] <= witness_tol))
     assert 0 < sum(polished) == met <= 16
@@ -746,29 +759,21 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
 def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     import umebkit.search as search
 
-    frames = []
-
-    def frame_of(P):
-        def frame():
-            frames.append(P.shape)
-            return range_frame(P)
-        return frame
-
     def spectra(x, d, dprime):
         return search._nearest_me_amplitudes(x.reshape(-1, d, dprime))[1]
 
     P24, _, _ = weyl_complement(2, 4)
     exact = _ascend_batch(P24, projected_starts(P24, 1, range(8)), 2, 4, 2)[0]
     # F = 1 to rounding after two F evaluations: the spectra pass the exact
-    # test, so no frame is built and no F evaluated
+    # test, so no Gauss-Newton step is taken and no F evaluated
     F = np.full(8, 0.5)
-    x, F_out, ok, steps = search._polish(frame_of(P24), exact, F, spectra(exact, 2, 4), 2, 4)
-    assert ok.all() and x is exact and F_out is F and frames == [] and steps == 0
+    x, F_out, ok, steps = search._polish(range_frame(P24), exact, F, spectra(exact, 2, 4), 2, 4)
+    assert ok.all() and x is exact and F_out is F and steps == 0
     # rows away from the maximally entangled set are polished on the frame
     P = subspace_projector(1, 3, 5, 10)
     rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12)[0]
-    x, F_out, ok, steps = search._polish(frame_of(P), rough, F, spectra(rough, 3, 5), 3, 5)
-    assert ok.all() and frames == [(15, 15)] and steps >= 8
+    x, F_out, ok, steps = search._polish(range_frame(P), rough, F, spectra(rough, 3, 5), 3, 5)
+    assert ok.all() and steps >= 8
     assert max(me_residual(row, 3, 5) for row in x) <= search.POLISH_TOL
     assert np.abs(x - x @ P.T).max() <= 1e-12
     assert np.abs(F_out - 1.0).max() <= 1e-12 and F.tolist() == [0.5] * 8
@@ -776,7 +781,7 @@ def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     # state and F
     P34 = subspace_projector(1, 3, 4, 5)
     stuck = _ascend_batch(P34, projected_starts(P34, 1, range(8)), 3, 4, 10000)[0]
-    x, F_out, ok, _ = search._polish(frame_of(P34), stuck, F, spectra(stuck, 3, 4), 3, 4)
+    x, F_out, ok, _ = search._polish(range_frame(P34), stuck, F, spectra(stuck, 3, 4), 3, 4)
     assert not ok.any() and x is stuck and F_out is F
 
 
@@ -861,6 +866,28 @@ def test_the_search_counts_its_own_work(monkeypatch, case):
         assert result.verdict == "none_found" and evaluations == 216 and polish_steps == 0
     else:
         assert result.verdict == "found_me" and polish_steps >= result.restarts_polished >= 1
+
+
+def test_a_search_builds_one_frame_and_certify_none(monkeypatch):
+    # one eigendecomposition of P per max_entanglement_in_subspace call,
+    # whether its witness is exact (Weyl(2,4)) or polished ((3,5) k=10);
+    # the stacked Gram eigendecompositions of the ascent are 3-D
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.ndim(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for case, polished in (("weyl(2,4)", False), ("(3,5) k=10", True)):
+        P, d, dprime = STOP_CASES[case]()
+        calls.clear()
+        result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
+        assert result.verdict == "found_me" and (result.polish_steps > 0) == polished
+        assert calls.count(2) == 1 and set(calls) == {2, 3}, case
+    calls.clear()
+    report = certify(build_weyl_umeb(2, 4), SearchConfig(seed=1))
+    assert report.verdict == "extendible" and 2 not in calls
 
 
 def test_a_full_search_keeps_its_traced_memory_small():

@@ -136,6 +136,15 @@ def test_schmidt_decomposition_refuses_a_nan(part):
         SchmidtDecomposition(**data)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("check", [schmidt_rank, is_maximally_entangled])
+def test_schmidt_checks_refuse_a_tol_that_is_not_finite_or_is_negative(check, tol):
+    phi = standard_mes(2, 3)
+    with pytest.raises(ContractViolationError, match="tol must be finite and at least 0"):
+        check(phi, tol=tol)
+    assert schmidt_rank(phi, tol=0.0) == 2 and is_maximally_entangled(phi, tol=0.0)[1] >= 0.0
+
+
 def test_weyl_operator_range_check():
     with pytest.raises(ContractViolationError):
         weyl_operator(2, 2, 0)
