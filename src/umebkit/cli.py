@@ -17,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import (
+    _complement_frame,
     build_c23_first,
     build_c23_second,
     build_weyl_umeb,
-    complement_projector,
     gram_matrix,
 )
 from .channel import analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
 from .fileio import _dumps, _report_fields, basis_to_obj, load_basis, save_basis, save_state
 from .mub import overlap_matrix
-from .search import SearchConfig, certify, max_entanglement_in_subspace
+from .search import SearchConfig, _search, certify
 from .states import weyl_operator
 from .tolerances import EXACT_TOL, MAX_SPACE_DIM, ME_TOL
 
@@ -154,8 +154,8 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     basis = load_basis(args.path)
-    P = complement_projector(basis, me_only=not args.all_members)
-    result = max_entanglement_in_subspace(P, basis.d, basis.dprime, _search_config(args))
+    Q = _complement_frame(basis, me_only=not args.all_members)
+    result = _search(Q @ Q.conj().T, Q, basis.d, basis.dprime, _search_config(args))
     if args.out:
         save_state(args.out, result.best_state)
         print(f"best state -> {args.out}", file=sys.stderr)

@@ -6,7 +6,8 @@ which equals 1 exactly on the maximally entangled states.  Each restart
 alternates two closed-form projections — onto the subspace and onto the
 maximally entangled set — so F never decreases within a restart.  A restart
 that comes within ``witness_tol`` of F = 1 is finished at once, by an exact
-test or a Gauss-Newton polish, and the first one they accept is the witness.
+test or a Gauss-Newton polish, and the first one they accept is the witness;
+one they reject ascends on and is tried again closer to F = 1.
 The search can only ever *find* witnesses; a failed search is reported as
 inconclusive, never as a proof of absence.
 """
@@ -48,27 +49,30 @@ GRAM_CUTOFF = 1e-4
 CONVERGENCE_TOL = 1e-12
 
 #: Restarts every search runs first.  On every Weyl shape with d <= d'/2 one
-#: of them is an exact witness at its second F evaluation (370 of 370 shape
-#: and seed pairs tried), and 8 rows cost about half of what 64 do to draw
-#: and ascend; 8 keeps a margin for bad starts.
+#: of them is accepted by its second F evaluation (370 of 370 shape and seed
+#: pairs tried, seeds 1-10): exact at the second in 360, and in 10, all at
+#: d = 2, polished at the first, where a start already has F >= 0.999.  8
+#: rows cost about half of what 64 do to draw and ascend; 8 keeps a margin
+#: for bad starts.
 FIRST_STAGE = 8
 
 #: F evaluations the first :data:`FIRST_STAGE` restarts get when more are
 #: asked for.  Without an accepted witness by then, every restart runs from
-#: its start, the first ones again.  An easy witness shows at the second;
+#: its start, the first ones again.  An easy witness shows by the second;
 #: on the benchmark's 20 search-hard subspaces (seeds 1, 7 and 42) the first
-#: run accepts one after 8-23, so with a cap of 4 every one of them ran
-#: twice (80 searches/s at seed 1 against 211).  Uncapped, the searches that
-#: find nothing slow down: a random (5,7) rank-12 subspace took 2.9 s, not 1.8.
+#: run accepts one after 3-7, so a cap of 4 sends many of them to the second
+#: run (164 searches/s at seed 1 against 276).  Uncapped, the searches that
+#: find nothing slow down: a random (5,7) rank-12 subspace took 3.7 s, not 2.7.
 FIRST_RUN_EVALS = 32
 
 #: Largest ``max|d X X^dag - I|`` at which a parked row counts as maximally
 #: entangled: the exact test's bound and the Gauss-Newton polish's target.
 #: ``1 - F`` is quadratic in this residual, so a row that meets it has F = 1
-#: to rounding.  Rows park with residuals near 2e-3, and two quadratic steps
-#: mostly bring them below it (2.1 steps a row on random subspaces at
-#: (3,5)-(7,7)), where a tighter bound would cost a third; rounding leaves at
-#: most about 3e-14 on the exact witnesses of the Weyl complements.
+#: to rounding.  Rows park at ``1 - F <= 1e-3`` with spectral residuals
+#: ``max|d w - 1|`` near 0.1, and three quadratic steps mostly bring them
+#: below it (3.0 steps a row on random subspaces at (3,5)-(7,7)), where a
+#: bound of 1e-14 would cost 30 % more; rounding leaves at most about 3e-14
+#: on the exact witnesses of the Weyl complements.
 #: (Gauss-Newton: Absil, Mahony & Sepulchre, Optimization Algorithms on
 #: Matrix Manifolds, 2008; alternating projections converge only linearly:
 #: Lewis, Luke & Malick, Found. Comput. Math. 9, 2009.)
@@ -77,18 +81,28 @@ POLISH_TOL = 1e-11
 #: Parked rows polished together.  At (7,7) k=43 a row's real ``d^2 x 2k``
 #: Jacobian and its complex product ``X B_j^dag`` take about 34 kB each and
 #: ``J J^T`` 19 kB, so 8 rows hold the polish near 0.7 MB however many rows
-#: park in one iteration.  On the search-hard subspaces 1-3 rows park at a
-#: time, and a search's traced peak is about 0.2 MiB.
+#: park in one iteration.  On the search-hard subspaces 1-6 rows park at a
+#: time (1.9 on average), and a search's traced peak is about 0.2 MiB.
 POLISH_CHUNK = 8
+
+#: Factor by which a row's park threshold tightens each time it parks: a row
+#: the polish rejects at ``1 - F <= witness_tol`` ascends on and parks again
+#: at ``PARK_STEP * witness_tol``, then at ``PARK_STEP**2 * witness_tol``.
+#: Near the threshold rank the polish stalls from 1e-3 and succeeds from
+#: closer in: on eight random (5,7) rank-13 subspaces, parking each row only
+#: once found 2 witnesses in 14 s, and this ladder 8 in 2.7 s.
+PARK_STEP = 1e-3
 
 
 @dataclass(eq=False)
 class SearchConfig:
     """Knobs for the restarted alternating-projection search.
 
-    ``witness_tol`` (default ``WITNESS_TOL``, 1e-6) is the threshold on
-    ``1 - F`` at which a restart parks to be finished by the exact test or
-    the polish (:func:`_polish`); only a restart they accept is a witness.
+    ``witness_tol`` (default ``WITNESS_TOL``, 1e-3) is the threshold on
+    ``1 - F`` at which a restart first parks to be finished by the exact test
+    or the polish (:func:`_polish`); only a restart they accept is a witness,
+    and one they reject parks again each time ``1 - F`` falls by a further
+    factor :data:`PARK_STEP`.
     It must exceed :data:`CONVERGENCE_TOL`, the per-iteration change of F at
     which a restart stops, which is fixed rather than a knob.  Both
     ``certify`` and ``max_entanglement_in_subspace`` run restarts 0-7 first,
@@ -140,7 +154,7 @@ class SearchResult:
     Three counts give the search's work, summed over its runs, and stay out
     of the ``--json`` report: ``evaluations``, the F evaluations of the
     ascent, one per row per iteration; ``evaluations_after_park``, those of
-    rows after the evaluation they parked at (a row the polish rejected
+    rows after the evaluation they first parked at (a row the polish rejected
     ascends on); and ``polish_steps``, one per row per stacked Gauss-Newton
     solve attempted, a singular one too.
     """
@@ -311,20 +325,23 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, Q=None):
     its own ``max_iters`` F evaluations; a row that stops without collapsing
     keeps the state it was last evaluated at, so its recorded F is that
     state's F.  Given ``witness_tol`` and Q, an orthonormal frame of
-    range(P), a row parks at its first F evaluation with
-    ``1 - F <= witness_tol``, and :func:`_polish` finishes it on Q in the
-    same iteration.  The first iteration in which a row is accepted ends the
-    whole batch, without projecting again; a row not accepted ascends on as
-    if it had never parked, and never parks again.
+    range(P), each row has a park threshold, at first ``witness_tol``: a row
+    parks at an F evaluation with ``1 - F`` at most its threshold, which then
+    tightens by the factor :data:`PARK_STEP`, and :func:`_polish` finishes it
+    on Q in the same iteration.  The first iteration in which a row is
+    accepted ends the whole batch, without projecting again; a row not
+    accepted ascends on as if it had never parked, until it meets its
+    tightened threshold.
     Returns the states, their last F, per-row F evaluation counts, converged
     and collapsed flags, per iteration the array of F evaluated on the rows
     then advancing, the flags of the accepted rows (which count as
     converged, and hold their polished states and F), the F evaluations of
-    rows after the one they parked at, and the Gauss-Newton steps.
+    rows after the one they first parked at, and the Gauss-Newton steps.
     """
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
     converged, collapsed, parked, accepted = np.zeros((4, R), dtype=bool)
+    park_at = np.full(R, -np.inf if witness_tol is None else witness_tol)
     active, history, park_evals, polish_steps = np.arange(R), [], 0, 0
     while active.size:
         x = psi[active]
@@ -335,18 +352,18 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, Q=None):
         iterations[active] += 1
         history.append(F)
         converged[active[done]] = True
-        if witness_tol is not None:
-            park = (1.0 - F <= witness_tol) & ~parked[active]
-            if park.any():
-                rows = active[park]
-                parked[rows] = True
-                park_evals += int(iterations[rows].sum())  # evaluations up to the park
-                psi[rows], F_last[rows], accepted[rows], steps = _polish(
-                    Q, x[park], F[park], w[park], d, dprime)
-                polish_steps += steps
-                if accepted.any():
-                    converged |= accepted
-                    break
+        park = 1.0 - F <= park_at[active]
+        if park.any():
+            rows = active[park]
+            park_evals += int(iterations[rows[~parked[rows]]].sum())  # up to the first park
+            parked[rows] = True
+            park_at[rows] *= PARK_STEP
+            psi[rows], F_last[rows], accepted[rows], steps = _polish(
+                Q, x[park], F[park], w[park], d, dprime)
+            polish_steps += steps
+            if accepted.any():
+                converged |= accepted
+                break
         stop = done if len(history) < max_iters else done | (iterations[active] >= max_iters)
         active, pm = active[~stop], _project(m[~stop], P)
         norm_pm = np.linalg.norm(pm, axis=1)
@@ -354,9 +371,8 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, Q=None):
         collapsed[active[~kept]] = True
         active, pm = active[kept], pm[kept] / norm_pm[kept, None]
         psi[active] = pm
-    after_park = int(iterations[parked].sum()) - park_evals if park_evals else 0
     return (psi, F_last, iterations, converged, collapsed, history, accepted,
-            after_park, polish_steps)
+            int(iterations[parked].sum()) - park_evals, polish_steps)
 
 
 def _ascend(P, psi0, d, dprime, max_iters):
@@ -424,10 +440,7 @@ def max_entanglement_in_subspace(
         raise ContractViolationError(
             f"P is not a finite Hermitian projector within {cite(EXACT_TOL)}")
     w, V = np.linalg.eigh(P)
-    Q = V[:, w > 0.5]
-    if not Q.shape[1]:
-        raise ContractViolationError("projector has rank 0: nothing to search")
-    return _search(P, Q, d, dprime, config)
+    return _search(P, V[:, w > 0.5], d, dprime, config)
 
 
 def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchResult:
@@ -440,10 +453,12 @@ def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchRes
     :func:`_ascend_batch` describes and stops at the first accepted row.  The
     result is the accepted row with the highest F (ties go to the earliest),
     verdict ``found_me``; without one, the best row of all, ``none_found``.
-    P is a complex Hermitian projector of rank >= 1 and Q an orthonormal
-    frame of its range, which the polish steps on; both are unchecked: the
-    caller checked them or built them so.
+    P is a complex Hermitian projector and Q an orthonormal frame of its
+    range, which the polish steps on; both are unchecked (the caller checked
+    them or built them so), except that an empty Q is refused.
     """
+    if not Q.shape[1]:
+        raise ContractViolationError("projector has rank 0: nothing to search")
     if config is None:
         config = SearchConfig()
     n, R, tol = d * dprime, config.restarts, config.witness_tol
@@ -491,8 +506,9 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     frame Q and its projector ``Q Q^dag``: the first restart that the exact
     test or the polish accepts is returned as the ``extendible`` witness, and
     ``search_best_F`` is its F.  On the Weyl shapes with d <= d'/2 one of
-    restarts 0-7 is exact at its second F evaluation, so restarts 8 and up
-    are never drawn and no Gauss-Newton step is taken.  A search that
+    restarts 0-7 is accepted by its second F evaluation, so restarts 8 and
+    up are never drawn: it is exact there, or, on a d = 2 shape where a start
+    already has ``1 - F <= witness_tol``, polished at the first.  A search that
     accepts no restart downgrades the verdict to ``inconclusive`` with the
     best overlap of every restart run to convergence recorded.  The frame is
     orthonormal by construction and the certificate refuses an empty one, so

@@ -32,7 +32,9 @@ what the stage before it admitted:
    projector handed to ``max_entanglement_in_subspace`` is checked, at
    :data:`EXACT_TOL`, and framed by ``eigh``.  A search state with
    ``1 - F`` at most :data:`WITNESS_TOL` parks, and is a witness once the
-   search's exact test or polish accepts it (``search.POLISH_TOL``).
+   search's exact test or Gauss-Newton polish brings it within
+   ``search.POLISH_TOL`` of maximal entanglement; one they reject parks
+   again at ``search.PARK_STEP`` times its last threshold.
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and
 ``overlap_constraint_matrix``, the projector of
@@ -96,8 +98,10 @@ FACTOR_TOL = 1e-10
 RANK_CUT = 1e-5
 
 #: Default search park threshold: a state with ``1 - F`` at most this goes to
-#: the exact test and the polish, which decide whether it is a witness.
-WITNESS_TOL = 1e-6
+#: the exact test and the polish, which decide whether it is a witness.  From
+#: here the polish converges quadratically, where the ascent converges only
+#: linearly, so a lower threshold would pay for more slow iterations.
+WITNESS_TOL = 1e-3
 
 #: Bound on ``|sum(s**2) - 1|`` for the Schmidt coefficients ``s`` of a vector
 #: admitted at :data:`NORM_TOL`: its squared norm lies within

@@ -128,6 +128,34 @@ def test_search_of_an_empty_complement_exits_2(tmp_path, capsys):
     assert captured.err == "error: projector has rank 0: nothing to search\n"
 
 
+@pytest.mark.parametrize("d, dprime, all_members", [(2, 4, False), (3, 4, False), (2, 5, True)])
+def test_search_searches_the_complement_frame_it_builds(tmp_path, capsys, monkeypatch,
+                                                       d, dprime, all_members):
+    from umebkit.bases import _complement_frame
+    from umebkit.search import _search
+
+    path = tmp_path / "basis.json"
+    basis = build_weyl_umeb(d, dprime)
+    if all_members:  # two members, unflagged: only --all-members subtracts them
+        basis = BasisSet(d, dprime, basis.amplitudes[:2], [False, False])
+    save_basis(path, basis)
+    eigh, frames = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        frames.append(np.ndim(a) == 2)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    flags = ["--all-members"] if all_members else []
+    code = main(["search", str(path), "--seed", "1", "--json", *flags])
+    doc = json.loads(capsys.readouterr().out)
+    assert not any(frames)  # no eigendecomposition of the projector
+    Q = _complement_frame(load_basis(path), me_only=not all_members)
+    result = _search(Q @ Q.conj().T, Q, d, dprime, SearchConfig(seed=1))
+    assert doc["verdict"] == result.verdict and doc["best_F"] == result.best_F
+    assert code == (0 if result.verdict == "found_me" else 1)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-9", "1e400", "NaN"])
 def test_tol_refuses_a_value_that_is_not_finite_or_is_negative(tmp_path, capsys, bad):
     w23, first, second = (tmp_path / f"{name}.json" for name in ("w23", "first", "second"))

@@ -39,6 +39,41 @@ def record_runs(monkeypatch):
     return runs
 
 
+def record_polish(monkeypatch, runs=()):
+    """Record each ``_polish`` call as (runs recorded before it, the F of the
+    rows it was handed, its accepted flags)."""
+    import umebkit.search as search
+
+    real_polish, calls = search._polish, []
+
+    def recording_polish(*args):
+        out = real_polish(*args)
+        calls.append((len(runs), args[2].copy(), out[2].copy()))
+        return out
+
+    monkeypatch.setattr(search, "_polish", recording_polish)
+    return calls
+
+
+def ladder_parks(out, witness_tol):
+    """The parks of an ``_ascend_batch`` output ``out`` whose polish accepted
+    no row, read from its F history: ``(i, rows, F)`` per iteration i at
+    which some rows have ``1 - F`` at most their threshold, which starts at
+    ``witness_tol`` and tightens by ``PARK_STEP`` at each park.  The rows
+    evaluated at iteration i are those with more than i evaluations."""
+    import umebkit.search as search
+
+    iterations, history = out[2], out[5]
+    threshold, parks = np.full(len(iterations), witness_tol), []
+    for i, F in enumerate(history):
+        live = np.flatnonzero(iterations > i)
+        park = 1.0 - F <= threshold[live]
+        if park.any():
+            parks.append((i, live[park], F[park]))
+            threshold[live[park]] *= search.PARK_STEP
+    return parks
+
+
 def count_work(monkeypatch, witness_tol):
     """Count a search's work from outside it; the returned function gives
     the F evaluations of its recorded runs, those of rows that met
@@ -434,11 +469,11 @@ def test_search_takes_one_stacked_eigh_per_iteration(monkeypatch):
     assert svds == []  # every state of this search is well conditioned
 
 
-def subspace_projector(seed, d, dprime, k):
+def subspace_projector(seed, d, dprime, k, j=0):
     """Projector onto a random rank-k subspace of C^d (x) C^d', drawn as the
-    benchmark's search workloads draw theirs."""
+    benchmark's search workloads draw their j-th."""
     n = d * dprime
-    rng = np.random.default_rng([seed, d, dprime, k, 0])
+    rng = np.random.default_rng([seed, d, dprime, k, j])
     q, _ = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
     return q @ q.conj().T
 
@@ -465,7 +500,7 @@ STOP_CASES = {
 
 
 @pytest.mark.parametrize("case", STOP_CASES)
-def test_witness_stop_ends_the_batch_at_the_first_witness(case):
+def test_witness_stop_ends_the_batch_at_the_first_witness(monkeypatch, case):
     import umebkit.search as search
 
     P, d, dprime = STOP_CASES[case]()
@@ -473,10 +508,15 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(case):
     starts = _restart_starts(1, range(8), d * dprime) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     full = _ascend_batch(P, starts, d, dprime, 400)
+    calls = record_polish(monkeypatch)
     stopped = _ascend_batch(P, starts, d, dprime, 400, witness_tol, range_frame(P))
     full_history, history, accepted = full[5], stopped[5], stopped[6]
-    hits = [i for i, F in enumerate(full_history) if np.any(1.0 - F <= witness_tol)]
-    assert len(history) == (hits[0] + 1 if hits else len(full_history))
+    # the polish is handed the rows the unstopped run parks, with their F,
+    # and rejects them until it accepts one; the batch ends at that iteration
+    parks = ladder_parks(full, witness_tol)[:len(calls)]
+    assert [F.tobytes() for _, F, _ in calls] == [F.tobytes() for _, _, F in parks]
+    assert not any(ok.any() for _, _, ok in calls[:-1])
+    assert len(history) == (parks[-1][0] + 1 if calls else len(full_history))
     # up to the stop, the stopped run is the unstopped run, bit for bit, and
     # it ends as that run cut at max_iters there: on the states last
     # evaluated, except the accepted rows, which hold their finished states
@@ -486,9 +526,10 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(case):
         assert a[~accepted].tobytes() == b[~accepted].tobytes()
     assert (stopped[2] == cut[2]).all() and stopped[3][accepted].all()
     if case == "weyl(2,3)":
-        assert not hits and not accepted.any()
+        assert not calls and not ladder_parks(full, witness_tol) and not accepted.any()
     else:
-        assert hits and accepted.any()
+        assert calls[-1][2].any()
+        assert np.flatnonzero(accepted).tolist() == parks[-1][1][calls[-1][2]].tolist()
         for r in np.flatnonzero(accepted):
             assert 1.0 - cut[1][r] <= witness_tol
             assert me_residual(stopped[0][r], d, dprime) <= search.POLISH_TOL
@@ -561,9 +602,10 @@ def test_restart_starts_over_a_range_are_that_slice_of_the_full_draw(seed, n):
         assert part.tobytes() == full[rows.start:rows.stop].tobytes()
 
 
-# (3,5) k=5: no witness in the first run's 32 F evaluations, and one after
-# ~150 in the second; (3,5) k=4: no witness, every row of the second run runs
-# to its cap of 150 iterations (the first to converge needs 178).
+# (3,5) k=5: four rows of the first run park in its 32 F evaluations and the
+# polish rejects each, and the second run accepts one at its 41st; (3,5) k=4:
+# no witness, every row of the second run runs to its cap of 150 iterations
+# (the first to converge needs 178).
 @pytest.mark.parametrize("k", [5, 4])
 def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     import umebkit.search as search
@@ -572,6 +614,7 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     P = subspace_projector(1, d, dprime, k)
     witness_tol = SearchConfig().witness_tol
     runs = record_runs(monkeypatch)
+    calls = record_polish(monkeypatch, runs)
     config = SearchConfig(restarts=R, max_iters=max_iters, seed=1)
     result = _search(P, range_frame(P), d, dprime, config)
     (first_args, first), (args, second) = runs
@@ -579,7 +622,14 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     starts = projected_starts(P, 1, range(R))
     assert first_args[1].tobytes() == starts[:search.FIRST_STAGE].tobytes()
     assert first_args[4] == len(first[5]) == search.FIRST_RUN_EVALS
-    assert not np.any(1.0 - first[1] <= witness_tol) and not first[6].any()
+    # no row of it is accepted: every row that met the threshold was handed
+    # to the polish at each of its parks, and rejected
+    first_calls, parks = [c for c in calls if c[0] == 0], ladder_parks(first, witness_tol)
+    assert not first[6].any() and not any(ok.any() for _, _, ok in first_calls)
+    assert [F.tobytes() for _, F, _ in first_calls] == [F.tobytes() for _, _, F in parks]
+    met = np.flatnonzero(1.0 - first[1] <= witness_tol)
+    assert set(met) <= {r for _, rows, _ in parks for r in rows}
+    assert len(met) == (4 if k == 5 else 0)
     # the second: every restart from its start, with the full max_iters
     assert args[1].tobytes() == starts.tobytes() and args[4] == max_iters
     psi, F, iterations, converged, collapsed, history, accepted = second[:7]
@@ -668,17 +718,26 @@ def test_certify_verdicts_match_the_full_search_on_the_sweep(seed):
         assert (report.verdict == "extendible") == (2 * d <= dprime), (d, dprime)
 
 
+# Extendible sweep shapes where a start of restarts 0-7 already has
+# 1 - F <= witness_tol, so that its first F evaluation parks it and the
+# polish finishes it there.
+POLISHED_AT_FIRST = {1: set(), 42: {(2, 17), (2, 24)}}
+
+
 @pytest.mark.parametrize("seed", [1, 42])
 def test_certify_of_an_extendible_sweep_shape_is_one_run_of_two_evaluations(monkeypatch, seed):
-    # the traffic the staging is for: restarts 0-7 meet the witness tolerance
-    # at their second F evaluation, and restarts 8-63 are never drawn
+    # the traffic the staging is for: restarts 0-7 are accepted by their
+    # second F evaluation, and restarts 8-63 are never drawn; the witness is
+    # exact at the second, or polished at the first
     runs = record_runs(monkeypatch)
     for d, dprime in SWEEP_SHAPES:
         if 2 * d > dprime:
             continue
         runs.clear()
         report = certify(build_weyl_umeb(d, dprime), SearchConfig(seed=seed))
-        assert [len(out[5]) for _, out in runs] == [2], (d, dprime)
+        early = (d, dprime) in POLISHED_AT_FIRST[seed]
+        assert [len(out[5]) for _, out in runs] == [1 if early else 2], (d, dprime)
+        assert (runs[0][1][8] > 0) == early, (d, dprime)  # Gauss-Newton steps
         assert report.verdict == "extendible" and report.restarts_used == 8, (d, dprime)
 
 
@@ -743,17 +802,51 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
     polished = []
 
     def reject_all(Q, x, F, w, d, dprime):
-        polished.append(len(x))
+        polished.append(F.copy())
         return x, F, np.zeros(len(x), dtype=bool), 0
 
     monkeypatch.setattr(search, "_polish", reject_all)
     parked = _ascend_batch(P, starts, d, dprime, 2000, witness_tol, range_frame(P))
-    # each row that meets the tolerance parks once, and only once
-    met = int(np.sum(1.0 - unparked[1] <= witness_tol))
-    assert 0 < sum(polished) == met <= 16
+    # each row that meets the tolerance parks, and parks again only when
+    # 1 - F is at most PARK_STEP times the threshold it last parked at
+    parks = ladder_parks(unparked, witness_tol)
+    assert [F.tobytes() for F in polished] == [F.tobytes() for _, _, F in parks]
+    first_park = {}
+    for i, rows, _ in parks:
+        for r in rows:
+            first_park.setdefault(int(r), i)
+    met = np.flatnonzero(1.0 - unparked[1] <= witness_tol)
+    assert 0 < len(met) <= 16 and sorted(first_park) == met.tolist()
+    assert sum(map(len, (rows for _, rows, _ in parks))) > len(met)  # some park twice
+    # the evaluations after a row's first park count, and only those
+    assert parked[7] == sum(int(unparked[2][r]) - i - 1 for r, i in first_park.items())
     assert not parked[6].any() and not unparked[6].any()
     for a, b in zip(parked[:6], unparked[:6]):
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_a_row_the_polish_rejects_is_accepted_at_a_later_park(monkeypatch):
+    import umebkit.search as search
+
+    # (5,7) k=13 sits at the threshold rank: the polish rejects every row
+    # parked at 1 - F <= witness_tol, and accepts a row parked again closer
+    # in.  Parking each row only once, the search found nothing here.
+    d, dprime = 5, 7
+    P = subspace_projector(5, d, dprime, 13, j=1)
+    runs = record_runs(monkeypatch)
+    calls = record_polish(monkeypatch, runs)
+    result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1, max_iters=2000))
+    assert result.verdict == "found_me" and result.evaluations_after_park > 0
+    assert me_residual(result.best_state.amplitudes, d, dprime) <= search.POLISH_TOL
+    assert not any(ok.any() for _, _, ok in calls[:-1]) and calls[-1][2].any()
+    # the last run, replayed unparked to its stop, parks the rows handed to
+    # the polish, and each accepted row had parked before
+    args, out = runs[-1]
+    last = [c for c in calls if c[0] == len(runs) - 1]
+    parks = ladder_parks(_ascend_batch(*args[:4], len(out[5])), args[5])[:len(last)]
+    assert [F.tobytes() for _, F, _ in last] == [F.tobytes() for _, _, F in parks]
+    for r in parks[-1][1][last[-1][2]]:
+        assert any(r in rows for _, rows, _ in parks[:-1])
 
 
 def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
