@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify, certify, search, mub, channel, pauli.
 Exit codes are a stable contract: 0 success/affirmative, 1 property-negative,
-2 usage or format error, 3 inconclusive.  With ``--json`` the machine report
-is the only thing on standard output; diagnostics go to standard error.
+2 usage or format error (or a request too large to allocate), 3 inconclusive.
+With ``--json`` the machine report is the only thing on standard output;
+diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .fileio import _dumps, _report_fields, basis_to_obj, load_basis, save_basis
 from .mub import overlap_matrix
 from .search import SearchConfig, _search, certify
 from .states import weyl_operator
-from .tolerances import EXACT_TOL, MAX_SPACE_DIM, ME_TOL
+from .tolerances import EXACT_TOL, MAX_SPACE_DIM, ME_TOL, check_tol
 
 __all__ = ["main"]
 
@@ -50,10 +51,12 @@ def _search_config(args) -> SearchConfig:
 
 
 def _tolerance(text: str) -> float:
-    """The type of ``--tol``: a finite float, at least 0."""
+    """The type of ``--tol``: a float that :func:`check_tol` admits."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    try:
+        check_tol(value)
+    except ContractViolationError:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}") from None
     return value
 
 
@@ -313,7 +316,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ContractViolationError, FileFormatError, OSError) as exc:
+    except (ContractViolationError, FileFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailureError as exc:

@@ -5,7 +5,7 @@ The objective is the fully-entangled overlap ``F(psi) = (sum_p s_p)^2 / d``
 which equals 1 exactly on the maximally entangled states.  Each restart
 alternates two closed-form projections — onto the subspace and onto the
 maximally entangled set — so F never decreases within a restart.  A restart
-that comes within ``witness_tol`` of F = 1 is finished at once, by an exact
+that comes within :data:`PARK_STEP` of F = 1 is finished at once, by an exact
 test or a Gauss-Newton polish, and the first one they accept is the witness;
 one they reject ascends on and is tried again closer to F = 1.
 The search can only ever *find* witnesses; a failed search is reported as
@@ -22,7 +22,7 @@ from .bases import BasisSet, CertificateReport, _complement_frame, _frame_certif
 from .errors import ContractViolationError, NumericalFailureError
 from .linalg import svd
 from .states import BipartiteState
-from .tolerances import EXACT_TOL, WITNESS_TOL, cite
+from .tolerances import EXACT_TOL, cite
 
 __all__ = [
     "SearchConfig",
@@ -85,9 +85,11 @@ POLISH_TOL = 1e-11
 #: time (1.9 on average), and a search's traced peak is about 0.2 MiB.
 POLISH_CHUNK = 8
 
-#: Factor by which a row's park threshold tightens each time it parks: a row
-#: the polish rejects at ``1 - F <= witness_tol`` ascends on and parks again
-#: at ``PARK_STEP * witness_tol``, then at ``PARK_STEP**2 * witness_tol``.
+#: The park ladder: a row parks for the exact test and the polish at its
+#: first F evaluation with ``1 - F <= PARK_STEP``, and a row they reject
+#: ascends on and parks again at ``PARK_STEP**2``, then ``PARK_STEP**3``.
+#: From 1e-3 the polish converges quadratically, where the ascent converges
+#: only linearly, so a lower first rung would pay for more slow iterations.
 #: Near the threshold rank the polish stalls from 1e-3 and succeeds from
 #: closer in: on eight random (5,7) rank-13 subspaces, parking each row only
 #: once found 2 witnesses in 14 s, and this ladder 8 in 2.7 s.
@@ -96,19 +98,14 @@ PARK_STEP = 1e-3
 
 @dataclass(eq=False)
 class SearchConfig:
-    """Knobs for the restarted alternating-projection search.
+    """The three knobs of the restarted alternating-projection search.
 
-    ``witness_tol`` (default ``WITNESS_TOL``, 1e-3) is the threshold on
-    ``1 - F`` at which a restart first parks to be finished by the exact test
-    or the polish (:func:`_polish`); only a restart they accept is a witness,
-    and one they reject parks again each time ``1 - F`` falls by a further
-    factor :data:`PARK_STEP`.
-    It must exceed :data:`CONVERGENCE_TOL`, the per-iteration change of F at
-    which a restart stops, which is fixed rather than a knob.  Both
-    ``certify`` and ``max_entanglement_in_subspace`` run restarts 0-7 first,
-    for at most :data:`FIRST_RUN_EVALS` F evaluations, and all restarts
-    again from their starts only if none of the first is accepted; the
-    first accepted restart ends the search.
+    Where a restart parks for the exact test and the polish (:data:`PARK_STEP`)
+    and the change of F at which it stops (:data:`CONVERGENCE_TOL`) are
+    fixed.  Both ``certify`` and ``max_entanglement_in_subspace`` run
+    restarts 0-7 first, for at most :data:`FIRST_RUN_EVALS` F evaluations,
+    and all restarts again from their starts only if none of the first is
+    accepted; the first accepted restart ends the search.
     ``seed`` makes the whole search deterministic: restart r draws its start
     from an independent counter-based stream keyed by ``(seed, r)``.  Seeds
     run from 0 to ``2**63 - 1``; numpy's Philox key parser reads larger ones
@@ -120,7 +117,6 @@ class SearchConfig:
 
     restarts: int = 64
     max_iters: int = 10000
-    witness_tol: float = WITNESS_TOL
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -130,10 +126,6 @@ class SearchConfig:
                 raise ContractViolationError(f"{name} must be an integer, got {value!r}")
         if self.restarts <= 0 or self.max_iters <= 0:
             raise ContractViolationError("restarts and max_iters must be positive")
-        if not self.witness_tol > CONVERGENCE_TOL:
-            raise ContractViolationError(
-                f"witness_tol must exceed the convergence tolerance {CONVERGENCE_TOL:g}"
-            )
         if not 0 <= self.seed < 2**63:
             raise ContractViolationError("seed must be an integer in [0, 2**63)")
 
@@ -316,7 +308,7 @@ def _gauss_newton(Q, x, d, dprime):
     return polished, met, steps
 
 
-def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, Q=None):
+def _ascend_batch(P, psi0, d, dprime, max_iters, Q=None):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked projection (:func:`_nearest_me_amplitudes`) per iteration
@@ -324,14 +316,14 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, Q=None):
     :data:`CONVERGENCE_TOL`, when its projection vanishes (collapsed), or after
     its own ``max_iters`` F evaluations; a row that stops without collapsing
     keeps the state it was last evaluated at, so its recorded F is that
-    state's F.  Given ``witness_tol`` and Q, an orthonormal frame of
-    range(P), each row has a park threshold, at first ``witness_tol``: a row
-    parks at an F evaluation with ``1 - F`` at most its threshold, which then
-    tightens by the factor :data:`PARK_STEP`, and :func:`_polish` finishes it
-    on Q in the same iteration.  The first iteration in which a row is
-    accepted ends the whole batch, without projecting again; a row not
-    accepted ascends on as if it had never parked, until it meets its
-    tightened threshold.
+    state's F.  Given Q, an orthonormal frame of range(P), each row has a
+    park threshold, at first :data:`PARK_STEP`: a row parks at an F
+    evaluation with ``1 - F`` at most its threshold, which then tightens by
+    the factor :data:`PARK_STEP`, and :func:`_polish` finishes it on Q in
+    the same iteration.  Without Q no row parks.  The first iteration in
+    which a row is accepted ends the whole batch, without projecting again;
+    a row not accepted ascends on as if it had never parked, until it meets
+    its tightened threshold.
     Returns the states, their last F, per-row F evaluation counts, converged
     and collapsed flags, per iteration the array of F evaluated on the rows
     then advancing, the flags of the accepted rows (which count as
@@ -341,7 +333,7 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, witness_tol=None, Q=None):
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
     converged, collapsed, parked, accepted = np.zeros((4, R), dtype=bool)
-    park_at = np.full(R, -np.inf if witness_tol is None else witness_tol)
+    park_at = np.full(R, -np.inf if Q is None else PARK_STEP)
     active, history, park_evals, polish_steps = np.arange(R), [], 0, 0
     while active.size:
         x = psi[active]
@@ -461,7 +453,7 @@ def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchRes
         raise ContractViolationError("projector has rank 0: nothing to search")
     if config is None:
         config = SearchConfig()
-    n, R, tol = d * dprime, config.restarts, config.witness_tol
+    n, R = d * dprime, config.restarts
 
     def starts(rows: range) -> np.ndarray:  # projected; collapsed starts dropped
         pg = _project(_restart_starts(config.seed, rows, n), P)
@@ -471,10 +463,10 @@ def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchRes
 
     first = starts(range(min(FIRST_STAGE, R)))
     cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
-    runs = [_ascend_batch(P, first, d, dprime, cap, tol, Q)]
+    runs = [_ascend_batch(P, first, d, dprime, cap, Q)]
     if R > FIRST_STAGE and not runs[0][6].any():
         runs.append(_ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
-                                  d, dprime, config.max_iters, tol, Q))
+                                  d, dprime, config.max_iters, Q))
     psi, F, iterations, converged, collapsed, _, accepted = runs[-1][:7]
     if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
@@ -508,7 +500,7 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     ``search_best_F`` is its F.  On the Weyl shapes with d <= d'/2 one of
     restarts 0-7 is accepted by its second F evaluation, so restarts 8 and
     up are never drawn: it is exact there, or, on a d = 2 shape where a start
-    already has ``1 - F <= witness_tol``, polished at the first.  A search that
+    already has ``1 - F <= PARK_STEP``, polished at the first.  A search that
     accepts no restart downgrades the verdict to ``inconclusive`` with the
     best overlap of every restart run to convergence recorded.  The frame is
     orthonormal by construction and the certificate refuses an empty one, so

@@ -30,11 +30,11 @@ what the stage before it admitted:
    marginals and entropies come from the certificate's reshapes, and
    ``certify`` hands the search the frame and its projector.  Only a
    projector handed to ``max_entanglement_in_subspace`` is checked, at
-   :data:`EXACT_TOL`, and framed by ``eigh``.  A search state with
-   ``1 - F`` at most :data:`WITNESS_TOL` parks, and is a witness once the
+   :data:`EXACT_TOL`, and framed by ``eigh``.  The search's verdict reads
+   no bound of this module: a search state is a witness only once the
    search's exact test or Gauss-Newton polish brings it within
-   ``search.POLISH_TOL`` of maximal entanglement; one they reject parks
-   again at ``search.PARK_STEP`` times its last threshold.
+   ``search.POLISH_TOL`` of maximal entanglement, and where it parks for
+   them is the search's own ladder, ``search.PARK_STEP``.
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and
 ``overlap_constraint_matrix``, the projector of
@@ -43,8 +43,8 @@ the two checks next to a factorisation, of the orthonormality of the SVD's
 Schmidt vectors and of the Hermiticity of ``hermitian_eig``'s input, use the
 tighter :data:`FACTOR_TOL`; a tolerance a caller hands in must be finite and
 at least 0 (:func:`check_tol`).  Constants that one algorithm owns (the
-search's convergence and collapse thresholds and its Gram cutoff, the
-entropy's eigenvalue clip) stay named in their own module.
+search's convergence and collapse thresholds, its Gram cutoff and its park
+ladder, the entropy's eigenvalue clip) stay named in their own module.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "EXACT_TOL",
     "FACTOR_TOL",
     "RANK_CUT",
-    "WITNESS_TOL",
     "MAX_SPACE_DIM",
     "NORM_SQ_TOL",
     "cite",
@@ -96,12 +95,6 @@ FACTOR_TOL = 1e-10
 #: Singular values of the reshaped complement frame above this count towards
 #: a support rank.
 RANK_CUT = 1e-5
-
-#: Default search park threshold: a state with ``1 - F`` at most this goes to
-#: the exact test and the polish, which decide whether it is a witness.  From
-#: here the polish converges quadratically, where the ascent converges only
-#: linearly, so a lower threshold would pay for more slow iterations.
-WITNESS_TOL = 1e-3
 
 #: Bound on ``|sum(s**2) - 1|`` for the Schmidt coefficients ``s`` of a vector
 #: admitted at :data:`NORM_TOL`: its squared norm lies within

@@ -284,6 +284,24 @@ def test_seeds_beyond_philox_keys_exit_2(tmp_path, capsys, command, seed):
     assert "seed must be an integer in [0, 2**63)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["search", "certify"])
+def test_a_search_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, command):
+    import umebkit.search as search
+
+    # what numpy raises for --restarts 1000000000000 on Weyl(3,4), whose
+    # second run draws every start at once; exit 1 would read as none_found
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 175. TiB for an array")
+
+    monkeypatch.setattr(search, "_restart_starts", refuse)
+    w24 = tmp_path / "w24.json"
+    save_basis(w24, build_weyl_umeb(2, 4))
+    assert main([command, str(w24), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 175. TiB for an array\n"
+
+
 def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
     w24 = tmp_path / "w24.json"
     save_basis(w24, build_weyl_umeb(2, 4))

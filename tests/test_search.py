@@ -55,16 +55,16 @@ def record_polish(monkeypatch, runs=()):
     return calls
 
 
-def ladder_parks(out, witness_tol):
+def ladder_parks(out):
     """The parks of an ``_ascend_batch`` output ``out`` whose polish accepted
     no row, read from its F history: ``(i, rows, F)`` per iteration i at
     which some rows have ``1 - F`` at most their threshold, which starts at
-    ``witness_tol`` and tightens by ``PARK_STEP`` at each park.  The rows
+    ``PARK_STEP`` and tightens by ``PARK_STEP`` at each park.  The rows
     evaluated at iteration i are those with more than i evaluations."""
     import umebkit.search as search
 
     iterations, history = out[2], out[5]
-    threshold, parks = np.full(len(iterations), witness_tol), []
+    threshold, parks = np.full(len(iterations), search.PARK_STEP), []
     for i, F in enumerate(history):
         live = np.flatnonzero(iterations > i)
         park = 1.0 - F <= threshold[live]
@@ -74,10 +74,12 @@ def ladder_parks(out, witness_tol):
     return parks
 
 
-def count_work(monkeypatch, witness_tol):
+def count_work(monkeypatch):
     """Count a search's work from outside it; the returned function gives
     the F evaluations of its recorded runs, those of rows that met
-    ``witness_tol`` at an earlier one, and the rows of its stacked solves."""
+    ``PARK_STEP`` at an earlier one, and the rows of its stacked solves."""
+    import umebkit.search as search
+
     runs, solved, solve = record_runs(monkeypatch), [], np.linalg.solve
 
     def counting_solve(a, b):  # counted before it runs: a singular solve too
@@ -89,8 +91,8 @@ def count_work(monkeypatch, witness_tol):
     def counts():
         # F never falls within a run, so a row meets the tolerance at every
         # evaluation from the one it parked at, and with its last F
-        met = sum(int(np.sum(1.0 - F <= witness_tol)) for _, out in runs for F in out[5])
-        rows = sum(int(np.sum(1.0 - out[1] <= witness_tol)) for _, out in runs)
+        met = sum(int(np.sum(1.0 - F <= search.PARK_STEP)) for _, out in runs for F in out[5])
+        rows = sum(int(np.sum(1.0 - out[1] <= search.PARK_STEP)) for _, out in runs)
         return sum(int(out[2].sum()) for _, out in runs), met - rows, sum(solved)
 
     return counts
@@ -367,8 +369,8 @@ def test_search_config_validation():
         config = SearchConfig(**{field: np.int64(3)})
         assert getattr(config, field) == 3
     SearchConfig(restarts=np.uint8(2), max_iters=np.int32(5), seed=np.uint64(2**63 - 1))
-    with pytest.raises(ContractViolationError):
-        SearchConfig(witness_tol=1e-13)  # not above CONVERGENCE_TOL
+    with pytest.raises(TypeError):  # the park ladder is fixed, not a knob
+        SearchConfig(witness_tol=1e-3)
     with pytest.raises(ContractViolationError):
         SearchConfig(seed=-1)
     # numpy's Philox reads these keys through a float (aliasing another
@@ -504,16 +506,15 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(monkeypatch, case):
     import umebkit.search as search
 
     P, d, dprime = STOP_CASES[case]()
-    witness_tol = SearchConfig().witness_tol
     starts = _restart_starts(1, range(8), d * dprime) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     full = _ascend_batch(P, starts, d, dprime, 400)
     calls = record_polish(monkeypatch)
-    stopped = _ascend_batch(P, starts, d, dprime, 400, witness_tol, range_frame(P))
+    stopped = _ascend_batch(P, starts, d, dprime, 400, Q=range_frame(P))
     full_history, history, accepted = full[5], stopped[5], stopped[6]
     # the polish is handed the rows the unstopped run parks, with their F,
     # and rejects them until it accepts one; the batch ends at that iteration
-    parks = ladder_parks(full, witness_tol)[:len(calls)]
+    parks = ladder_parks(full)[:len(calls)]
     assert [F.tobytes() for _, F, _ in calls] == [F.tobytes() for _, _, F in parks]
     assert not any(ok.any() for _, _, ok in calls[:-1])
     assert len(history) == (parks[-1][0] + 1 if calls else len(full_history))
@@ -526,24 +527,26 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(monkeypatch, case):
         assert a[~accepted].tobytes() == b[~accepted].tobytes()
     assert (stopped[2] == cut[2]).all() and stopped[3][accepted].all()
     if case == "weyl(2,3)":
-        assert not calls and not ladder_parks(full, witness_tol) and not accepted.any()
+        assert not calls and not ladder_parks(full) and not accepted.any()
     else:
         assert calls[-1][2].any()
         assert np.flatnonzero(accepted).tolist() == parks[-1][1][calls[-1][2]].tolist()
         for r in np.flatnonzero(accepted):
-            assert 1.0 - cut[1][r] <= witness_tol
+            assert 1.0 - cut[1][r] <= search.PARK_STEP
             assert me_residual(stopped[0][r], d, dprime) <= search.POLISH_TOL
             assert np.linalg.norm(stopped[0][r] - P @ stopped[0][r]) <= 1e-12
             assert abs(1.0 - stopped[1][r]) <= 1e-12
 
 
-def _check_witness(state, P, witness_tol):
-    """``state`` lies in range(P), is a unit vector, and has 1 - F <= witness_tol."""
+def _check_witness(state, P):
+    """``state`` lies in range(P), is a unit vector, and has 1 - F <= PARK_STEP."""
+    import umebkit.search as search
+
     amps = state.amplitudes
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
     assert np.linalg.norm(amps - P @ amps) <= 1e-9
     s = np.linalg.svd(amps.reshape(state.d, state.dprime), compute_uv=False)
-    assert 1.0 - s.sum() ** 2 / state.d <= witness_tol
+    assert 1.0 - s.sum() ** 2 / state.d <= search.PARK_STEP
 
 
 @pytest.mark.parametrize("d, dprime, k", [(3, 5, 4), (3, 5, 5), (3, 5, 10), (4, 6, 16),
@@ -556,10 +559,10 @@ def test_first_witness_search_agrees_with_full_search(d, dprime, k):
     config = SearchConfig(restarts=8, max_iters=2000, seed=1)
     first = max_entanglement_in_subspace(P, d, dprime, config)
     psi, F, iterations = _ascend_batch(P, projected_starts(P, 1, range(8)), d, dprime, 2000)[:3]
-    met = 1.0 - F <= config.witness_tol
+    met = 1.0 - F <= search.PARK_STEP
     assert (first.verdict == "found_me") == bool(met.any())
     if first.verdict == "found_me":
-        _check_witness(first.best_state, P, config.witness_tol)
+        _check_witness(first.best_state, P)
         assert me_residual(first.best_state.amplitudes, d, dprime) <= search.POLISH_TOL
         assert first.iterations_used <= iterations[met].max()
     else:  # no witness: the same full run
@@ -570,6 +573,8 @@ def test_first_witness_search_agrees_with_full_search(d, dprime, k):
 
 @pytest.mark.parametrize("d, dprime", [(2, 4), (2, 5), (3, 6)])
 def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dprime):
+    import umebkit.search as search
+
     runs = record_runs(monkeypatch)
     basis = build_weyl_umeb(d, dprime)
     P = complement_projector(basis)
@@ -580,11 +585,11 @@ def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dpr
     # F is 1 to rounding after two iterations; the full search parks every
     # row there, and its exact test accepts them without a third
     assert [len(out[5]) for _, out in runs] == [2, 2]
-    _check_witness(report.witness, P, config.witness_tol)
+    _check_witness(report.witness, P)
     assert np.abs(basis.amplitudes.conj() @ report.witness.amplitudes).max() <= 1e-9
     F = np.linalg.svd(report.witness.amplitudes.reshape(d, dprime), compute_uv=False).sum() ** 2 / d
     assert abs(report.search_best_F - F) <= 1e-12
-    assert 1.0 - report.search_best_F <= config.witness_tol
+    assert 1.0 - report.search_best_F <= search.PARK_STEP
 
 
 def projected_starts(P, seed, rows):
@@ -612,7 +617,6 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
 
     d, dprime, R, max_iters = 3, 5, 24, 2000 if k == 5 else 150
     P = subspace_projector(1, d, dprime, k)
-    witness_tol = SearchConfig().witness_tol
     runs = record_runs(monkeypatch)
     calls = record_polish(monkeypatch, runs)
     config = SearchConfig(restarts=R, max_iters=max_iters, seed=1)
@@ -624,10 +628,10 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     assert first_args[4] == len(first[5]) == search.FIRST_RUN_EVALS
     # no row of it is accepted: every row that met the threshold was handed
     # to the polish at each of its parks, and rejected
-    first_calls, parks = [c for c in calls if c[0] == 0], ladder_parks(first, witness_tol)
+    first_calls, parks = [c for c in calls if c[0] == 0], ladder_parks(first)
     assert not first[6].any() and not any(ok.any() for _, _, ok in first_calls)
     assert [F.tobytes() for _, F, _ in first_calls] == [F.tobytes() for _, _, F in parks]
-    met = np.flatnonzero(1.0 - first[1] <= witness_tol)
+    met = np.flatnonzero(1.0 - first[1] <= search.PARK_STEP)
     assert set(met) <= {r for _, rows, _ in parks for r in rows}
     assert len(met) == (4 if k == 5 else 0)
     # the second: every restart from its start, with the full max_iters
@@ -637,7 +641,8 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     assert min(map(len, history)) >= 2
     assert len(history) == iterations.max()
     # k=5: one row meets the witness tolerance, is polished and ends the run
-    assert accepted.sum() == (k == 5) and (k == 5) == bool(np.any(1.0 - F <= witness_tol))
+    met = 1.0 - F <= search.PARK_STEP
+    assert accepted.sum() == (k == 5) and (k == 5) == bool(met.any())
     b = int(np.argmax(F))
     assert accepted[b] or k == 4
     assert result.best_F == F[b] and result.iterations_used == iterations[b]
@@ -719,7 +724,7 @@ def test_certify_verdicts_match_the_full_search_on_the_sweep(seed):
 
 
 # Extendible sweep shapes where a start of restarts 0-7 already has
-# 1 - F <= witness_tol, so that its first F evaluation parks it and the
+# 1 - F <= PARK_STEP, so that its first F evaluation parks it and the
 # polish finishes it there.
 POLISHED_AT_FIRST = {1: set(), 42: {(2, 17), (2, 24)}}
 
@@ -796,7 +801,6 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
     import umebkit.search as search
 
     P, d, dprime = STOP_CASES[case]()
-    witness_tol = SearchConfig().witness_tol
     starts = projected_starts(P, 1, range(16))
     unparked = _ascend_batch(P, starts, d, dprime, 2000)
     polished = []
@@ -806,16 +810,16 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
         return x, F, np.zeros(len(x), dtype=bool), 0
 
     monkeypatch.setattr(search, "_polish", reject_all)
-    parked = _ascend_batch(P, starts, d, dprime, 2000, witness_tol, range_frame(P))
+    parked = _ascend_batch(P, starts, d, dprime, 2000, Q=range_frame(P))
     # each row that meets the tolerance parks, and parks again only when
     # 1 - F is at most PARK_STEP times the threshold it last parked at
-    parks = ladder_parks(unparked, witness_tol)
+    parks = ladder_parks(unparked)
     assert [F.tobytes() for F in polished] == [F.tobytes() for _, _, F in parks]
     first_park = {}
     for i, rows, _ in parks:
         for r in rows:
             first_park.setdefault(int(r), i)
-    met = np.flatnonzero(1.0 - unparked[1] <= witness_tol)
+    met = np.flatnonzero(1.0 - unparked[1] <= search.PARK_STEP)
     assert 0 < len(met) <= 16 and sorted(first_park) == met.tolist()
     assert sum(map(len, (rows for _, rows, _ in parks))) > len(met)  # some park twice
     # the evaluations after a row's first park count, and only those
@@ -829,7 +833,7 @@ def test_a_row_the_polish_rejects_is_accepted_at_a_later_park(monkeypatch):
     import umebkit.search as search
 
     # (5,7) k=13 sits at the threshold rank: the polish rejects every row
-    # parked at 1 - F <= witness_tol, and accepts a row parked again closer
+    # parked at 1 - F <= PARK_STEP, and accepts a row parked again closer
     # in.  Parking each row only once, the search found nothing here.
     d, dprime = 5, 7
     P = subspace_projector(5, d, dprime, 13, j=1)
@@ -843,7 +847,7 @@ def test_a_row_the_polish_rejects_is_accepted_at_a_later_park(monkeypatch):
     # the polish, and each accepted row had parked before
     args, out = runs[-1]
     last = [c for c in calls if c[0] == len(runs) - 1]
-    parks = ladder_parks(_ascend_batch(*args[:4], len(out[5])), args[5])[:len(last)]
+    parks = ladder_parks(_ascend_batch(*args[:4], len(out[5])))[:len(last)]
     assert [F.tobytes() for _, F, _ in last] == [F.tobytes() for _, _, F in parks]
     for r in parks[-1][1][last[-1][2]]:
         assert any(r in rows for _, rows, _ in parks[:-1])
@@ -882,11 +886,11 @@ def test_a_search_whose_parked_rows_all_fail_the_polish(monkeypatch):
     import umebkit.search as search
 
     # near (3,4)'s threshold rank no state of the subspace is maximally
-    # entangled: rows park within a loose witness tolerance, the polish
-    # stalls on every one, they all ascend on as if never parked, and the
-    # search finds nothing, although its best F meets the tolerance
+    # entangled: rows park within PARK_STEP of F = 1, the polish stalls on
+    # every one, they all ascend on as if never parked, and the search finds
+    # nothing, although its best F is within PARK_STEP of 1
     P = subspace_projector(1, 3, 4, 5)
-    config = SearchConfig(restarts=8, witness_tol=1e-3, seed=1)
+    config = SearchConfig(restarts=8, seed=1)
     parked = []
     real_polish = search._polish
 
@@ -902,7 +906,7 @@ def test_a_search_whose_parked_rows_all_fail_the_polish(monkeypatch):
     starts = projected_starts(P, 1, range(8))
     psi, F = _ascend_batch(P, starts, 3, 4, config.max_iters)[:2]
     b = int(np.argmax(F))
-    assert 1.0 - F[b] <= config.witness_tol
+    assert 1.0 - F[b] <= search.PARK_STEP
     assert result.best_F == F[b]
     assert result.best_state.amplitudes.tobytes() == psi[b].tobytes()
 
@@ -920,7 +924,7 @@ def near_miss_projector():
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 42])
 def test_a_near_miss_within_the_witness_tolerance_is_no_witness(monkeypatch, seed):
-    counts = count_work(monkeypatch, SearchConfig().witness_tol)
+    counts = count_work(monkeypatch)
     result = max_entanglement_in_subspace(near_miss_projector(), 4, 5, SearchConfig(seed=seed))
     assert result.verdict == "none_found" and result.restarts_polished == 0
     assert 2.1e-8 <= 1.0 - result.best_F <= 2.3e-8
@@ -950,7 +954,7 @@ def test_the_threshold_rank_of_3_5_splits_found_from_none_found(k):
 @pytest.mark.parametrize("case", ["(3,5) k=10", "weyl(6,8)"])
 def test_the_search_counts_its_own_work(monkeypatch, case):
     P, d, dprime = {**STOP_CASES, "weyl(6,8)": lambda: weyl_complement(6, 8)}[case]()
-    counts = count_work(monkeypatch, SearchConfig().witness_tol)
+    counts = count_work(monkeypatch)
     result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
     evaluations, after_park, polish_steps = counts()
     assert (result.evaluations, result.evaluations_after_park, result.polish_steps) == (
