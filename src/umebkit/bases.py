@@ -9,6 +9,7 @@ last two are product states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,7 @@ class BasisSet:
         self.d, self.dprime, self.amplitudes = d, dprime, amplitudes
         self.me_flags = [bool(f) for f in me_flags]
         self.labels = labels
+        self._complements = {}  # me_only -> what _complement built, with its inputs
 
     @property
     def states(self) -> list:
@@ -239,24 +241,71 @@ def gram_matrix(basis: BasisSet) -> np.ndarray:
     return basis.amplitudes.conj() @ basis.amplitudes.T
 
 
-def _complement_frame(basis: BasisSet, me_only: bool = True) -> np.ndarray:
-    """Orthonormal columns ``Q`` (n x (n - k)) spanning the complement of the k
-    chosen members: the flagged ones by default (their span is what
-    unextendibility is about), all with ``me_only=False``.  The members must be
-    orthonormal within 1e-6; ``Q``, their SVD null space, is orthonormal to
-    machine precision even at that limit.
+class _Complement:
+    """The complement of one member selection of a basis, built once by
+    :func:`_complement`: its orthonormal frame ``Q``, read-only, and, computed
+    on first use, the ``singular_values`` of its two :meth:`reshapes`.
+
+    The projector ``Q Q^dag`` and the reshapes are formed again at each use:
+    kept too, they would hold 2 + n/m times Q's memory, n x m, for as long
+    as the basis lives.
     """
-    A = basis.amplitudes[np.array(basis.me_flags, dtype=bool)] if me_only else basis.amplitudes
+
+    def __init__(self, Q: np.ndarray, d: int, dprime: int) -> None:
+        self.Q, self._dims = _frozen(Q), (d, dprime)
+
+    def reshapes(self) -> tuple:
+        """Q with the A and with the B index leading, ``(M_A, M_B)``, of shapes
+        d x d'm and d' x dm.  ``M M^dag`` is the marginal of ``Q Q^dag`` on
+        the leading side, of eigenvalues the squared singular values of M."""
+        d, dprime = self._dims
+        m = self.Q.shape[1]
+        Q3 = self.Q.reshape(d, dprime, m)
+        return Q3.reshape(d, dprime * m), Q3.transpose(1, 0, 2).reshape(dprime, d * m)
+
+    @functools.cached_property
+    def singular_values(self) -> tuple:
+        """``(s_A, s_B)``, the singular values of ``(M_A, M_B)``."""
+        return tuple(_frozen(np.linalg.svd(M, compute_uv=False)) for M in self.reshapes())
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _complement(basis: BasisSet, me_only: bool = True) -> _Complement:
+    """The complement of the k chosen members: the flagged ones by default
+    (their span is what unextendibility is about), all with ``me_only=False``.
+
+    The members must be orthonormal within 1e-6, which every call checks; the
+    frame Q (n x (n - k)), their SVD null space, is then orthonormal to
+    machine precision even at that limit.  The basis keeps the complement of
+    each selection and builds it again only once ``amplitudes``, the flags
+    or the dimensions are no longer those it was built from.
+    """
+    flags, (d, dprime) = tuple(basis.me_flags), (basis.d, basis.dprime)
+    A = basis.amplitudes[np.array(flags, dtype=bool)] if me_only else basis.amplitudes
     k = len(A)
-    if not k:
-        return np.eye(basis.d * basis.dprime, dtype=complex)
-    gram_dev = np.abs(A.conj() @ A.T - np.eye(k)).max()
-    if gram_dev > ADMIT_TOL:
-        raise ContractViolationError(
-            f"selected members are not orthonormal (deviation {gram_dev:.3e})"
-        )
-    # A = U S Vh: the rows of Vh past k span the kets x with conj(A) x = 0.
-    return np.linalg.svd(A)[2][k:].T
+    if k:
+        gram_dev = np.abs(A.conj() @ A.T - np.eye(k)).max()
+        if gram_dev > ADMIT_TOL:
+            raise ContractViolationError(
+                f"selected members are not orthonormal (deviation {gram_dev:.3e})"
+            )
+    kept = basis._complements.get(me_only)
+    if kept is None or kept[0] is not basis.amplitudes or kept[1] != (flags, d, dprime):
+        # A = U S Vh: the rows of Vh past k span the kets x with conj(A) x = 0;
+        # copied, so that the n x n Vh is not kept alive with them
+        Q = np.linalg.svd(A)[2][k:].copy().T if k else np.eye(d * dprime, dtype=complex)
+        kept = basis._complements[me_only] = (
+            basis.amplitudes, (flags, d, dprime), _Complement(Q, d, dprime))
+    return kept[2]
+
+
+def _complement_frame(basis: BasisSet, me_only: bool = True) -> np.ndarray:
+    """The orthonormal frame ``Q`` of the :func:`_complement`."""
+    return _complement(basis, me_only).Q
 
 
 def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
@@ -265,35 +314,22 @@ def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
     return Q @ Q.conj().T
 
 
-def _frame_spectra(Q: np.ndarray, d: int, dprime: int) -> tuple:
-    """The reshapes of a complement frame Q with the A and the B index leading,
-    each with its singular values: ``((M_A, s_A), (M_B, s_B))``.  ``M M^dag``
-    is the marginal of ``Q Q^dag`` on the leading side, of eigenvalues ``s**2``.
-    """
-    m = Q.shape[1]
-    Q3 = Q.reshape(d, dprime, m)
-    return tuple(
-        (M, np.linalg.svd(M, compute_uv=False))
-        for M in (Q3.reshape(d, dprime * m), Q3.transpose(1, 0, 2).reshape(dprime, d * m))
-    )
-
-
-def _frame_certificate(basis: BasisSet, Q: np.ndarray) -> CertificateReport:
-    """:func:`support_rank_certificate` of ``basis``, given its complement frame Q."""
+def _frame_certificate(basis: BasisSet, complement: _Complement) -> CertificateReport:
+    """:func:`support_rank_certificate` of ``basis``, given its :func:`_complement`."""
     flagged = np.array(basis.me_flags, dtype=bool)
     false_flags = np.flatnonzero(flagged & (basis.me_deviations() > ADMIT_TOL))
     if len(false_flags):
         raise ContractViolationError(
             f"member {false_flags[0]} is flagged maximally entangled but is not"
         )
-    d, dprime, m = basis.d, basis.dprime, Q.shape[1]
+    d, dprime, m = basis.d, basis.dprime, complement.Q.shape[1]
     if m == 0:
         raise ContractViolationError(
             f"the {len(basis)} members span all of C{d} x C{dprime}: "
             f"a UMEB has fewer than d*dprime = {d * dprime} members"
         )
     # A marginal's eigenvalues above RANK_CUT**2 are its s above RANK_CUT.
-    r_a, r_b = (int((s > RANK_CUT).sum()) for _, s in _frame_spectra(Q, d, dprime))
+    r_a, r_b = (int((s > RANK_CUT).sum()) for s in complement.singular_values)
     bound = min(d, r_a, r_b)
     verdict = "unextendible" if bound < d else "inconclusive"
     return CertificateReport(
@@ -316,7 +352,7 @@ def support_rank_certificate(basis: BasisSet) -> CertificateReport:
     ``inconclusive`` and a numeric search must decide.  A complete basis
     (empty complement) is not a UMEB and is rejected.
     """
-    return _frame_certificate(basis, _complement_frame(basis))
+    return _frame_certificate(basis, _complement(basis))
 
 
 def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import BasisSet, _complement_frame, _frame_spectra
+from .bases import BasisSet, _complement, _Complement
 from .errors import ContractViolationError
 from .linalg import _entropy, partial_trace
 
@@ -52,22 +52,22 @@ class ChannelReport:
     rho_perp: np.ndarray = field(metadata={"json": False})
 
 
-def _frame(basis: BasisSet, me_only: bool) -> np.ndarray:
-    """The complement frame of exactly d^2 chosen members in a larger space."""
+def _frame(basis: BasisSet, me_only: bool) -> _Complement:
+    """The complement of exactly d^2 chosen members in a larger space."""
     d, dprime = basis.d, basis.dprime
     count = sum(basis.me_flags) if me_only else len(basis)
     if count != d * d:
         raise ContractViolationError(f"need exactly d^2 = {d * d} members, got {count}")
     if d * dprime <= d * d:
         raise ContractViolationError("complement is empty: d*dprime must exceed d^2")
-    return _complement_frame(basis, me_only)
+    return _complement(basis, me_only)
 
 
 def complement_state(basis: BasisSet, me_only: bool = True) -> np.ndarray:
     """Maximally mixed density matrix ``Q Q^dag / m`` on the complement of
     exactly d^2 members (the maximally-entangled-flagged ones by default), Q
     its frame of ``m = d*d' - d^2`` columns, which must be positive."""
-    Q = _frame(basis, me_only)
+    Q = _frame(basis, me_only).Q
     return Q @ Q.conj().T / Q.shape[1]
 
 
@@ -90,14 +90,15 @@ def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> Cha
     All of it is read off the frame Q of :func:`complement_state`: ``rho_perp
     = Q Q^dag / m``, and each marginal is ``M M^dag / m``, of eigenvalues
     ``s**2 / m``, for the reshapes M of Q and their singular values s that
-    the certificate counts ranks from (:func:`~umebkit.bases._frame_spectra`).
+    the certificate counts ranks from; a basis builds Q and s once for both.
     Gram matrices of a frame orthonormal to machine precision, the marginals
     need no density-matrix check.  ``log_base`` must be finite, above 0, not 1.
     """
     d, dprime = basis.d, basis.dprime
-    Q = _frame(basis, me_only)
+    complement = _frame(basis, me_only)
+    Q = complement.Q
     m = Q.shape[1]
-    (M_A, s_A), (M_B, s_B) = _frame_spectra(Q, d, dprime)
+    (M_A, M_B), (s_A, s_B) = complement.reshapes(), complement.singular_values
     # named for the side traced out: M_A M_A^dag = Tr_B(Q Q^dag) is marginal_B
     marginal_B, marginal_A = M_A @ M_A.conj().T / m, M_B @ M_B.conj().T / m
     return ChannelReport(

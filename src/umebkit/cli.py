@@ -52,10 +52,10 @@ def _search_config(args) -> SearchConfig:
 
 def _tolerance(text: str) -> float:
     """The type of ``--tol``: a float that :func:`check_tol` admits."""
-    value = float(text)
     try:
+        value = float(text)
         check_tol(value)
-    except ContractViolationError:
+    except (ValueError, ContractViolationError):
         raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}") from None
     return value
 

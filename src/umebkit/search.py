@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bases import BasisSet, CertificateReport, _complement_frame, _frame_certificate
+from .bases import BasisSet, CertificateReport, _complement, _frame_certificate
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import svd
 from .states import BipartiteState
 from .tolerances import EXACT_TOL, cite
 
@@ -473,7 +472,7 @@ def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchRes
 
     b = int(np.argmax(np.where(accepted if accepted.any() else ~collapsed, F, -np.inf)))
     best = psi[b].copy()  # a view would keep the whole batch alive
-    _, s, _ = svd(best.reshape(d, dprime))
+    s = np.linalg.svd(best.reshape(d, dprime), full_matrices=False)[1]
     return SearchResult(
         best_state=BipartiteState(d, dprime, best),
         best_F=float(F[b]),
@@ -504,12 +503,15 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     accepts no restart downgrades the verdict to ``inconclusive`` with the
     best overlap of every restart run to convergence recorded.  The frame is
     orthonormal by construction and the certificate refuses an empty one, so
-    neither it nor its projector is checked again.
+    neither it nor its projector is checked again.  The frame and the
+    singular values the certificate counts are built once per basis and
+    shared with ``analyze``.
     """
-    Q = _complement_frame(basis)
-    report = _frame_certificate(basis, Q)
+    complement = _complement(basis)
+    report = _frame_certificate(basis, complement)
     if report.verdict == "unextendible":
         return report
+    Q = complement.Q
     result = _search(Q @ Q.conj().T, Q, basis.d, basis.dprime, config)
     found = result.verdict == "found_me"
     return replace(

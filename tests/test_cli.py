@@ -156,7 +156,7 @@ def test_search_searches_the_complement_frame_it_builds(tmp_path, capsys, monkey
     assert code == (0 if result.verdict == "found_me" else 1)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-9", "1e400", "NaN"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-9", "1e400", "NaN", "abc"])
 def test_tol_refuses_a_value_that_is_not_finite_or_is_negative(tmp_path, capsys, bad):
     w23, first, second = (tmp_path / f"{name}.json" for name in ("w23", "first", "second"))
     save_basis(w23, build_weyl_umeb(2, 3))
