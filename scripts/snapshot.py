@@ -5,8 +5,9 @@
 Each line holds the call, its exit code and the sha256 of its stdout and of
 its stderr; a call that writes a file adds the sha256 of that file.  The
 calls cover every subcommand with its refusals on the Weyl bases (2,3) to
-(4,6) and both 2 x 3 bases, and ``certify --json`` (seeds 1, 7 and 42) and
-``channel --json`` on the 49 shapes with ``2 <= d < d'`` and ``d*d' <= 49``.
+(4,6) and both 2 x 3 bases, and ``certify --json`` and ``search --json``
+(seeds 1, 7 and 42) and ``channel --json`` on the 49 shapes with
+``2 <= d < d'`` and ``d*d' <= 49``.
 They run in-process, in a fresh temporary directory, with relative file
 names and 80 terminal columns, so no line depends on the checkout's path or
 the terminal.  Two checkouts compare by running this script with each one's
@@ -117,6 +118,7 @@ def main_calls() -> None:
              writes=path)
         for seed in SWEEP_SEEDS:
             call("certify", path, "--json", "--seed", str(seed))
+            call("search", path, "--json", "--seed", str(seed))
         call("channel", path, "--json", "--log-base", "e")
 
 

@@ -13,17 +13,16 @@ from .bases import (
     overlap_constraint_matrix,
     support_rank_certificate,
 )
-from .channel import ChannelReport, analyze, apply_channel, complement_state
+from .channel import ChannelReport, analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
 from .fileio import load_basis, load_state, save_basis, save_state
-from .linalg import hermitian_eig, partial_trace, svd, von_neumann_entropy
+from .linalg import svd
 from .mub import OverlapReport, overlap_matrix
 from .search import (
     SearchConfig,
     SearchResult,
     certify,
     max_entanglement_in_subspace,
-    nearest_me_state,
 )
 from .states import (
     BipartiteState,
@@ -53,24 +52,19 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "analyze",
-    "apply_channel",
     "apply_local",
     "build_c23_first",
     "build_c23_second",
     "build_weyl_umeb",
     "certify",
     "complement_projector",
-    "complement_state",
     "gram_matrix",
-    "hermitian_eig",
     "is_maximally_entangled",
     "load_basis",
     "load_state",
     "max_entanglement_in_subspace",
-    "nearest_me_state",
     "overlap_constraint_matrix",
     "overlap_matrix",
-    "partial_trace",
     "reshape_to_matrix",
     "save_basis",
     "save_state",
@@ -79,6 +73,5 @@ __all__ = [
     "standard_mes",
     "support_rank_certificate",
     "svd",
-    "von_neumann_entropy",
     "weyl_operator",
 ]

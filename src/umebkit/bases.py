@@ -303,14 +303,9 @@ def _complement(basis: BasisSet, me_only: bool = True) -> _Complement:
     return kept[2]
 
 
-def _complement_frame(basis: BasisSet, me_only: bool = True) -> np.ndarray:
-    """The orthonormal frame ``Q`` of the :func:`_complement`."""
-    return _complement(basis, me_only).Q
-
-
 def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
-    """Projector ``Q Q^dag`` onto the complement, Q the :func:`_complement_frame`."""
-    Q = _complement_frame(basis, me_only)
+    """Projector ``Q Q^dag`` onto the :func:`_complement`, Q its frame."""
+    Q = _complement(basis, me_only).Q
     return Q @ Q.conj().T
 
 

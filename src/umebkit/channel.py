@@ -20,14 +20,9 @@ import numpy as np
 
 from .bases import BasisSet, _complement, _Complement
 from .errors import ContractViolationError
-from .linalg import _entropy, partial_trace
+from .linalg import _entropy
 
-__all__ = [
-    "ChannelReport",
-    "complement_state",
-    "apply_channel",
-    "analyze",
-]
+__all__ = ["ChannelReport", "analyze"]
 
 
 @dataclass(eq=False)
@@ -63,34 +58,15 @@ def _frame(basis: BasisSet, me_only: bool) -> _Complement:
     return _complement(basis, me_only)
 
 
-def complement_state(basis: BasisSet, me_only: bool = True) -> np.ndarray:
-    """Maximally mixed density matrix ``Q Q^dag / m`` on the complement of
-    exactly d^2 members (the maximally-entangled-flagged ones by default), Q
-    its frame of ``m = d*d' - d^2`` columns, which must be positive."""
-    Q = _frame(basis, me_only).Q
-    return Q @ Q.conj().T / Q.shape[1]
-
-
-def apply_channel(rho_choi, X, d: int, dprime: int) -> np.ndarray:
-    """Apply the channel defined by a d*d' x d*d' state to a d x d operator."""
-    rho_choi = np.asarray(rho_choi, dtype=complex)
-    X = np.asarray(X, dtype=complex)
-    n = d * dprime
-    if rho_choi.shape != (n, n):
-        raise ContractViolationError(f"state shape {rho_choi.shape} != ({n}, {n})")
-    if X.shape != (d, d):
-        raise ContractViolationError(f"input shape {X.shape} != ({d}, {d})")
-    lifted = np.kron(X.T, np.eye(dprime, dtype=complex)) @ rho_choi
-    return d * partial_trace(lifted, d, dprime, side="A")
-
-
 def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> ChannelReport:
     """Full complement-state report: marginals, deviations, entropies.
 
-    All of it is read off the frame Q of :func:`complement_state`: ``rho_perp
-    = Q Q^dag / m``, and each marginal is ``M M^dag / m``, of eigenvalues
-    ``s**2 / m``, for the reshapes M of Q and their singular values s that
-    the certificate counts ranks from; a basis builds Q and s once for both.
+    The complement is that of exactly d^2 members (the flagged ones by
+    default, all with ``me_only=False``) in a space with ``d*d' > d^2``, and
+    all of it is read off its frame Q of m columns: ``rho_perp = Q Q^dag /
+    m``, and each marginal is ``M M^dag / m``, of eigenvalues ``s**2 / m``,
+    for the reshapes M of Q and their singular values s that the
+    certificate counts ranks from; a basis builds Q and s once for both.
     Gram matrices of a frame orthonormal to machine precision, the marginals
     need no density-matrix check.  ``log_base`` must be finite, above 0, not 1.
     """

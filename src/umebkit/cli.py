@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import (
-    _complement_frame,
+    _complement,
     build_c23_first,
     build_c23_second,
     build_weyl_umeb,
@@ -157,7 +157,7 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     basis = load_basis(args.path)
-    Q = _complement_frame(basis, me_only=not args.all_members)
+    Q = _complement(basis, me_only=not args.all_members).Q
     result = _search(Q @ Q.conj().T, Q, basis.d, basis.dprime, _search_config(args))
     if args.out:
         save_state(args.out, result.best_state)

@@ -26,7 +26,6 @@ from .tolerances import EXACT_TOL, cite
 __all__ = [
     "SearchConfig",
     "SearchResult",
-    "nearest_me_state",
     "max_entanglement_in_subspace",
     "certify",
 ]
@@ -192,25 +191,6 @@ def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w[~gram] = s[:, ::-1] ** 2
     m /= np.sqrt(d)
     return m.reshape(*x.shape[:-2], -1), w.reshape(*x.shape[:-2], d)
-
-
-def nearest_me_state(psi: BipartiteState, return_uniqueness: bool = False):
-    """Project a state onto the maximally entangled set.
-
-    With SVD ``X = L S R^dag`` of the reshaped state, the result reshapes to
-    ``L R^dag / sqrt(d)`` — the polar part of X, scaled; among maximally
-    entangled states it maximizes ``|<m|psi>| = sum_p s_p / sqrt(d)``.  It is
-    computed from the Gram matrix ``X X^dag`` when X is well conditioned, and
-    from the SVD otherwise (see :func:`_nearest_me_amplitudes`).  When X is
-    rank deficient (smallest singular value <= ``COLLAPSE_FLOOR``) the nearest
-    point is not unique; the SVD's deterministic completion is used, and with
-    ``return_uniqueness=True`` a second return value reports False.
-    """
-    m, w = _nearest_me_amplitudes(psi.amplitudes.reshape(psi.d, psi.dprime))
-    state = BipartiteState(psi.d, psi.dprime, m)
-    if return_uniqueness:
-        return state, bool(w[0] > COLLAPSE_FLOOR**2)
-    return state
 
 
 def _project(rows: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -38,9 +38,8 @@ what the stage before it admitted:
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and
 ``overlap_constraint_matrix``, the projector of
-``max_entanglement_in_subspace``, a density matrix) use :data:`EXACT_TOL`;
-the two checks next to a factorisation, of the orthonormality of the SVD's
-Schmidt vectors and of the Hermiticity of ``hermitian_eig``'s input, use the
+``max_entanglement_in_subspace``) use :data:`EXACT_TOL`; the check next to a
+factorisation, of the orthonormality of the SVD's Schmidt vectors, uses the
 tighter :data:`FACTOR_TOL`; a tolerance a caller hands in must be finite and
 at least 0 (:func:`check_tol`).  Constants that one algorithm owns (the
 search's convergence and collapse thresholds, its Gram cutoff and its park
@@ -85,11 +84,10 @@ ME_TOL = 1e-8
 
 #: Bound for properties that hold exactly in exact arithmetic: ``validate``'s
 #: Gram bound, the ``--tol`` default of ``verify`` and ``mub``, and the
-#: unitary, Hermitian, idempotent and unit-trace checks.
+#: unitary, Hermitian and idempotent checks.
 EXACT_TOL = 1e-9
 
-#: Bound on the orthonormality of computed Schmidt vectors and on the
-#: Hermiticity ``hermitian_eig`` requires of its input.
+#: Bound on the orthonormality of computed Schmidt vectors.
 FACTOR_TOL = 1e-10
 
 #: Singular values of the reshaped complement frame above this count towards

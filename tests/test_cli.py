@@ -131,7 +131,7 @@ def test_search_of_an_empty_complement_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("d, dprime, all_members", [(2, 4, False), (3, 4, False), (2, 5, True)])
 def test_search_searches_the_complement_frame_it_builds(tmp_path, capsys, monkeypatch,
                                                        d, dprime, all_members):
-    from umebkit.bases import _complement_frame
+    from umebkit.bases import _complement
     from umebkit.search import _search
 
     path = tmp_path / "basis.json"
@@ -150,7 +150,7 @@ def test_search_searches_the_complement_frame_it_builds(tmp_path, capsys, monkey
     code = main(["search", str(path), "--seed", "1", "--json", *flags])
     doc = json.loads(capsys.readouterr().out)
     assert not any(frames)  # no eigendecomposition of the projector
-    Q = _complement_frame(load_basis(path), me_only=not all_members)
+    Q = _complement(load_basis(path), me_only=not all_members).Q
     result = _search(Q @ Q.conj().T, Q, d, dprime, SearchConfig(seed=1))
     assert doc["verdict"] == result.verdict and doc["best_F"] == result.best_F
     assert code == (0 if result.verdict == "found_me" else 1)

@@ -14,13 +14,12 @@ from umebkit import ContractViolationError
 from umebkit.bases import (
     BasisSet,
     _complement,
-    _complement_frame,
     build_c23_first,
     build_weyl_umeb,
     complement_projector,
     support_rank_certificate,
 )
-from umebkit.channel import analyze, complement_state
+from umebkit.channel import analyze
 from umebkit.search import SearchConfig, certify
 
 CONFIG = SearchConfig(restarts=8, seed=1)
@@ -57,12 +56,10 @@ def test_certify_then_analyze_takes_one_frame_and_one_pair_of_spectra(svd_calls,
     assert frame_and_spectra(svd_calls) == (1, 2)
     support_rank_certificate(basis)
     complement_projector(basis)
-    complement_state(basis)
     certify(basis, CONFIG)
     analyze(basis, log_base=math.e)
     assert frame_and_spectra(svd_calls) == (1, 2)
     analyze(basis, me_only=False)  # another selection: its own complement
-    complement_state(basis, me_only=False)
     assert frame_and_spectra(svd_calls) == (2, 4)
 
 
@@ -81,12 +78,10 @@ def run(basis, step: str, me_only: bool) -> bytes:
         return report_bytes(certify(basis, CONFIG))
     if step == "analyze":
         return report_bytes(analyze(basis, me_only=me_only))
-    if step == "state":
-        return complement_state(basis, me_only).tobytes()
     return complement_projector(basis, me_only).tobytes()
 
 
-STEPS = ("certify", "analyze", "state", "projector")
+STEPS = ("certify", "analyze", "projector")
 
 
 @pytest.mark.parametrize("name", ["weyl24", "weyl34", "weyl36", "c23"])
@@ -105,16 +100,16 @@ def test_reports_are_the_same_bits_on_a_fresh_and_a_reused_basis(name, me_only):
 
 def test_reassigned_flags_give_a_fresh_frame(svd_calls):
     basis = build_weyl_umeb(2, 4)
-    assert _complement_frame(basis).shape == (8, 4)
+    assert _complement(basis).Q.shape == (8, 4)
     basis.me_flags = [True, True, True, False]
-    Q = _complement_frame(basis)
+    Q = _complement(basis).Q
     assert Q.shape == (8, 5)
-    assert np.array_equal(Q, _complement_frame(BasisSet(2, 4, basis.amplitudes,
-                                                         [True, True, True, False])))
+    assert np.array_equal(Q, _complement(BasisSet(2, 4, basis.amplitudes,
+                                                   [True, True, True, False])).Q)
     basis.me_flags[3] = True  # changed in place: the flags at the call count
-    assert _complement_frame(basis).shape == (8, 4)
+    assert _complement(basis).Q.shape == (8, 4)
     basis.me_flags = [True] * 4  # the same flags again: the same complement
-    assert _complement_frame(basis).shape == (8, 4)
+    assert _complement(basis).Q.shape == (8, 4)
     assert frame_and_spectra(svd_calls)[0] == 4
 
 
@@ -137,8 +132,7 @@ def test_checks_still_run_on_a_reused_complement():
     with pytest.raises(ContractViolationError, match="exactly d\\^2"):
         analyze(basis, me_only=False)  # 6 members, not 4
     with pytest.raises(ContractViolationError, match="complement is empty"):
-        complement_state(BasisSet(2, 2, build_weyl_umeb(2, 3).amplitudes[:, [0, 1, 3, 4]],
-                                  [True] * 4))
+        analyze(BasisSet(2, 2, build_weyl_umeb(2, 3).amplitudes[:, [0, 1, 3, 4]], [True] * 4))
     basis.me_flags = [True] * 5 + [False]  # a product member flagged
     with pytest.raises(ContractViolationError, match="flagged maximally entangled"):
         certify(basis, CONFIG)
@@ -147,9 +141,9 @@ def test_checks_still_run_on_a_reused_complement():
 def test_the_shared_arrays_are_read_only():
     basis = build_weyl_umeb(3, 4)
     complement = _complement(basis)
-    for a in (complement.Q, _complement_frame(basis), *complement.singular_values):
+    for a in (complement.Q, _complement(basis).Q, *complement.singular_values):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
-    for a in (complement_projector(basis), complement_state(basis), *complement.reshapes()):
+    for a in (complement_projector(basis), analyze(basis).rho_perp, *complement.reshapes()):
         assert a.flags.writeable  # a new array of its own at every call

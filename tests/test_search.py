@@ -4,14 +4,15 @@ import pytest
 from umebkit import ContractViolationError
 from umebkit.bases import BasisSet, build_weyl_umeb, complement_projector
 from umebkit.search import (
+    COLLAPSE_FLOOR,
     SearchConfig,
     _ascend,
     _ascend_batch,
+    _nearest_me_amplitudes,
     _restart_starts,
     _search,
     certify,
     max_entanglement_in_subspace,
-    nearest_me_state,
 )
 from umebkit.states import BipartiteState, is_maximally_entangled, standard_mes
 
@@ -100,17 +101,16 @@ def count_work(monkeypatch):
 
 def test_nearest_me_fixed_point():
     phi0 = standard_mes(2, 3)
-    m = nearest_me_state(phi0)
-    assert abs(abs(np.vdot(m.amplitudes, phi0.amplitudes)) - 1.0) < 1e-12
+    m, _ = _nearest_me_amplitudes(phi0.amplitudes.reshape(2, 3))
+    assert abs(abs(np.vdot(m, phi0.amplitudes)) - 1.0) < 1e-12
 
 
 def test_nearest_me_tilted_state():
     amp = np.zeros(6, dtype=complex)
     amp[0], amp[4] = np.sqrt(0.9), np.sqrt(0.1)
-    psi = BipartiteState(2, 3, amp)
-    m = nearest_me_state(psi)
-    assert abs(abs(np.vdot(m.amplitudes, standard_mes(2, 3).amplitudes)) - 1.0) < 1e-12
-    overlap = abs(np.vdot(m.amplitudes, psi.amplitudes))
+    m, _ = _nearest_me_amplitudes(amp.reshape(2, 3))
+    assert abs(abs(np.vdot(m, standard_mes(2, 3).amplitudes)) - 1.0) < 1e-12
+    overlap = abs(np.vdot(m, amp))
     assert abs(overlap - (np.sqrt(0.9) + np.sqrt(0.1)) / np.sqrt(2)) < 1e-12
 
 
@@ -118,19 +118,18 @@ def test_nearest_me_always_maximally_entangled():
     rng = np.random.default_rng(31)
     for _ in range(20):
         amp = rng.normal(size=12) + 1j * rng.normal(size=12)
-        psi = BipartiteState(3, 4, amp / np.linalg.norm(amp))
-        m, unique = nearest_me_state(psi, return_uniqueness=True)
-        flag, dev = is_maximally_entangled(m)
+        m, w = _nearest_me_amplitudes((amp / np.linalg.norm(amp)).reshape(3, 4))
+        flag, dev = is_maximally_entangled(BipartiteState(3, 4, m))
         assert flag and dev < 1e-10
-        assert unique
+        assert w[0] > COLLAPSE_FLOOR**2  # the nearest point is unique
 
 
 def test_nearest_me_rank_deficient_flagged():
     prod = np.zeros(6, dtype=complex)
     prod[2] = 1.0
-    m, unique = nearest_me_state(BipartiteState(2, 3, prod), return_uniqueness=True)
-    assert not unique
-    flag, _ = is_maximally_entangled(m)
+    m, w = _nearest_me_amplitudes(prod.reshape(2, 3))
+    assert not w[0] > COLLAPSE_FLOOR**2
+    flag, _ = is_maximally_entangled(BipartiteState(2, 3, m))
     assert flag
 
 
@@ -214,14 +213,11 @@ def test_rows_below_the_cutoff_keep_the_svd_route_bitwise(d, dprime):
     m, w = search._nearest_me_amplitudes(bad)
     reference, w_ref = svd_polar(bad)
     assert m.tobytes() == reference.tobytes() and w.tobytes() == w_ref.tobytes()
-    for row, ref in zip(bad, reference):
-        alone, _ = search._nearest_me_amplitudes(row)
-        assert alone.tobytes() == ref.tobytes() == svd_polar(row)[0].tobytes()
     # the three rank-deficient rows have no unique nearest point
-    for row, unique in zip(bad, [False, False, False, True]):
-        state, flag = nearest_me_state(BipartiteState(d, dprime, row.reshape(-1)), True)
-        assert flag == unique
-        assert state.amplitudes.tobytes() == svd_polar(row)[0].tobytes()
+    for row, ref, unique in zip(bad, reference, [False, False, False, True]):
+        alone, w_alone = search._nearest_me_amplitudes(row)
+        assert alone.tobytes() == ref.tobytes() == svd_polar(row)[0].tobytes()
+        assert (w_alone[0] > COLLAPSE_FLOOR**2) == unique
 
 
 @pytest.mark.parametrize("d, dprime", [(2, 3), (3, 5), (7, 7)])
@@ -331,10 +327,10 @@ def test_objective_diagnostics_agree():
     rng = np.random.default_rng(33)
     for _ in range(20):
         amp = rng.normal(size=12) + 1j * rng.normal(size=12)
-        psi = BipartiteState(3, 4, amp / np.linalg.norm(amp))
-        m = nearest_me_state(psi)
-        F = abs(np.vdot(m.amplitudes, psi.amplitudes)) ** 2
-        s = np.linalg.svd(psi.amplitudes.reshape(3, 4), compute_uv=False)
+        x = (amp / np.linalg.norm(amp)).reshape(3, 4)
+        m, _ = _nearest_me_amplitudes(x)
+        F = abs(np.vdot(m, x)) ** 2
+        s = np.linalg.svd(x, compute_uv=False)
         assert (abs(F - 1.0) < 1e-9) == (abs(np.sqrt(3) * s[-1] - 1.0) < 1e-9)
 
 
@@ -402,8 +398,8 @@ def test_best_F_is_the_F_of_best_state_at_max_iters(max_iters):
         q @ q.conj().T, d, dprime, SearchConfig(max_iters=max_iters, seed=1)
     )
     assert result.iterations_used == max_iters and not result.converged
-    best = result.best_state
-    F = abs(np.vdot(nearest_me_state(best).amplitudes, best.amplitudes)) ** 2
+    best = result.best_state.amplitudes
+    F = abs(np.vdot(_nearest_me_amplitudes(best.reshape(d, dprime))[0], best)) ** 2
     assert abs(result.best_F - F) <= 1e-12
 
 
