@@ -6,8 +6,10 @@ which equals 1 exactly on the maximally entangled states.  Each restart
 alternates two closed-form projections — onto the subspace and onto the
 maximally entangled set — so F never decreases within a restart.  A restart
 that comes within :data:`PARK_STEP` of F = 1 is finished at once, by an exact
-test or a Gauss-Newton polish, and the first one they accept is the witness;
-one they reject ascends on and is tried again closer to F = 1.
+test or a Gauss-Newton polish, and the first iteration in which they accept
+one gives the witness: an exact row, or else the first parked row the
+polish accepts, best F first.  A row they reject ascends on and is tried
+again closer to F = 1.
 The search can only ever *find* witnesses; a failed search is reported as
 inconclusive, never as a proof of absence.
 """
@@ -68,20 +70,14 @@ FIRST_RUN_EVALS = 32
 #: ``1 - F`` is quadratic in this residual, so a row that meets it has F = 1
 #: to rounding.  Rows park at ``1 - F <= 1e-3`` with spectral residuals
 #: ``max|d w - 1|`` near 0.1, and three quadratic steps mostly bring them
-#: below it (3.0 steps a row on random subspaces at (3,5)-(7,7)), where a
+#: below it (3.0 steps a row on the 60 search-hard subspaces, (3,5)-(7,7)
+#: at seeds 1, 7 and 42, each accepting the first row it polishes), where a
 #: bound of 1e-14 would cost 30 % more; rounding leaves at most about 3e-14
 #: on the exact witnesses of the Weyl complements.
 #: (Gauss-Newton: Absil, Mahony & Sepulchre, Optimization Algorithms on
 #: Matrix Manifolds, 2008; alternating projections converge only linearly:
 #: Lewis, Luke & Malick, Found. Comput. Math. 9, 2009.)
 POLISH_TOL = 1e-11
-
-#: Parked rows polished together.  At (7,7) k=43 a row's real ``d^2 x 2k``
-#: Jacobian and its complex product ``X B_j^dag`` take about 34 kB each and
-#: ``J J^T`` 19 kB, so 8 rows hold the polish near 0.7 MB however many rows
-#: park in one iteration.  On the search-hard subspaces 1-6 rows park at a
-#: time (1.9 on average), and a search's traced peak is about 0.2 MiB.
-POLISH_CHUNK = 8
 
 #: The park ladder: a row parks for the exact test and the polish at its
 #: first F evaluation with ``1 - F <= PARK_STEP``, and a row they reject
@@ -138,15 +134,16 @@ class SearchResult:
     the ascent (an accepted restart's up to the one where it parked), and
     ``converged`` says its F settled or it was accepted.  ``restarts_used``
     counts the restarts of the search's last run that produced a candidate
-    rather than collapsing, ``restarts_polished`` those the exact test or
+    rather than collapsing, ``restarts_polished`` those accepted: every row
+    the exact test passed in the accepting iteration, or else the one row
     the polish accepted (0 on ``none_found``).
 
     Three counts give the search's work, summed over its runs, and stay out
     of the ``--json`` report: ``evaluations``, the F evaluations of the
     ascent, one per row per iteration; ``evaluations_after_park``, those of
     rows after the evaluation they first parked at (a row the polish rejected
-    ascends on); and ``polish_steps``, one per row per stacked Gauss-Newton
-    solve attempted, a singular one too.
+    ascends on); and ``polish_steps``, one per Gauss-Newton solve attempted
+    (one row's step), a singular one too.
     """
 
     verdict: str
@@ -210,81 +207,74 @@ def _polish(Q, x, F, w, d, dprime):
 
     A row with ``max|d w - 1| <= POLISH_TOL`` is exact and accepted as it
     is: that spectral bound is at least the entrywise ``max|d X X^dag - I|``.
-    The others go to :func:`_gauss_newton` on Q, and a row it brings within
-    the tolerance is accepted with its F evaluated as the ascent evaluates
-    it.  Returns the states, their F, the accepted flags and the
-    Gauss-Newton steps taken; a row not accepted keeps its state and F.
+    Only when no row is exact does :func:`_gauss_newton` run on Q, one row
+    at a time in descending F (ties go to the earlier row), and the first
+    row it brings within the tolerance is accepted, with its F evaluated as
+    the ascent evaluates it; the rows after it are not tried, since the
+    batch ends on it.  Returns the states, their F, the accepted flags and
+    the Gauss-Newton steps taken; a row not accepted keeps its state and F.
     """
     ok = np.abs(d * w - 1.0).max(axis=1) <= POLISH_TOL
-    todo = np.flatnonzero(~ok)
-    if not todo.size:
+    if ok.any():
         return x, F, ok, 0
-    polished, met, steps = _gauss_newton(Q, x[todo], d, dprime)
-    polished, todo = polished[met], todo[met]
-    if not todo.size:
-        return x, F, ok, steps
-    m, _ = _nearest_me_amplitudes(polished.reshape(-1, d, dprime))
-    x, F = x.copy(), F.copy()
-    x[todo], ok[todo] = polished, True
-    F[todo] = np.abs(np.einsum("ij,ij->i", m.conj(), polished)) ** 2
+    steps = 0
+    for r in np.argsort(-F, kind="stable"):
+        polished, taken = _gauss_newton(Q, x[r], d, dprime)
+        steps += taken
+        if polished is not None:
+            m, _ = _nearest_me_amplitudes(polished.reshape(1, d, dprime))
+            x, F = x.copy(), F.copy()
+            x[r], ok[r] = polished, True
+            F[r] = np.abs(np.einsum("ij,ij->i", m.conj(), polished[None]))[0] ** 2
+            break
     return x, F, ok, steps
 
 
 def _gauss_newton(Q, x, d, dprime):
-    """Minimum-norm Gauss-Newton on ``r = X X^dag - I/d`` from the rows of x.
+    """Minimum-norm Gauss-Newton on ``r = X X^dag - I/d`` from the state x.
 
     The unknowns are the coordinates c of ``X = sum_j c_j B_j``, the B_j the
-    orthonormal columns of Q, and the rows go :data:`POLISH_CHUNK` at a time.
-    A Hermitian H is stored as the real ``Re H + Im H``, which keeps its
-    norm, so the real ``d^2 x 2k`` Jacobian
-    has the columns ``X B_j^dag + B_j X^dag`` (for ``Re c_j``) and
-    ``i (B_j X^dag - X B_j^dag)`` (for ``Im c_j``); each step solves
-    ``(J J^T) y = -r``, moves c by ``J^T y`` and renormalises it.  A row is
-    done once ``max|d X X^dag - I| <= POLISH_TOL``, and fails once a step no
-    longer halves it (or J J^T is singular).  Returns the states, the done
-    flags and the steps, one per row per solve attempted (a singular one
-    too); a failed row's state is its start.
+    orthonormal columns of Q.  A Hermitian H is stored as the real
+    ``Re H + Im H``, which keeps its norm, so the real ``d^2 x 2k`` Jacobian
+    J has the columns ``X B_j^dag + B_j X^dag`` (for ``Re c_j``) and
+    ``i (B_j X^dag - X B_j^dag)`` (for ``Im c_j``); each step solves the
+    ``d^2 x d^2`` system ``(J J^T) y = -r``, moves c by ``J^T y`` and
+    renormalises it.  The state is done once ``max|d X X^dag - I| <=
+    POLISH_TOL``, and fails once a step no longer halves it (or J J^T is
+    singular).  Returns the done state, or None, and the steps, one per
+    solve attempted (a singular one too).
     """
     k = Q.shape[1]
     # Bc[j d + b] = conj((1 + i) B_j)[b]: Bc X^T = ((1 - i) X B_j^dag)^T, every j at once
     Bc = ((1 - 1j) * Q.T.conj()).reshape(k * d, dprime)
-    J = np.empty((min(POLISH_CHUNK, len(x)), 2, k, d, d))  # J^T: a row per real coordinate
-    polished, met, steps = x.copy(), np.zeros(len(x), dtype=bool), 0
-    for rows in np.split(np.arange(len(x)), range(POLISH_CHUNK, len(x), POLISH_CHUNK)):
-        c, live, err_last = x[rows] @ Q.conj(), np.arange(len(rows)), np.full(len(rows), np.inf)
-        while live.size:
-            X = (c[live] @ Q.T).reshape(-1, d, dprime)
-            H = X @ X.conj().transpose(0, 2, 1)
-            H[:, range(d), range(d)] -= 1.0 / d
-            err = d * np.abs(H).max(axis=(1, 2))
-            done = err <= POLISH_TOL
-            met[rows[live[done]]] = True
-            polished[rows[live[done]]] = X[done].reshape(-1, d * dprime)
-            go = ~done & (err < err_last[live] / 2)
-            err_last[live] = err
-            live, X, H = live[go], X[go], H[go]
-            if not live.size:
-                break
-            n = len(live)
-            # W[i, j, b, a] = Z[a, b], Z = (1 - i) X_i B_j^dag; a Hermitian H is
-            # stored as Re H + Im H = Re((1 - i) H), so the column of
-            # X B_j^dag + B_j X^dag is Re Z - (Im Z)^T and that of
-            # i (B_j X^dag - X B_j^dag) is (Re Z)^T + Im Z
-            W = (Bc @ X.transpose(0, 2, 1)).reshape(n, k, d, d)
-            np.subtract(W.real.swapaxes(2, 3), W.imag, out=J[:n, 0])
-            np.add(W.real, W.imag.swapaxes(2, 3), out=J[:n, 1])
-            del W  # freed before J J^T is formed: the polish's peak memory
-            Jt = J[:n].reshape(n, 2 * k, d * d)
-            steps += n
-            try:
-                y = np.linalg.solve(Jt.transpose(0, 2, 1) @ Jt,
-                                    -(H.real + H.imag).reshape(n, -1, 1))
-            except np.linalg.LinAlgError:
-                break
-            step = (Jt @ y)[..., 0]
-            c_next = c[live] + step[:, :k] + 1j * step[:, k:]
-            c[live] = c_next / np.linalg.norm(c_next, axis=1, keepdims=True)
-    return polished, met, steps
+    J = np.empty((2, k, d, d))  # J^T: a row per real coordinate
+    Jt = J.reshape(2 * k, d * d)
+    c, err_last, steps = x @ Q.conj(), np.inf, 0
+    while True:
+        X = (c @ Q.T).reshape(d, dprime)
+        H = X @ X.conj().T
+        H.flat[::d + 1] -= 1.0 / d  # the diagonal
+        err = d * np.abs(H).max()
+        if err <= POLISH_TOL:
+            return X.reshape(-1), steps
+        if not err < err_last / 2:
+            return None, steps
+        err_last = err
+        # W[j, b, a] = Z[a, b], Z = (1 - i) X B_j^dag; a Hermitian H is
+        # stored as Re H + Im H = Re((1 - i) H), so the column of
+        # X B_j^dag + B_j X^dag is Re Z - (Im Z)^T and that of
+        # i (B_j X^dag - X B_j^dag) is (Re Z)^T + Im Z
+        W = (Bc @ X.T).reshape(k, d, d)
+        np.subtract(W.real.swapaxes(1, 2), W.imag, out=J[0])
+        np.add(W.real, W.imag.swapaxes(1, 2), out=J[1])
+        steps += 1
+        try:
+            y = np.linalg.solve(Jt.T @ Jt, -(H.real + H.imag).reshape(-1))
+        except np.linalg.LinAlgError:
+            return None, steps
+        step = Jt @ y
+        c = c + step[:k] + 1j * step[k:]
+        c /= np.linalg.norm(c)
 
 
 def _ascend_batch(P, psi0, d, dprime, max_iters, Q=None):
@@ -298,9 +288,10 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, Q=None):
     state's F.  Given Q, an orthonormal frame of range(P), each row has a
     park threshold, at first :data:`PARK_STEP`: a row parks at an F
     evaluation with ``1 - F`` at most its threshold, which then tightens by
-    the factor :data:`PARK_STEP`, and :func:`_polish` finishes it on Q in
-    the same iteration.  Without Q no row parks.  The first iteration in
-    which a row is accepted ends the whole batch, without projecting again;
+    the factor :data:`PARK_STEP`, and :func:`_polish` tries the rows parked
+    in one iteration on Q in that iteration.  Without Q no row parks.  The
+    first iteration in which a row is accepted ends the whole batch, without
+    projecting again, so :func:`_polish` stops at the first row it accepts;
     a row not accepted ascends on as if it had never parked, until it meets
     its tightened threshold.
     Returns the states, their last F, per-row F evaluation counts, converged
@@ -421,9 +412,11 @@ def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchRes
     :data:`FIRST_RUN_EVALS` F evaluations when more are asked for; only if
     none of them is accepted do all restarts run again from their starts,
     with the full ``max_iters``.  Each run parks and finishes rows as
-    :func:`_ascend_batch` describes and stops at the first accepted row.  The
-    result is the accepted row with the highest F (ties go to the earliest),
-    verdict ``found_me``; without one, the best row of all, ``none_found``.
+    :func:`_ascend_batch` describes and stops in the first iteration that
+    accepts a row: the rows the exact test passes there, or else the first
+    parked row the polish accepts, best F first.  The result is the accepted
+    row with the highest F (ties go to the earliest), verdict ``found_me``;
+    without one, the best row of all, ``none_found``.
     P is a complex Hermitian projector and Q an orthonormal frame of its
     range, which the polish steps on; both are unchecked (the caller checked
     them or built them so), except that an empty Q is refused.

@@ -78,13 +78,15 @@ def ladder_parks(out):
 def count_work(monkeypatch):
     """Count a search's work from outside it; the returned function gives
     the F evaluations of its recorded runs, those of rows that met
-    ``PARK_STEP`` at an earlier one, and the rows of its stacked solves."""
+    ``PARK_STEP`` at an earlier one, and its solves, one Gauss-Newton step
+    of one row each."""
     import umebkit.search as search
 
     runs, solved, solve = record_runs(monkeypatch), [], np.linalg.solve
 
     def counting_solve(a, b):  # counted before it runs: a singular solve too
-        solved.append(len(a))
+        assert np.ndim(a) == 2  # one row's normal matrix: one step
+        solved.append(1)
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
@@ -849,33 +851,105 @@ def test_a_row_the_polish_rejects_is_accepted_at_a_later_park(monkeypatch):
         assert any(r in rows for _, rows, _ in parks[:-1])
 
 
+def spectra(x, d, dprime):
+    """The F of the rows of x and their Gram spectra, as the ascent evaluates them."""
+    m, w = _nearest_me_amplitudes(x.reshape(-1, d, dprime))
+    return np.abs(np.einsum("ij,ij->i", m.conj(), x)) ** 2, w
+
+
+def rough_rows():
+    """Eight rows of (3,5) k=10 after 12 F evaluations, with 1 - F of about
+    1e-2 to 1e-4: none exact, and each a Gauss-Newton start."""
+    P = subspace_projector(1, 3, 5, 10)
+    rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12)[0]
+    return P, rough, *spectra(rough, 3, 5)
+
+
 def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     import umebkit.search as search
-
-    def spectra(x, d, dprime):
-        return search._nearest_me_amplitudes(x.reshape(-1, d, dprime))[1]
 
     P24, _, _ = weyl_complement(2, 4)
     exact = _ascend_batch(P24, projected_starts(P24, 1, range(8)), 2, 4, 2)[0]
     # F = 1 to rounding after two F evaluations: the spectra pass the exact
     # test, so no Gauss-Newton step is taken and no F evaluated
     F = np.full(8, 0.5)
-    x, F_out, ok, steps = search._polish(range_frame(P24), exact, F, spectra(exact, 2, 4), 2, 4)
+    x, F_out, ok, steps = search._polish(range_frame(P24), exact, F, spectra(exact, 2, 4)[1], 2, 4)
     assert ok.all() and x is exact and F_out is F and steps == 0
-    # rows away from the maximally entangled set are polished on the frame
-    P = subspace_projector(1, 3, 5, 10)
-    rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12)[0]
-    x, F_out, ok, steps = search._polish(range_frame(P), rough, F, spectra(rough, 3, 5), 3, 5)
-    assert ok.all() and steps >= 8
-    assert max(me_residual(row, 3, 5) for row in x) <= search.POLISH_TOL
-    assert np.abs(x - x @ P.T).max() <= 1e-12
-    assert np.abs(F_out - 1.0).max() <= 1e-12 and F.tolist() == [0.5] * 8
+    # rows away from the maximally entangled set: exactly one is accepted,
+    # the first in descending F that Gauss-Newton finishes on the frame
+    P, rough, F, w = rough_rows()
+    Q = range_frame(P)
+    assert not (np.abs(3 * w - 1.0).max(axis=1) <= search.POLISH_TOL).any()
+    x, F_out, ok, steps = search._polish(Q, rough, F, w, 3, 5)
+    assert ok.sum() == 1
+    order = np.argsort(-F, kind="stable")
+    tried = [search._gauss_newton(Q, rough[r], 3, 5) for r in order]
+    first = next(i for i, (state, _) in enumerate(tried) if state is not None)
+    r = order[first]
+    assert ok[r] and steps == sum(n for _, n in tried[:first + 1])
+    assert x[r].tobytes() == tried[first][0].tobytes()
+    assert me_residual(x[r], 3, 5) <= search.POLISH_TOL
+    assert np.abs(x[r] - P @ x[r]).max() <= 1e-12 and abs(F_out[r] - 1.0) <= 1e-12
+    # every other row, ranked after it or rejected before it, keeps its
+    # state and F, and the inputs are not written
+    others = np.arange(8) != r
+    assert x[others].tobytes() == rough[others].tobytes()
+    assert F_out[others].tobytes() == F[others].tobytes()
+    assert F.tobytes() == spectra(rough, 3, 5)[0].tobytes()
     # near (3,4)'s threshold rank the polish stalls: every row keeps its
     # state and F
     P34 = subspace_projector(1, 3, 4, 5)
     stuck = _ascend_batch(P34, projected_starts(P34, 1, range(8)), 3, 4, 10000)[0]
-    x, F_out, ok, _ = search._polish(range_frame(P34), stuck, F, spectra(stuck, 3, 4), 3, 4)
+    F = np.full(8, 0.5)
+    x, F_out, ok, _ = search._polish(range_frame(P34), stuck, F, spectra(stuck, 3, 4)[1], 3, 4)
     assert not ok.any() and x is stuck and F_out is F
+
+
+def test_a_parked_row_polishes_to_the_same_bytes_alone_as_beside_others():
+    import umebkit.search as search
+
+    P, rough, F, w = rough_rows()
+    Q = range_frame(P)
+    accepted = 0
+    for r in range(8):
+        alone = search._polish(Q, rough[r:r + 1], F[r:r + 1], w[r:r + 1], 3, 5)
+        # beside the others, ranked first by raising its F above theirs
+        F_first = F.copy()
+        F_first[r] = 1.0
+        beside = search._polish(Q, rough, F_first, w, 3, 5)
+        assert alone[2][0] == beside[2][r]
+        if alone[2][0]:
+            accepted += 1
+            assert alone[0][0].tobytes() == beside[0][r].tobytes()
+            assert alone[1][0].tobytes() == beside[1][r].tobytes()
+            assert alone[3] == beside[3] and beside[2].sum() == 1
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("reject", [0, 3, 8])
+def test_the_polish_tries_rows_best_first_and_stops_at_the_first_accepted(monkeypatch, reject):
+    import umebkit.search as search
+
+    P, rough, _, w = rough_rows()
+    Q = range_frame(P)
+    F = np.array([0.2, 0.9, 0.5, 0.9, 0.1, 0.7, 0.5, 0.3])  # ties: rows 1 and 3, 2 and 6
+    real, tried = search._gauss_newton, []
+
+    def first_accepted_after(Q, x, d, dprime):
+        tried.append(int(np.flatnonzero((rough == x).all(axis=1))[0]))
+        return real(Q, x, d, dprime) if len(tried) > reject else (None, 1)
+
+    monkeypatch.setattr(search, "_gauss_newton", first_accepted_after)
+    x, F_out, ok, steps = search._polish(Q, rough, F, w, 3, 5)
+    best_first = [1, 3, 5, 2, 6, 7, 0, 4]
+    assert tried == best_first[:reject + 1]
+    assert np.flatnonzero(ok).tolist() == ([] if reject == 8 else [best_first[reject]])
+    # a parked row that is exact is accepted as it is, and no row is tried
+    tried.clear()
+    w_exact = w.copy()
+    w_exact[4] = 1.0 / 3
+    assert search._polish(Q, rough, F, w_exact, 3, 5)[2].tolist() == [i == 4 for i in range(8)]
+    assert tried == []
 
 
 def test_a_search_whose_parked_rows_all_fail_the_polish(monkeypatch):
@@ -983,6 +1057,21 @@ def test_a_search_builds_one_frame_and_certify_none(monkeypatch):
     assert report.verdict == "extendible" and 2 not in calls
 
 
+# the benchmark's search-hard subspaces: (d, d') and rank k, four of each
+SEARCH_HARD = [((3, 5), 10), ((4, 6), 16), ((5, 7), 26), ((6, 8), 37), ((7, 7), 43)]
+
+
+def test_each_search_hard_search_ends_at_its_first_polished_row():
+    # no witness of these is exact: each search polishes parked rows best
+    # first and keeps the first one accepted
+    for (d, dprime), k in SEARCH_HARD:
+        for j in range(4):
+            P = subspace_projector(1, d, dprime, k, j)
+            result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
+            assert result.verdict == "found_me" and result.restarts_polished == 1, (d, dprime, k, j)
+            assert result.polish_steps > 0, (d, dprime, k, j)
+
+
 def test_a_full_search_keeps_its_traced_memory_small():
     import tracemalloc
 
@@ -995,6 +1084,7 @@ def test_a_full_search_keeps_its_traced_memory_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 0.2 MiB: the witness comes from the first run of 8 restarts
+    # about 0.24 MiB: the witness comes from the first run of 8 restarts,
+    # and the polish holds one row's Jacobian at a time
     assert result.verdict == "found_me" and result.restarts_used == 8
     assert peak < 0.5 * 2**20
