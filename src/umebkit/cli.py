@@ -158,7 +158,7 @@ def cmd_certify(args) -> int:
 def cmd_search(args) -> int:
     basis = load_basis(args.path)
     Q = _complement(basis, me_only=not args.all_members).Q
-    result = _search(Q @ Q.conj().T, Q, basis.d, basis.dprime, _search_config(args))
+    result = _search(Q @ Q.conj().T, basis.d, basis.dprime, _search_config(args))
     if args.out:
         save_state(args.out, result.best_state)
         print(f"best state -> {args.out}", file=sys.stderr)

@@ -201,57 +201,64 @@ def _project(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
     return rows @ P.T
 
 
-def _polish(Q, x, F, w, d, dprime):
+def _polish(P, x, F, w, d, dprime):
     """Finish parked rows ``x`` (unit vectors in range(P) whose F is ``F``
-    and whose Gram spectra are ``w``) on Q, an orthonormal frame of range(P).
+    and whose Gram spectra are ``w``) on the columns of the projector P.
 
     A row with ``max|d w - 1| <= POLISH_TOL`` is exact and accepted as it
     is: that spectral bound is at least the entrywise ``max|d X X^dag - I|``.
-    Only when no row is exact does :func:`_gauss_newton` run on Q, one row
+    Only when no row is exact does :func:`_gauss_newton` run on P, one row
     at a time in descending F (ties go to the earlier row), and the first
-    row it brings within the tolerance is accepted, with its F evaluated as
-    the ascent evaluates it; the rows after it are not tried, since the
-    batch ends on it.  Returns the states, their F, the accepted flags and
-    the Gauss-Newton steps taken; a row not accepted keeps its state and F.
+    row it brings within the tolerance is accepted, with its F taken as
+    ``(sum_p sqrt(w_p))^2 / d`` from the spectrum w of its d x d Gram
+    matrix; the rows after it are not tried, since the batch ends on it.
+    Returns the states, their F, the accepted flags and the Gauss-Newton
+    steps taken; a row not accepted keeps its state and F.
     """
     ok = np.abs(d * w - 1.0).max(axis=1) <= POLISH_TOL
     if ok.any():
         return x, F, ok, 0
     steps = 0
     for r in np.argsort(-F, kind="stable"):
-        polished, taken = _gauss_newton(Q, x[r], d, dprime)
+        polished, taken = _gauss_newton(P, x[r], d, dprime)
         steps += taken
         if polished is not None:
-            m, _ = _nearest_me_amplitudes(polished.reshape(1, d, dprime))
+            X = polished.reshape(d, dprime)
             x, F = x.copy(), F.copy()
             x[r], ok[r] = polished, True
-            F[r] = np.abs(np.einsum("ij,ij->i", m.conj(), polished[None]))[0] ** 2
+            F[r] = np.sqrt(np.linalg.eigvalsh(X @ X.conj().T)).sum() ** 2 / d
             break
     return x, F, ok, steps
 
 
-def _gauss_newton(Q, x, d, dprime):
+def _gauss_newton(P, x, d, dprime):
     """Minimum-norm Gauss-Newton on ``r = X X^dag - I/d`` from the state x.
 
     The unknowns are the coordinates c of ``X = sum_j c_j B_j``, the B_j the
-    orthonormal columns of Q.  A Hermitian H is stored as the real
-    ``Re H + Im H``, which keeps its norm, so the real ``d^2 x 2k`` Jacobian
-    J has the columns ``X B_j^dag + B_j X^dag`` (for ``Re c_j``) and
-    ``i (B_j X^dag - X B_j^dag)`` (for ``Im c_j``); each step solves the
-    ``d^2 x d^2`` system ``(J J^T) y = -r``, moves c by ``J^T y`` and
-    renormalises it.  The state is done once ``max|d X X^dag - I| <=
-    POLISH_TOL``, and fails once a step no longer halves it (or J J^T is
-    singular).  Returns the done state, or None, and the steps, one per
-    solve attempted (a singular one too).
+    k columns of P.  A Hermitian H is stored as the real ``Re H + Im H``,
+    which keeps its norm, so the real ``d^2 x 2k`` Jacobian J has the columns
+    ``X B_j^dag + B_j X^dag`` (for ``Re c_j``) and ``i (B_j X^dag - X
+    B_j^dag)`` (for ``Im c_j``); each step solves the ``d^2 x d^2`` system
+    ``(J J^T) y = -r``, moves c by ``J^T y`` and renormalises it.  The state
+    is done once ``max|d X X^dag - I| <= POLISH_TOL``, and fails once a step
+    no longer halves it (or J J^T is singular).  Returns the done state, or
+    None, and the steps, one per solve attempted (a singular one too).
+
+    Since ``P P^dag = P``, the columns of P are a Parseval frame of range(P),
+    and this is the step an orthonormal frame Q of range(P) would take, in
+    exact arithmetic: with J the Jacobian in X, ``J_P J_P^T = J P P^dag J^T
+    = J Q Q^dag J^T``; and c starts at ``P x = x`` and every step ``J_P^T y``
+    lies in range(P), so ``|c| = |X|`` throughout.  An orthonormal Q handed
+    in as P takes the same steps.
     """
-    k = Q.shape[1]
+    k = P.shape[1]
     # Bc[j d + b] = conj((1 + i) B_j)[b]: Bc X^T = ((1 - i) X B_j^dag)^T, every j at once
-    Bc = ((1 - 1j) * Q.T.conj()).reshape(k * d, dprime)
+    Bc = ((1 - 1j) * P.T.conj()).reshape(k * d, dprime)
     J = np.empty((2, k, d, d))  # J^T: a row per real coordinate
     Jt = J.reshape(2 * k, d * d)
-    c, err_last, steps = x @ Q.conj(), np.inf, 0
+    c, err_last, steps = x @ P.conj(), np.inf, 0
     while True:
-        X = (c @ Q.T).reshape(d, dprime)
+        X = (c @ P.T).reshape(d, dprime)
         H = X @ X.conj().T
         H.flat[::d + 1] -= 1.0 / d  # the diagonal
         err = d * np.abs(H).max()
@@ -277,7 +284,7 @@ def _gauss_newton(Q, x, d, dprime):
         c /= np.linalg.norm(c)
 
 
-def _ascend_batch(P, psi0, d, dprime, max_iters, Q=None):
+def _ascend_batch(P, psi0, d, dprime, max_iters, park=False):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
     One stacked projection (:func:`_nearest_me_amplitudes`) per iteration
@@ -285,15 +292,15 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, Q=None):
     :data:`CONVERGENCE_TOL`, when its projection vanishes (collapsed), or after
     its own ``max_iters`` F evaluations; a row that stops without collapsing
     keeps the state it was last evaluated at, so its recorded F is that
-    state's F.  Given Q, an orthonormal frame of range(P), each row has a
-    park threshold, at first :data:`PARK_STEP`: a row parks at an F
-    evaluation with ``1 - F`` at most its threshold, which then tightens by
-    the factor :data:`PARK_STEP`, and :func:`_polish` tries the rows parked
-    in one iteration on Q in that iteration.  Without Q no row parks.  The
-    first iteration in which a row is accepted ends the whole batch, without
-    projecting again, so :func:`_polish` stops at the first row it accepts;
-    a row not accepted ascends on as if it had never parked, until it meets
-    its tightened threshold.
+    state's F.  With ``park``, each row has a park threshold, at first
+    :data:`PARK_STEP`: a row parks at an F evaluation with ``1 - F`` at most
+    its threshold, which then tightens by the factor :data:`PARK_STEP`, and
+    :func:`_polish` tries the rows parked in one iteration on P in that
+    iteration.  Without ``park`` no row parks.  The first iteration in which
+    a row is accepted ends the whole batch, without projecting again, so
+    :func:`_polish` stops at the first row it accepts; a row not accepted
+    ascends on as if it had never parked, until it meets its tightened
+    threshold.
     Returns the states, their last F, per-row F evaluation counts, converged
     and collapsed flags, per iteration the array of F evaluated on the rows
     then advancing, the flags of the accepted rows (which count as
@@ -303,7 +310,7 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, Q=None):
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
     converged, collapsed, parked, accepted = np.zeros((4, R), dtype=bool)
-    park_at = np.full(R, -np.inf if Q is None else PARK_STEP)
+    park_at = np.full(R, PARK_STEP if park else -np.inf)
     active, history, park_evals, polish_steps = np.arange(R), [], 0, 0
     while active.size:
         x = psi[active]
@@ -314,14 +321,14 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, Q=None):
         iterations[active] += 1
         history.append(F)
         converged[active[done]] = True
-        park = 1.0 - F <= park_at[active]
-        if park.any():
-            rows = active[park]
+        parking = 1.0 - F <= park_at[active]
+        if parking.any():
+            rows = active[parking]
             park_evals += int(iterations[rows[~parked[rows]]].sum())  # up to the first park
             parked[rows] = True
             park_at[rows] *= PARK_STEP
             psi[rows], F_last[rows], accepted[rows], steps = _polish(
-                Q, x[park], F[park], w[park], d, dprime)
+                P, x[parking], F[parking], w[parking], d, dprime)
             polish_steps += steps
             if accepted.any():
                 converged |= accepted
@@ -401,11 +408,10 @@ def max_entanglement_in_subspace(
             and np.abs(P @ P - P).max() <= EXACT_TOL):
         raise ContractViolationError(
             f"P is not a finite Hermitian projector within {cite(EXACT_TOL)}")
-    w, V = np.linalg.eigh(P)
-    return _search(P, V[:, w > 0.5], d, dprime, config)
+    return _search(P, d, dprime, config)
 
 
-def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchResult:
+def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult:
     """The restarted search of both callers, ended by the first accepted row.
 
     Restarts below :data:`FIRST_STAGE` run first, for at most
@@ -417,11 +423,11 @@ def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchRes
     parked row the polish accepts, best F first.  The result is the accepted
     row with the highest F (ties go to the earliest), verdict ``found_me``;
     without one, the best row of all, ``none_found``.
-    P is a complex Hermitian projector and Q an orthonormal frame of its
-    range, which the polish steps on; both are unchecked (the caller checked
-    them or built them so), except that an empty Q is refused.
+    P is a complex Hermitian projector, unchecked (the caller checked it or
+    built it so), whose columns the polish steps on; one of rank 0 (trace
+    below 1/2) is refused.
     """
-    if not Q.shape[1]:
+    if np.trace(P).real < 0.5:
         raise ContractViolationError("projector has rank 0: nothing to search")
     if config is None:
         config = SearchConfig()
@@ -435,10 +441,10 @@ def _search(P, Q, d: int, dprime: int, config: SearchConfig | None) -> SearchRes
 
     first = starts(range(min(FIRST_STAGE, R)))
     cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
-    runs = [_ascend_batch(P, first, d, dprime, cap, Q)]
+    runs = [_ascend_batch(P, first, d, dprime, cap, park=True)]
     if R > FIRST_STAGE and not runs[0][6].any():
         runs.append(_ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
-                                  d, dprime, config.max_iters, Q))
+                                  d, dprime, config.max_iters, park=True))
     psi, F, iterations, converged, collapsed, _, accepted = runs[-1][:7]
     if collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
@@ -466,8 +472,8 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
 
     The support-rank certificate is conclusive whenever its Schmidt-rank
     bound is below d.  Otherwise :func:`_search`, the search of
-    ``max_entanglement_in_subspace``, runs on the certificate's complement
-    frame Q and its projector ``Q Q^dag``: the first restart that the exact
+    ``max_entanglement_in_subspace``, runs on the projector ``Q Q^dag`` of
+    the certificate's complement frame Q: the first restart that the exact
     test or the polish accepts is returned as the ``extendible`` witness, and
     ``search_best_F`` is its F.  On the Weyl shapes with d <= d'/2 one of
     restarts 0-7 is accepted by its second F evaluation, so restarts 8 and
@@ -476,16 +482,16 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     accepts no restart downgrades the verdict to ``inconclusive`` with the
     best overlap of every restart run to convergence recorded.  The frame is
     orthonormal by construction and the certificate refuses an empty one, so
-    neither it nor its projector is checked again.  The frame and the
-    singular values the certificate counts are built once per basis and
-    shared with ``analyze``.
+    its projector is not checked again.  The frame and the singular values
+    the certificate counts are built once per basis and shared with
+    ``analyze``.
     """
     complement = _complement(basis)
     report = _frame_certificate(basis, complement)
     if report.verdict == "unextendible":
         return report
     Q = complement.Q
-    result = _search(Q @ Q.conj().T, Q, basis.d, basis.dprime, config)
+    result = _search(Q @ Q.conj().T, basis.d, basis.dprime, config)
     found = result.verdict == "found_me"
     return replace(
         report,

@@ -28,9 +28,9 @@ what the stage before it admitted:
    the admission limit.
 4. **Channel and search**.  They read that frame unchecked: the channel's
    marginals and entropies come from the certificate's reshapes, and
-   ``certify`` hands the search the frame and its projector.  Only a
-   projector handed to ``max_entanglement_in_subspace`` is checked, at
-   :data:`EXACT_TOL`, and framed by ``eigh``.  The search's verdict reads
+   ``certify`` hands the search the frame's projector.  Only a projector
+   handed to ``max_entanglement_in_subspace`` is checked, at
+   :data:`EXACT_TOL`.  The search's verdict reads
    no bound of this module: a search state is a witness only once the
    search's exact test or Gauss-Newton polish brings it within
    ``search.POLISH_TOL`` of maximal entanglement, and where it parks for

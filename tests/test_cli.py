@@ -151,7 +151,7 @@ def test_search_searches_the_complement_frame_it_builds(tmp_path, capsys, monkey
     doc = json.loads(capsys.readouterr().out)
     assert not any(frames)  # no eigendecomposition of the projector
     Q = _complement(load_basis(path), me_only=not all_members).Q
-    result = _search(Q @ Q.conj().T, Q, d, dprime, SearchConfig(seed=1))
+    result = _search(Q @ Q.conj().T, d, dprime, SearchConfig(seed=1))
     assert doc["verdict"] == result.verdict and doc["best_F"] == result.best_F
     assert code == (0 if result.verdict == "found_me" else 1)
 

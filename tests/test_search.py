@@ -31,8 +31,8 @@ def record_runs(monkeypatch):
 
     real_batch, runs = search._ascend_batch, []
 
-    def recording_batch(*args):
-        out = real_batch(*args)
+    def recording_batch(*args, **kwargs):
+        out = real_batch(*args, **kwargs)
         runs.append((args, out))
         return out
 
@@ -483,8 +483,7 @@ def weyl_complement(d, dprime):
 
 
 def range_frame(P):
-    """An orthonormal frame of range(P), as ``max_entanglement_in_subspace``
-    builds one."""
+    """An orthonormal frame of range(P): the eigenvectors of P at eigenvalue 1."""
     w, V = np.linalg.eigh(P)
     return V[:, w > 0.5]
 
@@ -508,7 +507,7 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(monkeypatch, case):
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     full = _ascend_batch(P, starts, d, dprime, 400)
     calls = record_polish(monkeypatch)
-    stopped = _ascend_batch(P, starts, d, dprime, 400, Q=range_frame(P))
+    stopped = _ascend_batch(P, starts, d, dprime, 400, park=True)
     full_history, history, accepted = full[5], stopped[5], stopped[6]
     # the polish is handed the rows the unstopped run parks, with their F,
     # and rejects them until it accepts one; the batch ends at that iteration
@@ -618,7 +617,7 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     runs = record_runs(monkeypatch)
     calls = record_polish(monkeypatch, runs)
     config = SearchConfig(restarts=R, max_iters=max_iters, seed=1)
-    result = _search(P, range_frame(P), d, dprime, config)
+    result = _search(P, d, dprime, config)
     (first_args, first), (args, second) = runs
     # the first run: restarts 0-7, capped at FIRST_RUN_EVALS F evaluations
     starts = projected_starts(P, 1, range(R))
@@ -666,7 +665,7 @@ def test_a_late_row_keeps_its_full_max_iters(monkeypatch):
     P = subspace_projector(1, d, dprime, 4)  # no row converges in 40 iterations
     runs = record_runs(monkeypatch)
     config = SearchConfig(restarts=16, max_iters=max_iters, seed=1)
-    result = _search(P, range_frame(P), d, dprime, config)
+    result = _search(P, d, dprime, config)
     assert [len(out[5]) for _, out in runs] == [search.FIRST_RUN_EVALS, max_iters]
     iterations, converged = runs[1][1][2:4]
     assert not converged.any()
@@ -697,12 +696,12 @@ def test_every_restart_collapsed_only_when_every_stage_has(monkeypatch, stages_c
     monkeypatch.setattr(search, "_nearest_me_amplitudes", vanishing)
     if stages_collapsing == 2:
         with pytest.raises(NumericalFailureError, match="every restart collapsed"):
-            _search(P, range_frame(P), 2, 4, config)
+            _search(P, 2, 4, config)
         assert stack_sizes == [8, 16]
     else:
         # the first run collapses at once, so the second runs all 16 restarts:
         # 0-7 collapse again, and 8-15 find a witness
-        result = _search(P, range_frame(P), 2, 4, config)
+        result = _search(P, 2, 4, config)
         assert result.verdict == "found_me" and result.restarts_used == 8
         assert stack_sizes == [8, 16, 8]
 
@@ -747,7 +746,7 @@ def test_certify_of_an_extendible_sweep_shape_is_one_run_of_two_evaluations(monk
 def test_fruitless_first_witness_search_keeps_the_full_best_F():
     P = subspace_projector(1, 3, 5, 4)
     config = SearchConfig(seed=1)  # 64 restarts: two runs
-    first = _search(P, range_frame(P), 3, 5, config)
+    first = _search(P, 3, 5, config)
     # the 64 restarts ascended together to convergence, never parked
     psi, F, iterations = _ascend_batch(P, projected_starts(P, 1, range(64)), 3, 5,
                                        config.max_iters)[:3]
@@ -803,12 +802,12 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
     unparked = _ascend_batch(P, starts, d, dprime, 2000)
     polished = []
 
-    def reject_all(Q, x, F, w, d, dprime):
+    def reject_all(P, x, F, w, d, dprime):
         polished.append(F.copy())
         return x, F, np.zeros(len(x), dtype=bool), 0
 
     monkeypatch.setattr(search, "_polish", reject_all)
-    parked = _ascend_batch(P, starts, d, dprime, 2000, Q=range_frame(P))
+    parked = _ascend_batch(P, starts, d, dprime, 2000, park=True)
     # each row that meets the tolerance parks, and parks again only when
     # 1 - F is at most PARK_STEP times the threshold it last parked at
     parks = ladder_parks(unparked)
@@ -873,17 +872,16 @@ def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     # F = 1 to rounding after two F evaluations: the spectra pass the exact
     # test, so no Gauss-Newton step is taken and no F evaluated
     F = np.full(8, 0.5)
-    x, F_out, ok, steps = search._polish(range_frame(P24), exact, F, spectra(exact, 2, 4)[1], 2, 4)
+    x, F_out, ok, steps = search._polish(P24, exact, F, spectra(exact, 2, 4)[1], 2, 4)
     assert ok.all() and x is exact and F_out is F and steps == 0
     # rows away from the maximally entangled set: exactly one is accepted,
-    # the first in descending F that Gauss-Newton finishes on the frame
+    # the first in descending F that Gauss-Newton finishes on P
     P, rough, F, w = rough_rows()
-    Q = range_frame(P)
     assert not (np.abs(3 * w - 1.0).max(axis=1) <= search.POLISH_TOL).any()
-    x, F_out, ok, steps = search._polish(Q, rough, F, w, 3, 5)
+    x, F_out, ok, steps = search._polish(P, rough, F, w, 3, 5)
     assert ok.sum() == 1
     order = np.argsort(-F, kind="stable")
-    tried = [search._gauss_newton(Q, rough[r], 3, 5) for r in order]
+    tried = [search._gauss_newton(P, rough[r], 3, 5) for r in order]
     first = next(i for i, (state, _) in enumerate(tried) if state is not None)
     r = order[first]
     assert ok[r] and steps == sum(n for _, n in tried[:first + 1])
@@ -901,7 +899,7 @@ def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     P34 = subspace_projector(1, 3, 4, 5)
     stuck = _ascend_batch(P34, projected_starts(P34, 1, range(8)), 3, 4, 10000)[0]
     F = np.full(8, 0.5)
-    x, F_out, ok, _ = search._polish(range_frame(P34), stuck, F, spectra(stuck, 3, 4)[1], 3, 4)
+    x, F_out, ok, _ = search._polish(P34, stuck, F, spectra(stuck, 3, 4)[1], 3, 4)
     assert not ok.any() and x is stuck and F_out is F
 
 
@@ -909,14 +907,13 @@ def test_a_parked_row_polishes_to_the_same_bytes_alone_as_beside_others():
     import umebkit.search as search
 
     P, rough, F, w = rough_rows()
-    Q = range_frame(P)
     accepted = 0
     for r in range(8):
-        alone = search._polish(Q, rough[r:r + 1], F[r:r + 1], w[r:r + 1], 3, 5)
+        alone = search._polish(P, rough[r:r + 1], F[r:r + 1], w[r:r + 1], 3, 5)
         # beside the others, ranked first by raising its F above theirs
         F_first = F.copy()
         F_first[r] = 1.0
-        beside = search._polish(Q, rough, F_first, w, 3, 5)
+        beside = search._polish(P, rough, F_first, w, 3, 5)
         assert alone[2][0] == beside[2][r]
         if alone[2][0]:
             accepted += 1
@@ -931,16 +928,15 @@ def test_the_polish_tries_rows_best_first_and_stops_at_the_first_accepted(monkey
     import umebkit.search as search
 
     P, rough, _, w = rough_rows()
-    Q = range_frame(P)
     F = np.array([0.2, 0.9, 0.5, 0.9, 0.1, 0.7, 0.5, 0.3])  # ties: rows 1 and 3, 2 and 6
     real, tried = search._gauss_newton, []
 
-    def first_accepted_after(Q, x, d, dprime):
+    def first_accepted_after(P, x, d, dprime):
         tried.append(int(np.flatnonzero((rough == x).all(axis=1))[0]))
-        return real(Q, x, d, dprime) if len(tried) > reject else (None, 1)
+        return real(P, x, d, dprime) if len(tried) > reject else (None, 1)
 
     monkeypatch.setattr(search, "_gauss_newton", first_accepted_after)
-    x, F_out, ok, steps = search._polish(Q, rough, F, w, 3, 5)
+    x, F_out, ok, steps = search._polish(P, rough, F, w, 3, 5)
     best_first = [1, 3, 5, 2, 6, 7, 0, 4]
     assert tried == best_first[:reject + 1]
     assert np.flatnonzero(ok).tolist() == ([] if reject == 8 else [best_first[reject]])
@@ -948,7 +944,7 @@ def test_the_polish_tries_rows_best_first_and_stops_at_the_first_accepted(monkey
     tried.clear()
     w_exact = w.copy()
     w_exact[4] = 1.0 / 3
-    assert search._polish(Q, rough, F, w_exact, 3, 5)[2].tolist() == [i == 4 for i in range(8)]
+    assert search._polish(P, rough, F, w_exact, 3, 5)[2].tolist() == [i == 4 for i in range(8)]
     assert tried == []
 
 
@@ -1035,26 +1031,39 @@ def test_the_search_counts_its_own_work(monkeypatch, case):
         assert result.verdict == "found_me" and polish_steps >= result.restarts_polished >= 1
 
 
-def test_a_search_builds_one_frame_and_certify_none(monkeypatch):
-    # one eigendecomposition of P per max_entanglement_in_subspace call,
-    # whether its witness is exact (Weyl(2,4)) or polished ((3,5) k=10);
-    # the stacked Gram eigendecompositions of the ascent are 3-D
-    eigh, calls = np.linalg.eigh, []
+def test_no_search_path_eigendecomposes_the_projector(monkeypatch, tmp_path, capsys):
+    # the polish steps on the columns of P, so the library search, certify
+    # and umeb search eigendecompose only d x d Gram matrices (the ascent's
+    # stacked ones and the polished row's), whether the witness is exact
+    # (Weyl(2,4)) or polished ((3,5) k=10, and Weyl(2,17) at seed 42)
+    from umebkit.cli import main
+    from umebkit.fileio import save_basis
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.ndim(a))
-        return eigh(a, *args, **kwargs)
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        def counting(a, *args, real=real, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     for case, polished in (("weyl(2,4)", False), ("(3,5) k=10", True)):
         P, d, dprime = STOP_CASES[case]()
-        calls.clear()
+        shapes.clear()
         result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
         assert result.verdict == "found_me" and (result.polish_steps > 0) == polished
-        assert calls.count(2) == 1 and set(calls) == {2, 3}, case
-    calls.clear()
-    report = certify(build_weyl_umeb(2, 4), SearchConfig(seed=1))
-    assert report.verdict == "extendible" and 2 not in calls
+        assert shapes and all(shape[-2:] == (d, d) for shape in shapes), case
+    for dprime, seed in ((4, 1), (17, 42)):
+        basis, path = build_weyl_umeb(2, dprime), tmp_path / f"w2{dprime}.json"
+        save_basis(path, basis)
+        shapes.clear()
+        report = certify(basis, SearchConfig(seed=seed))
+        assert main(["search", str(path), "--seed", str(seed), "--json"]) == 0
+        capsys.readouterr()
+        assert report.verdict == "extendible"
+        assert shapes and all(shape[-2:] == (2, 2) for shape in shapes), dprime
+        assert ((2, 2) in shapes) == (dprime == 17)  # only a polished row's is 2-D
 
 
 # the benchmark's search-hard subspaces: (d, d') and rank k, four of each
@@ -1072,6 +1081,69 @@ def test_each_search_hard_search_ends_at_its_first_polished_row():
             assert result.polish_steps > 0, (d, dprime, k, j)
 
 
+def parked_rows(monkeypatch, P, d, dprime, seed):
+    """The seeded search of range(P) and every row it hands to the polish."""
+    import umebkit.search as search
+
+    real, rows = search._polish, []
+
+    def recording_polish(*args):
+        rows.extend(args[1].copy())
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "_polish", recording_polish)
+        result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=seed))
+    return result, rows
+
+
+def gauss_newton_on_both_frames(P, rows, d, dprime):
+    """Each row polished on the columns of P and on an orthonormal frame of
+    range(P): both take the same steps, and their states agree to 1e-12.
+    Returns the pairs of outcomes."""
+    import umebkit.search as search
+
+    Q = range_frame(P)
+    pairs = [(search._gauss_newton(P, x, d, dprime), search._gauss_newton(Q, x, d, dprime))
+             for x in rows]
+    for (on_P, steps_P), (on_Q, steps_Q) in pairs:
+        assert steps_P == steps_Q and (on_P is None) == (on_Q is None)
+        if on_P is not None:
+            assert np.abs(on_P - on_Q).max() <= 1e-12
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_gauss_newton_on_the_projector_steps_as_on_an_orthonormal_frame(monkeypatch, seed):
+    import umebkit.search as search
+
+    # P's columns are a Parseval frame of range(P) (P P^dag = P), so from
+    # the rows each search-hard search parks, Gauss-Newton on them takes the
+    # steps it takes on an orthonormal frame; the witness is maximally
+    # entangled and lies in the subspace to rounding
+    for (d, dprime), k in SEARCH_HARD:
+        for j in range(4):
+            P = subspace_projector(seed, d, dprime, k, j)
+            result, rows = parked_rows(monkeypatch, P, d, dprime, seed)
+            pairs = gauss_newton_on_both_frames(P, rows, d, dprime)
+            assert any(on_P is not None for (on_P, _), _ in pairs), (d, dprime, k, j)
+            witness = result.best_state.amplitudes
+            assert result.verdict == "found_me", (d, dprime, k, j)
+            assert me_residual(witness, d, dprime) <= search.POLISH_TOL
+            assert np.linalg.norm(witness - P @ witness) <= 1e-14, (d, dprime, k, j)
+
+
+def test_gauss_newton_rejects_the_near_miss_on_either_frame(monkeypatch):
+    # every row the r45 near-miss search parks is rejected, after as many
+    # steps on the columns of P as on an orthonormal frame
+    P = near_miss_projector()
+    result, rows = parked_rows(monkeypatch, P, 4, 5, 1)
+    assert result.verdict == "none_found" and len(rows) > 0
+    pairs = gauss_newton_on_both_frames(P, rows, 4, 5)
+    assert all(on_P is None for (on_P, _), _ in pairs)
+    assert sum(steps for (_, steps), _ in pairs) == result.polish_steps
+
+
 def test_a_full_search_keeps_its_traced_memory_small():
     import tracemalloc
 
@@ -1084,7 +1156,7 @@ def test_a_full_search_keeps_its_traced_memory_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 0.24 MiB: the witness comes from the first run of 8 restarts,
+    # about 0.19 MiB: the witness comes from the first run of 8 restarts,
     # and the polish holds one row's Jacobian at a time
     assert result.verdict == "found_me" and result.restarts_used == 8
     assert peak < 0.5 * 2**20
