@@ -239,9 +239,10 @@ def _gauss_newton(P, x, d, dprime):
     which keeps its norm, so the real ``d^2 x 2k`` Jacobian J has the columns
     ``X B_j^dag + B_j X^dag`` (for ``Re c_j``) and ``i (B_j X^dag - X
     B_j^dag)`` (for ``Im c_j``); each step solves the ``d^2 x d^2`` system
-    ``(J J^T) y = -r``, moves c by ``J^T y`` and renormalises it.  The state
-    is done once ``max|d X X^dag - I| <= POLISH_TOL``, and fails once a step
-    no longer halves it (or J J^T is singular).  Returns the done state, or
+    ``(J J^T) y = -r`` and moves c by ``J^T y``.  X is scaled to unit norm
+    at every evaluation, c with it.  The state is done once
+    ``max|d X X^dag - I| <= POLISH_TOL``, and fails once a step no longer
+    halves it (or J J^T is singular).  Returns the done state, or
     None, and the steps, one per solve attempted (a singular one too).
 
     Since ``P P^dag = P``, the columns of P are a Parseval frame of range(P),
@@ -249,7 +250,10 @@ def _gauss_newton(P, x, d, dprime):
     exact arithmetic: with J the Jacobian in X, ``J_P J_P^T = J P P^dag J^T
     = J Q Q^dag J^T``; and c starts at ``P x = x`` and every step ``J_P^T y``
     lies in range(P), so ``|c| = |X|`` throughout.  An orthonormal Q handed
-    in as P takes the same steps.
+    in as P takes the same steps.  Scaling X rather than c keeps that true
+    of a P that is a projector only within its checks: on ``(1 + delta) Q
+    Q^dag`` a unit c gives ``|X| = 1 + delta``, which would hold the residual
+    near ``2 delta``, above the tolerance for any delta over about 5e-12.
     """
     k = P.shape[1]
     # Bc[j d + b] = conj((1 + i) B_j)[b]: Bc X^T = ((1 - i) X B_j^dag)^T, every j at once
@@ -258,7 +262,9 @@ def _gauss_newton(P, x, d, dprime):
     Jt = J.reshape(2 * k, d * d)
     c, err_last, steps = x @ P.conj(), np.inf, 0
     while True:
-        X = (c @ P.T).reshape(d, dprime)
+        X = c @ P.T
+        scale = np.linalg.norm(X)
+        X, c = (X / scale).reshape(d, dprime), c / scale
         H = X @ X.conj().T
         H.flat[::d + 1] -= 1.0 / d  # the diagonal
         err = d * np.abs(H).max()
@@ -281,7 +287,6 @@ def _gauss_newton(P, x, d, dprime):
             return None, steps
         step = Jt @ y
         c = c + step[:k] + 1j * step[k:]
-        c /= np.linalg.norm(c)
 
 
 def _ascend_batch(P, psi0, d, dprime, max_iters, park=False):

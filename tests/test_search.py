@@ -1144,6 +1144,23 @@ def test_gauss_newton_rejects_the_near_miss_on_either_frame(monkeypatch):
     assert sum(steps for (_, steps), _ in pairs) == result.polish_steps
 
 
+@pytest.mark.parametrize("delta", [1e-10, -4e-10])
+def test_a_projector_inexact_within_its_checks_still_polishes(delta):
+    import umebkit.search as search
+
+    # (1 + delta) Q Q^dag passes the Hermitian and idempotent checks; a unit
+    # coordinate vector on its columns gives |X| = 1 + delta, which would hold
+    # the polish's residual near 2 delta, so the polish scales X itself
+    for (d, dprime), k in SEARCH_HARD:
+        for j in range(4):
+            P = (1 + delta) * subspace_projector(1, d, dprime, k, j)
+            result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
+            witness = result.best_state.amplitudes
+            assert result.verdict == "found_me" and result.polish_steps > 0, (d, dprime, k, j)
+            assert me_residual(witness, d, dprime) <= search.POLISH_TOL, (d, dprime, k, j)
+            assert np.linalg.norm(witness - P @ witness / (1 + delta)) <= 1e-14, (d, dprime, k, j)
+
+
 def test_a_full_search_keeps_its_traced_memory_small():
     import tracemalloc
 
