@@ -16,7 +16,6 @@ from .bases import (
 from .channel import ChannelReport, analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
 from .fileio import load_basis, load_state, save_basis, save_state
-from .linalg import svd
 from .mub import OverlapReport, overlap_matrix
 from .search import (
     SearchConfig,
@@ -26,11 +25,8 @@ from .search import (
 )
 from .states import (
     BipartiteState,
-    SchmidtDecomposition,
     apply_local,
     is_maximally_entangled,
-    reshape_to_matrix,
-    schmidt,
     schmidt_rank,
     standard_mes,
     weyl_operator,
@@ -48,7 +44,6 @@ __all__ = [
     "FileFormatError",
     "NumericalFailureError",
     "OverlapReport",
-    "SchmidtDecomposition",
     "SearchConfig",
     "SearchResult",
     "analyze",
@@ -65,13 +60,10 @@ __all__ = [
     "max_entanglement_in_subspace",
     "overlap_constraint_matrix",
     "overlap_matrix",
-    "reshape_to_matrix",
     "save_basis",
     "save_state",
-    "schmidt",
     "schmidt_rank",
     "standard_mes",
     "support_rank_certificate",
-    "svd",
     "weyl_operator",
 ]

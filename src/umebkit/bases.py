@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .states import BipartiteState, _norm_errors, _weyl_operators, standard_mes
+from .states import BipartiteState, _me_deviations, _norm_errors, _weyl_operators, standard_mes
 from .tolerances import (
     ADMIT_TOL, EXACT_TOL, ME_TOL, NORM_SQ_TOL, NORM_TOL, RANK_CUT, cite,
 )
@@ -140,8 +140,7 @@ class BasisSet:
 
     def me_deviations(self) -> np.ndarray:
         """Per member, the deviation that :func:`is_maximally_entangled` reports."""
-        s = np.linalg.svd(self.amplitudes.reshape(-1, self.d, self.dprime))[1]
-        return np.abs(s - 1.0 / np.sqrt(self.d)).max(axis=1)
+        return _me_deviations(self.amplitudes, self.d, self.dprime)
 
     def validate(self) -> None:
         """Check orthonormality and flag consistency; raise on violation.

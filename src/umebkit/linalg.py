@@ -1,9 +1,10 @@
 """The two numerical kernels other modules share.
 
-:func:`svd` is the phase-fixed SVD that ``states.schmidt`` takes its Schmidt
-vectors from; ``_entropy`` is the von Neumann entropy of a spectrum, which
-``channel.analyze`` reads off the complement frame.  Both are pure and
-enforce their preconditions with :class:`ContractViolationError`.
+``_schmidt_coefficients`` is the one computation of the Schmidt coefficients
+of held states: every maximal-entanglement check, flag check and Schmidt rank
+reads it.  ``_entropy`` is the von Neumann entropy of a spectrum, which
+``channel.analyze`` reads off the complement frame.  Both are private and
+pure; their callers hold states and spectra that earlier stages admitted.
 """
 
 from __future__ import annotations
@@ -14,44 +15,24 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
 
-__all__ = ["svd"]
+__all__ = []
 
 #: Eigenvalues at or below this are exact zeros in ``_entropy``.
 EIGENVALUE_CLIP = 1e-12
 
 
-def _as_matrix(M) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.size == 0:
-        raise ContractViolationError(f"expected a nonempty 2-d array, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ContractViolationError("matrix contains non-finite entries")
-    return M
+def _schmidt_coefficients(rows, d: int, dprime: int) -> np.ndarray:
+    """Singular values, descending, of each row of ``rows`` reshaped to
+    d x dprime: the Schmidt coefficients of each row as a state.
 
-
-def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``M = left @ diag(s) @ right_dagger`` with descending ``s``.
-
-    The phase of each left singular vector is fixed so that its
-    largest-magnitude component is real and nonnegative (the matching row of
-    ``right_dagger`` absorbs the conjugate phase), which makes the
-    decomposition deterministic for a fixed input.
+    ``rows`` is one amplitude vector or a stack of them; the result has one
+    row of d values per vector.  A LAPACK failure to converge is raised as
+    :class:`NumericalFailureError`.
     """
-    M = _as_matrix(M)
     try:
-        left, s, right_dagger = np.linalg.svd(M, full_matrices=False)
+        return np.linalg.svd(np.reshape(rows, (-1, d, dprime)), compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    # Phase normalization: rotate column k of `left` and row k of `right_dagger`
-    # by a common phase so the product is unchanged.
-    for k in range(s.shape[0]):
-        col = left[:, k]
-        pivot = col[np.argmax(np.abs(col))]
-        if np.abs(pivot) > 0:
-            phase = pivot / np.abs(pivot)
-            left[:, k] = col * np.conj(phase)
-            right_dagger[k, :] = right_dagger[k, :] * phase
-    return left, s, right_dagger
+        raise NumericalFailureError(str(exc)) from exc
 
 
 def _entropy(vals: np.ndarray, log_base: float) -> float:

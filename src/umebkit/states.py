@@ -1,9 +1,11 @@
-"""Bipartite pure states, Schmidt analysis, and the shift-phase operator family.
+"""Bipartite pure states, their maximal-entanglement checks, and the
+shift-phase operator family.
 
 A state of C^d (x) C^dprime is stored as a flat amplitude vector with the
 A-major index convention ``|i>|j'> -> i * dprime + j``.  By convention A is
-the smaller subsystem (d <= dprime), so reshaping the amplitudes to a
-d x dprime matrix makes the Schmidt decomposition literally the SVD.
+the smaller subsystem (d <= dprime), so the Schmidt coefficients are the d
+singular values of the amplitudes reshaped to a d x dprime matrix
+(``linalg._schmidt_coefficients``).
 """
 
 from __future__ import annotations
@@ -13,15 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import svd
-from .tolerances import EXACT_TOL, FACTOR_TOL, ME_TOL, NORM_SQ_TOL, NORM_TOL, check_tol, cite
+from .linalg import _schmidt_coefficients
+from .tolerances import EXACT_TOL, ME_TOL, NORM_TOL, check_tol, cite
 
 __all__ = [
-    "ME_TOL",
     "BipartiteState",
-    "SchmidtDecomposition",
-    "reshape_to_matrix",
-    "schmidt",
     "schmidt_rank",
     "is_maximally_entangled",
     "weyl_operator",
@@ -76,51 +74,17 @@ class BipartiteState:
         self.amplitudes = amp
 
 
-@dataclass(eq=False)
-class SchmidtDecomposition:
-    """Schmidt data of a bipartite state: coefficients and local vectors.
-
-    ``coefficients`` are the d singular values of the reshaped state, sorted
-    descending; ``left_vectors`` (d x d) and ``right_vectors`` (dprime x d)
-    hold the corresponding local basis vectors as columns.  The squared
-    coefficients must sum to 1 within ``NORM_SQ_TOL``, which every state
-    admitted at ``NORM_TOL`` meets.
-    """
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.coefficients, dtype=float)
-        if not abs((s**2).sum() - 1.0) <= NORM_SQ_TOL:
-            raise ContractViolationError("squared Schmidt coefficients do not sum to 1")
-        for vecs in (self.left_vectors, self.right_vectors):
-            gram = vecs.conj().T @ vecs
-            if not np.abs(gram - np.eye(gram.shape[0])).max() <= FACTOR_TOL:
-                raise ContractViolationError("Schmidt vectors are not orthonormal")
-        self.coefficients = s
-
-
-def reshape_to_matrix(psi: BipartiteState) -> np.ndarray:
-    """Return the d x dprime matrix X with X[i, j] = amplitudes[i*dprime + j]."""
-    return psi.amplitudes.reshape(psi.d, psi.dprime)
-
-
-def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
-    """Schmidt decomposition of ``psi`` via the SVD of its reshaped matrix."""
-    left, s, right_dagger = svd(reshape_to_matrix(psi))
-    return SchmidtDecomposition(
-        coefficients=s,
-        left_vectors=left,
-        right_vectors=right_dagger.conj().T,
-    )
+def _me_deviations(rows, d: int, dprime: int) -> np.ndarray:
+    """Per row of ``rows`` (one amplitude vector or a stack of them), the
+    largest distance of any of its d Schmidt coefficients from 1/sqrt(d)."""
+    s = _schmidt_coefficients(rows, d, dprime)
+    return np.abs(s - 1.0 / np.sqrt(d)).max(axis=1)
 
 
 def schmidt_rank(psi: BipartiteState, tol: float = ME_TOL) -> int:
     """Number of Schmidt coefficients exceeding ``tol`` (finite, at least 0)."""
     check_tol(tol)
-    return int((schmidt(psi).coefficients > tol).sum())
+    return int((_schmidt_coefficients(psi.amplitudes, psi.d, psi.dprime) > tol).sum())
 
 
 def is_maximally_entangled(
@@ -133,8 +97,7 @@ def is_maximally_entangled(
     deviation is within ``tol``, which must be finite and at least 0.
     """
     check_tol(tol)
-    s = schmidt(psi).coefficients
-    deviation = float(np.abs(s - 1.0 / np.sqrt(psi.d)).max())
+    deviation = float(_me_deviations(psi.amplitudes, psi.d, psi.dprime)[0])
     return deviation <= tol, deviation
 
 
@@ -198,7 +161,7 @@ def apply_local(psi: BipartiteState, opA, opB) -> BipartiteState:
         dev = np.abs(op.conj().T @ op - np.eye(op.shape[0])).max()
         if dev > EXACT_TOL:
             raise ContractViolationError(f"operator on side {name} is not unitary ({dev:.3e})")
-    amp = (opA @ reshape_to_matrix(psi) @ opB.T).reshape(-1)
+    amp = (opA @ psi.amplitudes.reshape(psi.d, psi.dprime) @ opB.T).reshape(-1)
     if _norm_errors(amp) > NORM_TOL:
         amp = amp / np.linalg.norm(amp)
     return BipartiteState(psi.d, psi.dprime, amp)

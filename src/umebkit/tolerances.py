@@ -15,10 +15,11 @@ what the stage before it admitted:
    loader judges by, so every vector the loader keeps is admitted here.
    Checks that read a quantity this bound admitted derive their own bound
    from it: the squared Schmidt coefficients of such a vector sum to 1
-   within :data:`NORM_SQ_TOL`, which ``SchmidtDecomposition`` and
-   ``overlap_constraint_matrix`` accept.  ``BasisSet.validate`` holds a
-   basis to :data:`EXACT_TOL` on its Gram matrix and :data:`ME_TOL` on its
-   flags.
+   within :data:`NORM_SQ_TOL`, which ``overlap_constraint_matrix`` accepts.
+   ``BasisSet.validate`` holds a basis to :data:`EXACT_TOL` on its Gram
+   matrix and :data:`ME_TOL` on its flags.  Every flag check, deviation
+   and Schmidt rank reads the Schmidt coefficients of one kernel,
+   ``linalg._schmidt_coefficients``.
 3. **Frame, certificate and mub**.  The complement frame and ``mub`` admit
    members whose Gram matrix is within :data:`ADMIT_TOL` of the identity,
    as the loader does; the certificate refuses a flagged member only when
@@ -38,12 +39,11 @@ what the stage before it admitted:
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and
 ``overlap_constraint_matrix``, the projector of
-``max_entanglement_in_subspace``) use :data:`EXACT_TOL`; the check next to a
-factorisation, of the orthonormality of the SVD's Schmidt vectors, uses the
-tighter :data:`FACTOR_TOL`; a tolerance a caller hands in must be finite and
-at least 0 (:func:`check_tol`).  Constants that one algorithm owns (the
-search's convergence and collapse thresholds, its Gram cutoff and its park
-ladder, the entropy's eigenvalue clip) stay named in their own module.
+``max_entanglement_in_subspace``) use :data:`EXACT_TOL`; a tolerance a
+caller hands in must be finite and at least 0 (:func:`check_tol`).
+Constants that one algorithm owns (the search's convergence and collapse
+thresholds, its Gram cutoff and its park ladder, the entropy's eigenvalue
+clip) stay named in their own module.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "ADMIT_TOL",
     "ME_TOL",
     "EXACT_TOL",
-    "FACTOR_TOL",
     "RANK_CUT",
     "MAX_SPACE_DIM",
     "NORM_SQ_TOL",
@@ -86,9 +85,6 @@ ME_TOL = 1e-8
 #: Gram bound, the ``--tol`` default of ``verify`` and ``mub``, and the
 #: unitary, Hermitian and idempotent checks.
 EXACT_TOL = 1e-9
-
-#: Bound on the orthonormality of computed Schmidt vectors.
-FACTOR_TOL = 1e-10
 
 #: Singular values of the reshaped complement frame above this count towards
 #: a support rank.

@@ -398,10 +398,17 @@ def test_mub_admits_a_basis_the_loader_admits(tmp_path, capsys):
 
 
 def test_verify_json_keeps_its_hand_written_bytes(tmp_path, capsys):
+    # every member's me_deviation is the same float in verify --json,
+    # BasisSet.me_deviations and is_maximally_entangled: one kernel reads them
     phi0 = standard_mes(2, 3)
+    rng = np.random.default_rng(8)
+    random_rows = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))[0].T
     cases = [build_weyl_umeb(3, 4), build_c23_first(), BasisSet(2, 2, [], me_flags=[]),
-             BasisSet(2, 3, [phi0, phi0], me_flags=[True, False])]
+             BasisSet(2, 3, [phi0, phi0], me_flags=[True, False]),
+             BasisSet(2, 3, random_rows, me_flags=[False] * 3), build_weyl_umeb(3, 5)]
     for basis in cases:
+        for state, dev in zip(basis.states, basis.me_deviations()):
+            assert is_maximally_entangled(state)[1] == dev
         path = tmp_path / "b.json"
         save_basis(path, basis)
         k = len(basis)
@@ -414,6 +421,21 @@ def test_verify_json_keeps_its_hand_written_bytes(tmp_path, capsys):
         assert main(["verify", str(path), "--json"]) == (0 if passed else 1)
         expected = {"gram_deviation": gram_dev, "tol": 1e-9, "states": rows, "passed": passed}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_verify_reports_an_svd_that_does_not_converge(tmp_path, capsys, monkeypatch):
+    # a LAPACK failure is a numerical failure (exit 2), not a failed check (exit 1)
+    w34 = tmp_path / "w34.json"
+    save_basis(w34, build_weyl_umeb(3, 4))
+
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    assert main(["verify", str(w34), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: SVD did not converge\n"
 
 
 def test_json_report_arrays_read_back_bit_for_bit(tmp_path, capsys):
