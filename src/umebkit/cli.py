@@ -2,7 +2,8 @@
 
 Subcommands: construct, verify, certify, search, mub, channel, pauli.
 Exit codes are a stable contract: 0 success/affirmative, 1 property-negative,
-2 usage or format error (or a request too large to allocate), 3 inconclusive.
+3 inconclusive, and 2 for all else: a usage or format error, a request too large
+to allocate, a numerical failure, or a bug (its traceback on standard error).
 With ``--json`` the machine report is the only thing on standard output;
 diagnostics go to standard error.
 """
@@ -13,15 +14,16 @@ import argparse
 import functools
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import (
-    _complement,
     build_c23_first,
     build_c23_second,
     build_weyl_umeb,
+    complement_projector,
     gram_matrix,
 )
 from .channel import analyze
@@ -63,9 +65,9 @@ def _tolerance(text: str) -> float:
 def cmd_construct(args) -> int:
     if args.kind == "weyl":
         if args.d is None or args.dprime is None:
-            print("error: --kind weyl requires --d and --dprime", file=sys.stderr)
-            return 2
-        if args.d * args.dprime > MAX_SPACE_DIM:
+            raise ContractViolationError("--kind weyl requires --d and --dprime")
+        # the cap only for valid dimensions: build_weyl_umeb names invalid ones
+        if 2 <= args.d < args.dprime and args.d * args.dprime > MAX_SPACE_DIM:
             raise ContractViolationError(
                 f"d*dprime = {args.d * args.dprime} exceeds the limit of {MAX_SPACE_DIM}"
             )
@@ -157,8 +159,8 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     basis = load_basis(args.path)
-    Q = _complement(basis, me_only=not args.all_members).Q
-    result = _search(Q @ Q.conj().T, basis.d, basis.dprime, _search_config(args))
+    P = complement_projector(basis, me_only=not args.all_members)
+    result = _search(P, basis.d, basis.dprime, _search_config(args))
     if args.out:
         save_state(args.out, result.best_state)
         print(f"best state -> {args.out}", file=sys.stderr)
@@ -215,8 +217,7 @@ def cmd_pauli(args) -> int:
             f"--d must satisfy 2 <= d and d*d <= {MAX_SPACE_DIM}, got {args.d}"
         )
     if (args.n is None) != (args.m is None):
-        print("error: --n and --m must be given together", file=sys.stderr)
-        return 2
+        raise ContractViolationError("--n and --m must be given together")
     if args.n is not None:
         pairs = [(args.n, args.m)]
     else:
@@ -318,10 +319,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ContractViolationError, FileFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFailureError as exc:
+    except (NumericalFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    except Exception:  # a bug: exit 2 with its traceback, never a verdict's code
+        traceback.print_exc()
+    return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ class ContractViolationError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A numerical routine failed to converge or produced unusable output."""
+    """A search produced no usable candidate: every one of its restarts collapsed."""
 
 
 class FileFormatError(ValueError):

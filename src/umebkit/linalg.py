@@ -13,7 +13,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalFailureError
+from .errors import ContractViolationError
 
 __all__ = []
 
@@ -26,13 +26,10 @@ def _schmidt_coefficients(rows, d: int, dprime: int) -> np.ndarray:
     d x dprime: the Schmidt coefficients of each row as a state.
 
     ``rows`` is one amplitude vector or a stack of them; the result has one
-    row of d values per vector.  A LAPACK failure to converge is raised as
-    :class:`NumericalFailureError`.
+    row of d values per vector.  A LAPACK failure to converge propagates as
+    numpy raises it; ``umeb`` reports it as a numerical failure (exit 2).
     """
-    try:
-        return np.linalg.svd(np.reshape(rows, (-1, d, dprime)), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(str(exc)) from exc
+    return np.linalg.svd(np.reshape(rows, (-1, d, dprime)), compute_uv=False)
 
 
 def _entropy(vals: np.ndarray, log_base: float) -> float:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from umebkit.bases import (
     BasisSet, CertificateReport, build_c23_first, build_c23_second, build_weyl_umeb,
@@ -44,6 +48,13 @@ def test_construct_to_stdout_is_valid_json(tmp_path, capsys):
 def test_construct_rejects_bad_dims(capsys):
     assert main(["construct", "--kind", "weyl", "--d", "3", "--dprime", "3"]) == 2
     assert main(["construct", "--kind", "weyl"]) == 2
+    assert capsys.readouterr().err.endswith("error: --kind weyl requires --d and --dprime\n")
+    # invalid dimensions are named as such, not as a product over the size cap
+    for d, dprime in [("-3", "-400"), ("1", "2000")]:
+        assert main(["construct", "--kind", "weyl", "--d", d, "--dprime", dprime]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need 2 <= d < dprime, got ({d}, {dprime})\n"
 
 
 def test_construct_refuses_weyl_beyond_the_space_limit(tmp_path, capsys):
@@ -423,19 +434,104 @@ def test_verify_json_keeps_its_hand_written_bytes(tmp_path, capsys):
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
-def test_verify_reports_an_svd_that_does_not_converge(tmp_path, capsys, monkeypatch):
-    # a LAPACK failure is a numerical failure (exit 2), not a failed check (exit 1)
+LAPACK_FAILURES = [
+    ("svd", ["verify", "w34.json", "--json"]),
+    ("svd", ["certify", "w34.json"]),
+    ("svd", ["certify", "w24.json"]),
+    ("svd", ["certify", "w24.json", "--seed", "1"]),
+    ("svd", ["search", "w34.json"]),
+    ("svd", ["search", "w24.json"]),
+    ("svd", ["channel", "w34.json"]),
+    ("eigh", ["certify", "w24.json"]),
+    ("eigh", ["search", "w34.json"]),
+    ("eigh", ["search", "w24.json"]),
+]
+
+
+@pytest.mark.parametrize("patched, argv", LAPACK_FAILURES,
+                         ids=[f"{patched}-{'_'.join(argv)}" for patched, argv in LAPACK_FAILURES])
+def test_a_lapack_failure_exits_2_as_a_numerical_failure(tmp_path, capsys, monkeypatch,
+                                                         patched, argv):
+    # a LAPACK failure is a numerical failure (exit 2), not a verdict (exit 1 or 3)
+    monkeypatch.chdir(tmp_path)
+    save_basis("w34.json", build_weyl_umeb(3, 4))
+    save_basis("w24.json", build_weyl_umeb(2, 4))
+
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{patched} did not converge")
+
+    monkeypatch.setattr(np.linalg, patched, diverge)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {patched} did not converge\n"
+
+
+def test_a_bug_exits_2_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # an unexpected exception is not a verdict: exit 2, never the 1 of an escape
     w34 = tmp_path / "w34.json"
     save_basis(w34, build_weyl_umeb(3, 4))
 
-    def diverge(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def broken(*args, **kwargs):
+        return 1 / 0
 
-    monkeypatch.setattr(np.linalg, "svd", diverge)
-    assert main(["verify", str(w34), "--json"]) == 2
+    monkeypatch.setattr("umebkit.cli.analyze", broken)
+    assert main(["channel", str(w34), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "numerical failure: SVD did not converge\n"
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("ZeroDivisionError: division by zero\n")
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def admitted_bases(draw):
+    """Bases the loader admits: random orthonormal members, Weyl subsets and
+    the two 2 x 3 bases under random local unitaries, and complete bases."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "weyl", "complete", "c23"]))
+    if kind == "c23":
+        basis = draw(st.sampled_from([build_c23_first, build_c23_second]))()
+        local = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
+        return BasisSet(2, 3, basis.amplitudes @ local.T, basis.me_flags)
+    d = draw(st.integers(2, 3))
+    dprime = draw(st.integers(d + (kind == "weyl"), 5))
+    n = d * dprime
+    if kind == "random":
+        rows = random_unitary(rng, n)[: draw(st.integers(1, n - 1))]
+        return BasisSet(d, dprime, rows, [False] * len(rows))
+    if kind == "complete":
+        return BasisSet(d, dprime, random_unitary(rng, n), [False] * n)
+    members = draw(st.one_of(st.just(list(range(d * d))),
+                             st.sets(st.integers(0, d * d - 1), min_size=1).map(sorted)))
+    local = np.kron(random_unitary(rng, d), random_unitary(rng, dprime))
+    rows = build_weyl_umeb(d, dprime).amplitudes[members] @ local.T
+    return BasisSet(d, dprime, rows, [True] * len(rows))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(basis=admitted_bases())
+def test_every_stage_processes_an_admitted_file(tmp_path, basis):
+    path = str(tmp_path / "admitted.json")
+    save_basis(path, basis)
+    load_basis(path)  # the file is admitted
+    run = ["--json", "--restarts", "4", "--max-iters", "50"]
+    for argv in (["verify", path, "--json"], ["certify", path, *run], ["search", path, *run],
+                 ["search", path, "--all-members", *run], ["channel", path, "--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", argv
+        else:
+            json.loads(out.getvalue())  # one JSON document
 
 
 def test_json_report_arrays_read_back_bit_for_bit(tmp_path, capsys):
