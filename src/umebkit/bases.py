@@ -277,23 +277,24 @@ def _complement(basis: BasisSet, me_only: bool = True) -> _Complement:
     """The complement of the k chosen members: the flagged ones by default
     (their span is what unextendibility is about), all with ``me_only=False``.
 
-    The members must be orthonormal within 1e-6, which every call checks; the
+    The members must be orthonormal within 1e-6, which each build checks; the
     frame Q (n x (n - k)), their SVD null space, is then orthonormal to
     machine precision even at that limit.  The basis keeps the complement of
     each selection and builds it again only once ``amplitudes``, the flags
-    or the dimensions are no longer those it was built from.
+    or the dimensions are no longer those it was built from, so a kept one
+    passed the check on the same inputs.
     """
     flags, (d, dprime) = tuple(basis.me_flags), (basis.d, basis.dprime)
-    A = basis.amplitudes[np.array(flags, dtype=bool)] if me_only else basis.amplitudes
-    k = len(A)
-    if k:
-        gram_dev = np.abs(A.conj() @ A.T - np.eye(k)).max()
-        if gram_dev > ADMIT_TOL:
-            raise ContractViolationError(
-                f"selected members are not orthonormal (deviation {gram_dev:.3e})"
-            )
     kept = basis._complements.get(me_only)
     if kept is None or kept[0] is not basis.amplitudes or kept[1] != (flags, d, dprime):
+        A = basis.amplitudes[np.array(flags, dtype=bool)] if me_only else basis.amplitudes
+        k = len(A)
+        if k:
+            gram_dev = np.abs(A.conj() @ A.T - np.eye(k)).max()
+            if gram_dev > ADMIT_TOL:
+                raise ContractViolationError(
+                    f"selected members are not orthonormal (deviation {gram_dev:.3e})"
+                )
         # A = U S Vh: the rows of Vh past k span the kets x with conj(A) x = 0;
         # copied, so that the n x n Vh is not kept alive with them
         Q = np.linalg.svd(A)[2][k:].copy().T if k else np.eye(d * dprime, dtype=complex)

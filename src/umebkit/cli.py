@@ -4,8 +4,12 @@ Subcommands: construct, verify, certify, search, mub, channel, pauli.
 Exit codes are a stable contract: 0 success/affirmative, 1 property-negative,
 3 inconclusive, and 2 for all else: a usage or format error, a request too large
 to allocate, a numerical failure, or a bug (its traceback on standard error).
-With ``--json`` the machine report is the only thing on standard output;
-diagnostics go to standard error.
+Each ``cmd_*`` function returns its exit code, its report (what ``--json``
+writes) and its text: a callable that formats the lines printed without
+``--json``, or None where the report is the output (``construct`` without
+``-o``).  :func:`main` alone writes standard output, once the command has
+returned.  With ``--json`` the machine report is the only thing on standard
+output, and no text is formatted; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -44,10 +48,6 @@ def _format_matrix(M: np.ndarray, indent: str = "  ") -> str:
     return "\n".join(rows)
 
 
-def _emit_json(obj) -> None:
-    print(_dumps(obj))
-
-
 def _search_config(args) -> SearchConfig:
     return SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
 
@@ -62,7 +62,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple:
     if args.kind == "weyl":
         if args.d is None or args.dprime is None:
             raise ContractViolationError("--kind weyl requires --d and --dprime")
@@ -83,11 +83,9 @@ def cmd_construct(args) -> int:
     )
     if args.out:
         save_basis(args.out, basis)
-        print(f"{summary} -> {args.out}")
-    else:
-        _emit_json(basis_to_obj(basis))
-        print(summary, file=sys.stderr)
-    return 0
+        return 0, None, lambda: [f"{summary} -> {args.out}"]
+    print(summary, file=sys.stderr)
+    return 0, basis_to_obj(basis), None  # no text: the document is the output
 
 
 @dataclass(eq=False)
@@ -111,7 +109,7 @@ class VerifyReport:
     passed: bool
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     basis = load_basis(args.path, check_orthonormal=False)
     gram_dev = float(np.abs(gram_matrix(basis) - np.eye(len(basis))).max()) if len(basis) else 0.0
     rows = [
@@ -120,98 +118,93 @@ def cmd_verify(args) -> int:
         for k, (dev, flag) in enumerate(zip(basis.me_deviations(), basis.me_flags))
     ]
     passed = gram_dev <= args.tol and all(row.consistent for row in rows)
-    report = VerifyReport(gram_dev, args.tol, rows, passed)
-    if args.json:
-        _emit_json(report)
-    else:
-        print(f"gram deviation: {gram_dev:.3e} (tol {args.tol:g})")
+
+    def text():
+        yield f"gram deviation: {gram_dev:.3e} (tol {args.tol:g})"
         for row in rows:
             name = f" ({row.label})" if row.label else ""
-            print(
+            yield (
                 f"state {row.index}{name}: me deviation {row.me_deviation:.3e}, "
                 f"flag {str(row.me_flag).lower()}, "
                 f"{'ok' if row.consistent else 'INCONSISTENT'}"
             )
-        print(f"result: {'pass' if passed else 'fail'}")
-    return 0 if passed else 1
+        yield f"result: {'pass' if passed else 'fail'}"
+
+    return (0 if passed else 1), VerifyReport(gram_dev, args.tol, rows, passed), text
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple:
     report = certify(load_basis(args.path), _search_config(args))
-    if args.json:
-        _emit_json({**_report_fields(report), "seed": args.seed, "restarts": args.restarts})
-    else:
-        print(f"method: {report.method}")
-        print(f"complement dimension: {report.complement_dimension}")
-        print(
+
+    def text():
+        yield f"method: {report.method}"
+        yield f"complement dimension: {report.complement_dimension}"
+        yield (
             f"support ranks: A-side {report.a_support_rank}, "
             f"B-side {report.b_support_rank}"
         )
-        print(f"schmidt rank bound: {report.schmidt_rank_bound}")
+        yield f"schmidt rank bound: {report.schmidt_rank_bound}"
         if report.method == "numeric-search":
-            print(f"seed: {args.seed}, restarts: {args.restarts}")
-            print(f"restarts used: {report.restarts_used}")
+            yield f"seed: {args.seed}, restarts: {args.restarts}"
+            yield f"restarts used: {report.restarts_used}"
         if report.search_best_F is not None:
-            print(f"search best F: {report.search_best_F:.12f}")
-        print(f"verdict: {report.verdict}")
-    return {"unextendible": 0, "extendible": 1, "inconclusive": 3}[report.verdict]
+            yield f"search best F: {report.search_best_F:.12f}"
+        yield f"verdict: {report.verdict}"
+
+    code = {"unextendible": 0, "extendible": 1, "inconclusive": 3}[report.verdict]
+    return code, {**_report_fields(report), "seed": args.seed, "restarts": args.restarts}, text
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple:
     basis = load_basis(args.path)
     P = complement_projector(basis, me_only=not args.all_members)
     result = _search(P, basis.d, basis.dprime, _search_config(args))
     if args.out:
         save_state(args.out, result.best_state)
         print(f"best state -> {args.out}", file=sys.stderr)
-    if args.json:
-        _emit_json({**_report_fields(result), "seed": args.seed})
-    else:
-        print(f"seed: {args.seed}, restarts: {args.restarts}")
-        print(f"restarts used: {result.restarts_used}")
-        print(f"restarts polished: {result.restarts_polished}")
-        print(f"best F: {result.best_F:.12f}")
-        print(f"sqrt(d) * s_min: {result.best_min_coeff_scaled:.12f}")
-        print(f"iterations (best restart): {result.iterations_used}")
-        print(f"converged: {str(result.converged).lower()}")
-        print(f"verdict: {result.verdict}")
-    return 0 if result.verdict == "found_me" else 1
+    report = {**_report_fields(result), "seed": args.seed}
+    return (0 if result.verdict == "found_me" else 1), report, lambda: [
+        f"seed: {args.seed}, restarts: {args.restarts}",
+        f"restarts used: {result.restarts_used}",
+        f"restarts polished: {result.restarts_polished}",
+        f"best F: {result.best_F:.12f}",
+        f"sqrt(d) * s_min: {result.best_min_coeff_scaled:.12f}",
+        f"iterations (best restart): {result.iterations_used}",
+        f"converged: {str(result.converged).lower()}",
+        f"verdict: {result.verdict}",
+    ]
 
 
-def cmd_mub(args) -> int:
+def cmd_mub(args) -> tuple:
     basis_a = load_basis(args.path_a)
     basis_b = load_basis(args.path_b)
     report = overlap_matrix(basis_a, basis_b, tol=args.tol)
-    if args.json:
-        _emit_json(report)
-    else:
-        print(f"dimension: {report.dim}, target overlap: {report.target:.10f}")
-        print(f"max deviation: {report.max_deviation:.3e} (tol {args.tol:g})")
-        print(f"mutually unbiased: {'yes' if report.is_mub else 'no'}")
-    return 0 if report.is_mub else 1
+    return (0 if report.is_mub else 1), report, lambda: [
+        f"dimension: {report.dim}, target overlap: {report.target:.10f}",
+        f"max deviation: {report.max_deviation:.3e} (tol {args.tol:g})",
+        f"mutually unbiased: {'yes' if report.is_mub else 'no'}",
+    ]
 
 
-def cmd_channel(args) -> int:
+def cmd_channel(args) -> tuple:
     basis = load_basis(args.path)
     log_base = {"2": 2.0, "e": math.e}.get(args.log_base, float(basis.d))
     report = analyze(basis, log_base=log_base, me_only=not args.all_members)
-    if args.json:
-        _emit_json({"d": basis.d, "dprime": basis.dprime, **_report_fields(report)})
-    else:
-        print(f"complement state on C{basis.d} x C{basis.dprime}")
-        print(f"trace-preserving deviation: {report.trace_preserving_deviation:.3e}")
-        print(f"unitality deviation: {report.unitality_deviation:.6f}")
-        print(f"entropy_A (B-side marginal): {report.entropy_A:.9f}")
-        print(f"entropy_B (A-side marginal): {report.entropy_B:.9f}")
-        print(f"log base: {report.log_base:g}")
-        print("marginal_A:")
-        print(_format_matrix(report.marginal_A))
-        print("marginal_B:")
-        print(_format_matrix(report.marginal_B))
-    return 0
+    return 0, {"d": basis.d, "dprime": basis.dprime, **_report_fields(report)}, lambda: [
+        f"complement state on C{basis.d} x C{basis.dprime}",
+        f"trace-preserving deviation: {report.trace_preserving_deviation:.3e}",
+        f"unitality deviation: {report.unitality_deviation:.6f}",
+        f"entropy_A (B-side marginal): {report.entropy_A:.9f}",
+        f"entropy_B (A-side marginal): {report.entropy_B:.9f}",
+        f"log base: {report.log_base:g}",
+        "marginal_A:",
+        _format_matrix(report.marginal_A),
+        "marginal_B:",
+        _format_matrix(report.marginal_B),
+    ]
 
 
-def cmd_pauli(args) -> int:
+def cmd_pauli(args) -> tuple:
     if not (2 <= args.d and args.d * args.d <= MAX_SPACE_DIM):
         raise ContractViolationError(
             f"--d must satisfy 2 <= d and d*d <= {MAX_SPACE_DIM}, got {args.d}"
@@ -223,21 +216,20 @@ def cmd_pauli(args) -> int:
     else:
         pairs = [(n, m) for n in range(args.d) for m in range(args.d)]
     operators = [(n, m, weyl_operator(args.d, n, m)) for n, m in pairs]
-    if args.json:
-        _emit_json(
-            {
-                "d": args.d,
-                "operators": [
-                    {"n": n, "m": m, "entries": U}
-                    for n, m, U in operators
-                ],
-            }
-        )
-    else:
+
+    def text():
         for n, m, U in operators:
-            print(f"U[n={n}, m={m}] for d={args.d}:")
-            print(_format_matrix(U))
-    return 0
+            yield f"U[n={n}, m={m}] for d={args.d}:"
+            yield _format_matrix(U)
+
+    report = {
+        "d": args.d,
+        "operators": [
+            {"n": n, "m": m, "entries": U}
+            for n, m, U in operators
+        ],
+    }
+    return 0, report, text
 
 
 @functools.cache
@@ -257,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=int, help="A-side dimension (weyl kind)")
     c.add_argument("--dprime", type=int, help="B-side dimension (weyl kind)")
     c.add_argument("-o", "--out", help="output path (default: JSON to stdout)")
-    c.set_defaults(func=cmd_construct)
+    c.set_defaults(func=cmd_construct, json=False)
 
     v = sub.add_parser("verify", help="check orthonormality and entanglement flags")
     v.add_argument("path")
@@ -316,7 +308,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code, report, text = args.func(args)
+        print(_dumps(report) if args.json or text is None else "\n".join(text()))
+        return code
     except (ContractViolationError, FileFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except (NumericalFailureError, np.linalg.LinAlgError) as exc:

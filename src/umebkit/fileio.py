@@ -209,7 +209,6 @@ def _read_states(raw_states: list, n: int, path) -> np.ndarray:
             except FileFormatError:
                 _admit_norms(np.array(rows, dtype=complex).reshape(len(rows), n), name)
                 raise
-        amplitudes = np.array(rows, dtype=complex)
     amplitudes = amplitudes.reshape(k, n)
     _admit_norms(amplitudes, name)
     return amplitudes

@@ -109,6 +109,8 @@ def test_gram_matrix_duplicate():
     pair = BasisSet(2, 3, [phi0, phi0], me_flags=[True, True])
     G = gram_matrix(pair)
     assert np.allclose(G, np.ones((2, 2)))
+    with pytest.raises(ContractViolationError, match="nonempty basis"):
+        gram_matrix(BasisSet(2, 3, [], me_flags=[]))
 
 
 def test_gram_matrix_weyl34():
@@ -205,6 +207,8 @@ def test_constraint_matrix_rejects_bad_inputs():
         overlap_constraint_matrix(2 * np.eye(2), [0.5, 0.5])  # not unitary
     with pytest.raises(ContractViolationError):
         overlap_constraint_matrix(np.eye(2), [0.2, 0.3, 0.5])  # wrong length
+    with pytest.raises(ContractViolationError, match="U must be square"):
+        overlap_constraint_matrix(np.eye(2, 3), [0.5, 0.5])
 
 
 @pytest.mark.parametrize("U, lambdas", [

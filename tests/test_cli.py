@@ -16,7 +16,7 @@ from umebkit.bases import (
 )
 from umebkit.channel import ChannelReport, analyze
 from umebkit.cli import MemberCheck, VerifyReport, _build_parser, main
-from umebkit.fileio import load_basis, load_state, save_basis
+from umebkit.fileio import _dumps, load_basis, load_state, save_basis
 from umebkit.mub import OverlapReport, overlap_matrix
 from umebkit.search import SearchConfig, SearchResult, certify, max_entanglement_in_subspace
 from umebkit.states import is_maximally_entangled, standard_mes, weyl_operator
@@ -80,10 +80,16 @@ def test_verify_flags_duplicate_state(tmp_path, capsys):
     assert "result: fail" in capsys.readouterr().out
 
 
-def test_verify_rejects_truncated_file(tmp_path):
+def test_verify_rejects_truncated_file(tmp_path, capsys):
     path = tmp_path / "trunc.json"
     path.write_text('{"format": "umeb-basis/1", "d": 2')
     assert main(["verify", str(path)]) == 2
+    capsys.readouterr()
+    path.write_text("[]")  # valid JSON, but not a document
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: top level must be an object\n"
 
 
 def test_certify_exit_codes(tmp_path, capsys):
@@ -481,6 +487,69 @@ def test_a_bug_exits_2_with_its_traceback(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("Traceback (most recent call last):\n")
     assert captured.err.endswith("ZeroDivisionError: division by zero\n")
+
+    # the report is written inside main's error handling too
+    def unserialisable(obj):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    monkeypatch.setattr("umebkit.cli._dumps", unserialisable)
+    assert main(["verify", str(w34), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith(
+        "TypeError: Object of type VerifyReport is not JSON serializable\n")
+
+
+WITH_JSON = [
+    ["verify", "w24.json"],
+    ["certify", "w24.json", "--restarts", "4", "--seed", "1"],
+    ["search", "w24.json", "--restarts", "4", "--seed", "1", "-o", "best.json"],
+    ["mub", "c23.json", "c23.json"],
+    ["channel", "w34.json"],
+    ["pauli", "--d", "2"],
+]
+ONE_PER_COMMAND = [
+    ["construct", "--kind", "c23-first"],
+    ["construct", "--kind", "weyl", "--d", "2", "--dprime", "4", "-o", "w.json"],
+    *WITH_JSON,
+    *([*argv, "--json"] for argv in WITH_JSON),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=[" ".join(argv) for argv in ONE_PER_COMMAND])
+def test_main_alone_writes_stdout(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    save_basis("w24.json", build_weyl_umeb(2, 4))
+    save_basis("w34.json", build_weyl_umeb(3, 4))
+    save_basis("c23.json", build_c23_first())
+    args = _build_parser().parse_args(argv)
+    code, report, text = args.func(args)
+    assert capsys.readouterr().out == ""  # the command printed no report
+    assert main(argv) == code
+    printed = _dumps(report) if "--json" in argv or text is None else "\n".join(text())
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_json_formats_no_text(tmp_path, capsys, monkeypatch):
+    w34 = str(tmp_path / "w34.json")
+    save_basis(w34, build_weyl_umeb(3, 4))
+    argvs = [["channel", w34, "--json"], ["pauli", "--d", "3", "--json"]]
+    before = []
+    for argv in argvs:
+        assert main(argv) == 0
+        before.append(capsys.readouterr().out)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("text formatted")
+
+    monkeypatch.setattr("umebkit.cli._format_matrix", broken)
+    assert [main(argv) for argv in argvs] == [0, 0]
+    assert capsys.readouterr().out == "".join(before)
+    assert main(["channel", w34]) == 2  # the text does call it: a bug, with nothing printed
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("AssertionError: text formatted\n")
 
 
 def random_unitary(rng, n):

@@ -113,6 +113,18 @@ def test_reassigned_flags_give_a_fresh_frame(svd_calls):
     assert frame_and_spectra(svd_calls)[0] == 4
 
 
+def test_members_are_judged_once_per_build(svd_calls, monkeypatch):
+    # a kept frame was built from the same inputs, so it passed their check
+    basis = build_weyl_umeb(2, 4)
+    kept = _complement(basis)
+    monkeypatch.setattr("umebkit.bases.ADMIT_TOL", -1.0)  # now every check refuses
+    assert _complement(basis) is kept
+    basis.me_flags = [True, True, True, False]
+    with pytest.raises(ContractViolationError, match="not orthonormal"):
+        _complement(basis)
+    assert frame_and_spectra(svd_calls)[0] == 1
+
+
 def test_reassigned_amplitudes_give_a_fresh_frame():
     basis, other = build_weyl_umeb(2, 4), build_weyl_umeb(2, 4)
     certify(basis, CONFIG)

@@ -83,6 +83,12 @@ def test_overlap_matrix_rejects_incomplete_or_mismatched():
         overlap_matrix(build_weyl_umeb(2, 3), build_c23_first())  # 4 members
     with pytest.raises(ContractViolationError):
         overlap_matrix(computational_basis(2, 3), computational_basis(2, 4))
+    # complete but not orthonormal: the loader refuses such a file, the library
+    # call refuses the basis at the same ADMIT_TOL
+    cols = np.eye(6, dtype=complex)
+    cols[:, 1] = (cols[:, 0] + cols[:, 1]) / np.sqrt(2)
+    with pytest.raises(ContractViolationError, match="second basis is not orthonormal"):
+        overlap_matrix(build_c23_first(), full_basis_from_columns(cols, 2, 3))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])

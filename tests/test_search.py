@@ -308,6 +308,11 @@ def test_search_deterministic():
     assert a.best_F == b.best_F
     assert a.verdict == b.verdict
     assert np.array_equal(a.best_state.amplitudes, b.best_state.amplitudes)
+    # no config is SearchConfig()
+    default = max_entanglement_in_subspace(P, 2, 4)
+    given = max_entanglement_in_subspace(P, 2, 4, SearchConfig())
+    assert {**vars(default), "best_state": None} == {**vars(given), "best_state": None}
+    assert default.best_state.amplitudes.tobytes() == given.best_state.amplitudes.tobytes()
 
 
 def test_ascend_monotone_on_random_subspaces():
