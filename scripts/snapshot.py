@@ -7,7 +7,9 @@ its stderr; a call that writes a file adds the sha256 of that file.  The
 calls cover every subcommand with its refusals on the Weyl bases (2,3) to
 (4,6) and both 2 x 3 bases, and ``certify --json`` and ``search --json``
 (seeds 1, 7 and 42) and ``channel --json`` on the 49 shapes with
-``2 <= d < d'`` and ``d*d' <= 49``.
+``2 <= d < d'`` and ``d*d' <= 49``, and last the loader's missing-flags rule,
+on copies of the (3,4) Weyl basis and the first 2 x 3 basis written without
+``me_flags`` and ``labels``.
 They run in-process, in a fresh temporary directory, with relative file
 names and 80 terminal columns, so no line depends on the checkout's path or
 the terminal.  Two checkouts compare by running this script with each one's
@@ -20,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -120,6 +123,17 @@ def main_calls() -> None:
             call("certify", path, "--json", "--seed", str(seed))
             call("search", path, "--json", "--seed", str(seed))
         call("channel", path, "--json", "--log-base", "e")
+    for kind in ("w34", "c23-first"):
+        with open(f"{kind}.json", encoding="utf-8") as f:
+            doc = json.load(f)
+        del doc["me_flags"], doc["labels"]
+        path = f"{kind}-unflagged.json"
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=2)
+        call("verify", path)
+        call("verify", path, "--json")
+        call("certify", path, "--json", "--seed", "1")
+        call("channel", path, "--json")
 
 
 if __name__ == "__main__":

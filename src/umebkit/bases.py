@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
+from .linalg import _gram_deviation
 from .states import BipartiteState, _me_deviations, _norm_errors, _weyl_operators, standard_mes
 from .tolerances import (
     ADMIT_TOL, EXACT_TOL, ME_TOL, NORM_SQ_TOL, NORM_TOL, RANK_CUT, cite,
@@ -63,7 +64,9 @@ class BasisSet:
     labels); orthonormality and the correctness of the per-state entanglement
     flags are semantic invariants checked by :meth:`validate`, so that
     deliberately broken sets can still be represented and measured (e.g. by
-    :func:`gram_matrix`).
+    :func:`gram_matrix`).  The constructor is the only way to build a basis,
+    and a basis never changes: ``d``, ``dprime``, ``amplitudes`` (a read-only
+    copy), ``me_flags`` and ``labels`` (tuples, or None) cannot be assigned.
 
     Parameters
     ----------
@@ -72,10 +75,10 @@ class BasisSet:
     states : list of BipartiteState, or numpy array of shape (k, d*dprime)
         The members in contractual order, as states or as the rows of one
         amplitude array (copied).
-    me_flags : list of bool
+    me_flags : sequence of bool
         Per-member flag: maximally entangled member or auxiliary product
         member.
-    labels : list of str, optional
+    labels : sequence of str, optional
         Short display names, parallel to ``states``.
     """
 
@@ -113,22 +116,16 @@ class BasisSet:
             raise ContractViolationError("labels length does not match states")
         if labels is not None and not all(isinstance(x, str) for x in labels):
             raise ContractViolationError("labels must be strings")
-        self._adopt(d, dprime, amplitudes, me_flags, labels)
+        # a list, not a generator: tuple(generator) would fill CPython's tuple free lists
+        vars(self).update(d=d, dprime=dprime, amplitudes=_frozen(amplitudes),
+                          me_flags=tuple([bool(f) for f in me_flags]),
+                          labels=None if labels is None else tuple(labels),
+                          _complements={})  # me_only -> its _complement
 
-    @classmethod
-    def _admitted(cls, d, dprime, amplitudes, me_flags, labels=None) -> "BasisSet":
-        """A basis over ``amplitudes`` as they are, without the constructor's
-        copy and checks: only for inputs that pass them, as the loader's do."""
-        basis = cls.__new__(cls)
-        basis._adopt(d, dprime, amplitudes, me_flags, labels)
-        return basis
+    def _unchanged(self, name, *value):
+        raise AttributeError(f"a BasisSet never changes: to change {name!r}, build another")
 
-    def _adopt(self, d, dprime, amplitudes, me_flags, labels) -> None:
-        amplitudes.flags.writeable = False
-        self.d, self.dprime, self.amplitudes = d, dprime, amplitudes
-        self.me_flags = [bool(f) for f in me_flags]
-        self.labels = labels
-        self._complements = {}  # me_only -> what _complement built, with its inputs
+    __setattr__ = __delattr__ = _unchanged
 
     @property
     def states(self) -> list:
@@ -150,7 +147,7 @@ class BasisSet:
         exactly when its Schmidt coefficients lie within ``ME_TOL`` (1e-8) of
         ``1/sqrt(d)``, the rule by which the loader sets missing flags.
         """
-        dev = np.abs(gram_matrix(self) - np.eye(len(self))).max() if len(self) else 0.0
+        dev = _gram_deviation(self.amplitudes)
         if dev > EXACT_TOL:
             raise ContractViolationError(
                 f"basis is not orthonormal: Gram deviation {dev:.3e} > {EXACT_TOL:g}"
@@ -277,30 +274,26 @@ def _complement(basis: BasisSet, me_only: bool = True) -> _Complement:
     """The complement of the k chosen members: the flagged ones by default
     (their span is what unextendibility is about), all with ``me_only=False``.
 
-    The members must be orthonormal within 1e-6, which each build checks; the
+    The members must be orthonormal within 1e-6, which the build checks; the
     frame Q (n x (n - k)), their SVD null space, is then orthonormal to
-    machine precision even at that limit.  The basis keeps the complement of
-    each selection and builds it again only once ``amplitudes``, the flags
-    or the dimensions are no longer those it was built from, so a kept one
-    passed the check on the same inputs.
+    machine precision even at that limit.  A basis never changes, so it keeps
+    the complement of each selection once built.
     """
-    flags, (d, dprime) = tuple(basis.me_flags), (basis.d, basis.dprime)
-    kept = basis._complements.get(me_only)
-    if kept is None or kept[0] is not basis.amplitudes or kept[1] != (flags, d, dprime):
-        A = basis.amplitudes[np.array(flags, dtype=bool)] if me_only else basis.amplitudes
-        k = len(A)
-        if k:
-            gram_dev = np.abs(A.conj() @ A.T - np.eye(k)).max()
-            if gram_dev > ADMIT_TOL:
-                raise ContractViolationError(
-                    f"selected members are not orthonormal (deviation {gram_dev:.3e})"
-                )
-        # A = U S Vh: the rows of Vh past k span the kets x with conj(A) x = 0;
-        # copied, so that the n x n Vh is not kept alive with them
-        Q = np.linalg.svd(A)[2][k:].copy().T if k else np.eye(d * dprime, dtype=complex)
-        kept = basis._complements[me_only] = (
-            basis.amplitudes, (flags, d, dprime), _Complement(Q, d, dprime))
-    return kept[2]
+    if me_only in basis._complements:
+        return basis._complements[me_only]
+    d, dprime = basis.d, basis.dprime
+    A = basis.amplitudes[np.array(basis.me_flags, dtype=bool)] if me_only else basis.amplitudes
+    k = len(A)
+    gram_dev = _gram_deviation(A)
+    if gram_dev > ADMIT_TOL:
+        raise ContractViolationError(
+            f"selected members are not orthonormal (deviation {gram_dev:.3e})"
+        )
+    # A = U S Vh: the rows of Vh past k span the kets x with conj(A) x = 0;
+    # copied, so that the n x n Vh is not kept alive with them
+    Q = np.linalg.svd(A)[2][k:].copy().T if k else np.eye(d * dprime, dtype=complex)
+    basis._complements[me_only] = _Complement(Q, d, dprime)
+    return basis._complements[me_only]
 
 
 def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
@@ -309,8 +302,17 @@ def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
     return Q @ Q.conj().T
 
 
-def _frame_certificate(basis: BasisSet, complement: _Complement) -> CertificateReport:
-    """:func:`support_rank_certificate` of ``basis``, given its :func:`_complement`."""
+def support_rank_certificate(basis: BasisSet) -> CertificateReport:
+    """Analytic unextendibility certificate from the complement's marginals.
+
+    Every state in the complement of the flagged members has Schmidt rank at
+    most ``min(rank Tr_B P, rank Tr_A P)``, P the complement projector; when
+    that bound is below d, no maximally entangled state (Schmidt rank d) fits
+    and the basis is certified unextendible.  Otherwise the verdict is
+    ``inconclusive`` and a numeric search must decide.  A complete basis
+    (empty complement) is not a UMEB and is rejected.
+    """
+    complement = _complement(basis)
     flagged = np.array(basis.me_flags, dtype=bool)
     false_flags = np.flatnonzero(flagged & (basis.me_deviations() > ADMIT_TOL))
     if len(false_flags):
@@ -337,19 +339,6 @@ def _frame_certificate(basis: BasisSet, complement: _Complement) -> CertificateR
     )
 
 
-def support_rank_certificate(basis: BasisSet) -> CertificateReport:
-    """Analytic unextendibility certificate from the complement's marginals.
-
-    Every state in the complement of the flagged members has Schmidt rank at
-    most ``min(rank Tr_B P, rank Tr_A P)``, P the complement projector; when
-    that bound is below d, no maximally entangled state (Schmidt rank d) fits
-    and the basis is certified unextendible.  Otherwise the verdict is
-    ``inconclusive`` and a numeric search must decide.  A complete basis
-    (empty complement) is not a UMEB and is rejected.
-    """
-    return _frame_certificate(basis, _complement(basis))
-
-
 def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:
     """The d^2 x d^2 coefficient matrix of the orthogonality constraints that
     a candidate extension state must satisfy, with its determinant magnitude.
@@ -372,7 +361,7 @@ def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:
     d = U.shape[0]
     if U.shape != (d, d):
         raise ContractViolationError(f"U must be square, got {U.shape}")
-    if not np.abs(U.conj().T @ U - np.eye(d)).max() <= EXACT_TOL:
+    if not _gram_deviation(U.T) <= EXACT_TOL:
         raise ContractViolationError(f"U is not unitary within {cite(EXACT_TOL)}")
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != (d,):

@@ -28,11 +28,11 @@ from .bases import (
     build_c23_second,
     build_weyl_umeb,
     complement_projector,
-    gram_matrix,
 )
 from .channel import analyze
 from .errors import ContractViolationError, FileFormatError, NumericalFailureError
 from .fileio import _dumps, _report_fields, basis_to_obj, load_basis, save_basis, save_state
+from .linalg import _gram_deviation
 from .mub import overlap_matrix
 from .search import SearchConfig, _search, certify
 from .states import weyl_operator
@@ -111,7 +111,7 @@ class VerifyReport:
 
 def cmd_verify(args) -> tuple:
     basis = load_basis(args.path, check_orthonormal=False)
-    gram_dev = float(np.abs(gram_matrix(basis) - np.eye(len(basis))).max()) if len(basis) else 0.0
+    gram_dev = _gram_deviation(basis.amplitudes)
     rows = [
         MemberCheck(k, basis.labels[k] if basis.labels else None, float(dev), flag,
                     bool(dev <= ME_TOL) == flag)

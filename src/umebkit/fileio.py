@@ -27,9 +27,10 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .bases import BasisSet, gram_matrix
+from .bases import BasisSet
 from .errors import FileFormatError
-from .states import BipartiteState, _norm_errors
+from .linalg import _gram_deviation
+from .states import BipartiteState, _me_deviations, _norm_errors
 from .tolerances import ADMIT_TOL, MAX_SPACE_DIM, ME_TOL, NORM_TOL, cite
 
 __all__ = [
@@ -333,13 +334,12 @@ def load_basis(path, check_orthonormal: bool = True) -> BasisSet:
                                   and all(isinstance(x, bool) for x in flags)):
         raise FileFormatError(f"{path}: me_flags must be {k} booleans")
 
-    basis = BasisSet._admitted(d, dprime, amplitudes, flags or [False] * k, labels)
     if flags is None:
-        basis.me_flags = [bool(dev <= ME_TOL) for dev in basis.me_deviations()]
-    if check_orthonormal and k:
-        dev = np.abs(gram_matrix(basis) - np.eye(k)).max()
+        flags = _me_deviations(amplitudes, d, dprime) <= ME_TOL
+    if check_orthonormal:
+        dev = _gram_deviation(amplitudes)
         if dev > ADMIT_TOL:
             raise FileFormatError(
                 f"{path}: states are not orthonormal (Gram deviation {dev:.3e})"
             )
-    return basis
+    return BasisSet(d, dprime, amplitudes, flags, labels)

@@ -1,10 +1,11 @@
-"""The two numerical kernels other modules share.
+"""The three numerical kernels other modules share.
 
 ``_schmidt_coefficients`` is the one computation of the Schmidt coefficients
 of held states: every maximal-entanglement check, flag check and Schmidt rank
-reads it.  ``_entropy`` is the von Neumann entropy of a spectrum, which
-``channel.analyze`` reads off the complement frame.  Both are private and
-pure; their callers hold states and spectra that earlier stages admitted.
+reads it; every orthonormality check reads ``_gram_deviation``.  ``_entropy``
+is the von Neumann entropy of a spectrum, which ``channel.analyze`` reads off
+the complement frame.  All are private and pure; their callers hold states
+and spectra that earlier stages admitted.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ def _schmidt_coefficients(rows, d: int, dprime: int) -> np.ndarray:
     numpy raises it; ``umeb`` reports it as a numerical failure (exit 2).
     """
     return np.linalg.svd(np.reshape(rows, (-1, d, dprime)), compute_uv=False)
+
+
+def _gram_deviation(rows: np.ndarray) -> float:
+    """``max |conj(rows) rows^T - I|``, the largest deviation of the rows'
+    Gram matrix from the identity; 0.0 for no rows, NaN for a NaN entry."""
+    return float(np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max(initial=0.0))
 
 
 def _entropy(vals: np.ndarray, log_base: float) -> float:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, gram_matrix
+from .bases import BasisSet
 from .errors import ContractViolationError
+from .linalg import _gram_deviation
 from .tolerances import ADMIT_TOL, EXACT_TOL, check_tol
 
 __all__ = ["OverlapReport", "overlap_matrix"]
@@ -48,7 +49,7 @@ def overlap_matrix(B1: BasisSet, B2: BasisSet, tol: float = EXACT_TOL) -> Overla
             raise ContractViolationError(
                 f"{name} basis is incomplete: {len(B)} members, need {dim}"
             )
-        dev = np.abs(gram_matrix(B) - np.eye(dim)).max()
+        dev = _gram_deviation(B.amplitudes)
         if dev > ADMIT_TOL:
             raise ContractViolationError(
                 f"{name} basis is not orthonormal (Gram deviation {dev:.3e})"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bases import BasisSet, CertificateReport, _complement, _frame_certificate
+from .bases import BasisSet, CertificateReport, _complement, support_rank_certificate
 from .errors import ContractViolationError, NumericalFailureError
 from .states import BipartiteState
 from .tolerances import EXACT_TOL, cite
@@ -90,7 +90,7 @@ POLISH_TOL = 1e-11
 PARK_STEP = 1e-3
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SearchConfig:
     """The three knobs of the restarted alternating-projection search.
 
@@ -491,11 +491,10 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     the certificate counts are built once per basis and shared with
     ``analyze``.
     """
-    complement = _complement(basis)
-    report = _frame_certificate(basis, complement)
+    report = support_rank_certificate(basis)
     if report.verdict == "unextendible":
         return report
-    Q = complement.Q
+    Q = _complement(basis).Q
     result = _search(Q @ Q.conj().T, basis.d, basis.dprime, config)
     found = result.verdict == "found_me"
     return replace(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import _schmidt_coefficients
+from .linalg import _gram_deviation, _schmidt_coefficients
 from .tolerances import EXACT_TOL, ME_TOL, NORM_TOL, check_tol, cite
 
 __all__ = [
@@ -158,7 +158,7 @@ def apply_local(psi: BipartiteState, opA, opB) -> BipartiteState:
             f"({psi.d}, {psi.d}), ({psi.dprime}, {psi.dprime})"
         )
     for name, op in (("A", opA), ("B", opB)):
-        dev = np.abs(op.conj().T @ op - np.eye(op.shape[0])).max()
+        dev = _gram_deviation(op.T)
         if dev > EXACT_TOL:
             raise ContractViolationError(f"operator on side {name} is not unitary ({dev:.3e})")
     amp = (opA @ psi.amplitudes.reshape(psi.d, psi.dprime) @ opB.T).reshape(-1)

@@ -12,14 +12,16 @@ what the stage before it admitted:
    ``1/sqrt(d)``.
 2. **States and bases** (``BipartiteState``, ``BasisSet``).  Every held
    vector has unit norm within :data:`NORM_TOL`, judged by the same norm the
-   loader judges by, so every vector the loader keeps is admitted here.
+   loader judges by, so every vector the loader keeps is admitted here, and
+   the loader builds its basis with the ``BasisSet`` constructor.
    Checks that read a quantity this bound admitted derive their own bound
    from it: the squared Schmidt coefficients of such a vector sum to 1
    within :data:`NORM_SQ_TOL`, which ``overlap_constraint_matrix`` accepts.
    ``BasisSet.validate`` holds a basis to :data:`EXACT_TOL` on its Gram
    matrix and :data:`ME_TOL` on its flags.  Every flag check, deviation
    and Schmidt rank reads the Schmidt coefficients of one kernel,
-   ``linalg._schmidt_coefficients``.
+   ``linalg._schmidt_coefficients``, and every Gram deviation one more,
+   ``linalg._gram_deviation``.
 3. **Frame, certificate and mub**.  The complement frame and ``mub`` admit
    members whose Gram matrix is within :data:`ADMIT_TOL` of the identity,
    as the loader does; the certificate refuses a flagged member only when

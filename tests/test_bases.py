@@ -46,7 +46,7 @@ def random_unitary(rng, n):
 def test_weyl_family_23_matches_pauli_set_up_to_phase():
     basis = build_weyl_umeb(2, 3)
     assert len(basis) == 4
-    assert basis.labels == ["00", "01", "10", "11"]
+    assert basis.labels == ("00", "01", "10", "11")
     for w in basis.states:
         best = max(
             abs(np.vdot(p.amplitudes, w.amplitudes)) for p in pauli_bell_states()
@@ -77,7 +77,7 @@ def test_weyl_family_rejects_square_or_reversed():
 def test_c23_first_members():
     basis = build_c23_first()
     assert np.allclose(basis.states[0].amplitudes, standard_mes(2, 3).amplitudes)
-    assert basis.me_flags == [True] * 4 + [False] * 2
+    assert basis.me_flags == (True,) * 4 + (False,) * 2
     assert schmidt_rank(basis.states[4]) == 1
     assert schmidt_rank(basis.states[5]) == 1
     assert np.abs(gram_matrix(basis) - np.eye(6)).max() < 1e-12

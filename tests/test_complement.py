@@ -1,7 +1,7 @@
 """The complement of a basis is built once per member selection and shared:
 one frame SVD and one pair of spectra SVDs, the same bits on a fresh basis
-and on a reused one, a fresh frame once the inputs change, and read-only
-shared arrays."""
+and on a reused one, a basis that cannot change under its kept frame, and
+read-only shared arrays."""
 
 import math
 import sys
@@ -98,44 +98,60 @@ def test_reports_are_the_same_bits_on_a_fresh_and_a_reused_basis(name, me_only):
         assert {step: run(basis, step, me_only) for step in order} == fresh
 
 
-def test_reassigned_flags_give_a_fresh_frame(svd_calls):
+def test_a_basis_never_changes_so_its_frame_is_kept(svd_calls):
     basis = build_weyl_umeb(2, 4)
-    assert _complement(basis).Q.shape == (8, 4)
-    basis.me_flags = [True, True, True, False]
-    Q = _complement(basis).Q
-    assert Q.shape == (8, 5)
-    assert np.array_equal(Q, _complement(BasisSet(2, 4, basis.amplitudes,
-                                                   [True, True, True, False])).Q)
-    basis.me_flags[3] = True  # changed in place: the flags at the call count
-    assert _complement(basis).Q.shape == (8, 4)
-    basis.me_flags = [True] * 4  # the same flags again: the same complement
-    assert _complement(basis).Q.shape == (8, 4)
-    assert frame_and_spectra(svd_calls)[0] == 4
+    kept = _complement(basis)
+    other_flags, swapped = [True, True, True, False], basis.amplitudes[[1, 0, 2, 3]]
+    for name, value in [("d", 3), ("dprime", 5), ("amplitudes", swapped),
+                        ("me_flags", other_flags), ("labels", None)]:
+        with pytest.raises(AttributeError):
+            setattr(basis, name, value)
+        with pytest.raises(AttributeError):
+            delattr(basis, name)
+    with pytest.raises(ValueError):
+        basis.amplitudes[0] = swapped[0]
+    with pytest.raises(TypeError):
+        basis.me_flags[3] = False
+    with pytest.raises(TypeError):
+        basis.labels[0] = "x"
+    assert _complement(basis) is _complement(basis) is kept
+    assert frame_and_spectra(svd_calls)[0] == 1
+    # to change a basis, build another: it gets its own frame, that of a fresh build
+    fewer = BasisSet(2, 4, basis.amplitudes, other_flags)
+    assert _complement(fewer).Q.shape == (8, 5)
+    assert np.array_equal(_complement(fewer).Q,
+                          _complement(BasisSet(2, 4, basis.amplitudes.copy(), other_flags)).Q)
+    assert _complement(basis) is kept
+    moved, fresh = BasisSet(2, 4, swapped, [True] * 4), BasisSet(2, 4, swapped, [True] * 4)
+    certify(moved, CONFIG)
+    assert report_bytes(certify(moved, CONFIG)) == report_bytes(certify(fresh, CONFIG))
+    assert np.array_equal(complement_projector(moved), complement_projector(fresh))
+
+
+def test_rows_edited_after_the_build_do_not_reach_the_basis():
+    # a basis holds its own read-only copy of the rows, so editing the array it
+    # was built from cannot leave its kept frame stale
+    basis = build_weyl_umeb(2, 4)
+    amps = basis.amplitudes.copy()
+    with pytest.raises(AttributeError):
+        basis.amplitudes = amps
+    built = BasisSet(2, 4, amps, basis.me_flags)  # a copy of amps, read-only
+    Q = _complement(built).Q
+    amps[0] = Q[:, 0]
+    assert np.array_equal(built.amplitudes, basis.amplitudes)
+    assert np.linalg.norm(complement_projector(built) @ built.amplitudes[0]) < 1e-12
+    assert np.array_equal(complement_projector(built), complement_projector(basis))
 
 
 def test_members_are_judged_once_per_build(svd_calls, monkeypatch):
-    # a kept frame was built from the same inputs, so it passed their check
+    # a kept frame was built from the same basis, so it passed its check
     basis = build_weyl_umeb(2, 4)
     kept = _complement(basis)
     monkeypatch.setattr("umebkit.bases.ADMIT_TOL", -1.0)  # now every check refuses
     assert _complement(basis) is kept
-    basis.me_flags = [True, True, True, False]
     with pytest.raises(ContractViolationError, match="not orthonormal"):
-        _complement(basis)
+        _complement(BasisSet(2, 4, basis.amplitudes, basis.me_flags))  # a new build
     assert frame_and_spectra(svd_calls)[0] == 1
-
-
-def test_reassigned_amplitudes_give_a_fresh_frame():
-    basis, other = build_weyl_umeb(2, 4), build_weyl_umeb(2, 4)
-    certify(basis, CONFIG)
-    before = _complement(basis)
-    amps = basis.amplitudes.copy()
-    amps[[0, 1]] = amps[[1, 0]]
-    basis.amplitudes = other.amplitudes = amps
-    assert _complement(basis) is not before
-    assert _complement(basis) is _complement(basis)
-    assert np.array_equal(complement_projector(basis), complement_projector(other))
-    assert report_bytes(certify(basis, CONFIG)) == report_bytes(certify(other, CONFIG))
 
 
 def test_checks_still_run_on_a_reused_complement():
@@ -145,9 +161,9 @@ def test_checks_still_run_on_a_reused_complement():
         analyze(basis, me_only=False)  # 6 members, not 4
     with pytest.raises(ContractViolationError, match="complement is empty"):
         analyze(BasisSet(2, 2, build_weyl_umeb(2, 3).amplitudes[:, [0, 1, 3, 4]], [True] * 4))
-    basis.me_flags = [True] * 5 + [False]  # a product member flagged
+    product_flagged = BasisSet(2, 3, basis.amplitudes, [True] * 5 + [False])
     with pytest.raises(ContractViolationError, match="flagged maximally entangled"):
-        certify(basis, CONFIG)
+        certify(product_flagged, CONFIG)
 
 
 def test_the_shared_arrays_are_read_only():

@@ -116,7 +116,7 @@ def test_basis_me_flags_recomputed(tmp_path):
     del doc["me_flags"]
     p.write_text(json.dumps(doc))
     back = load_basis(p)
-    assert back.me_flags == [True, True, True, True]
+    assert back.me_flags == (True, True, True, True)
 
 
 def test_basis_rejects_malformed_fields(tmp_path):
@@ -168,8 +168,8 @@ def test_basis_load_builds_no_member_states(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("edit", ["as saved", "no flags or labels", "rows renormalised", "empty"])
 def test_loaded_basis_is_the_public_constructors_bit_for_bit(tmp_path, edit):
-    # the loader builds its basis without the constructor's copy and checks;
-    # the constructor must admit the same rows and build the same basis
+    # the loader builds its basis with the public constructor, setting missing
+    # flags by the rule validate() holds them to
     doc = basis_to_obj(BasisSet(2, 2, [], me_flags=[]) if edit == "empty" else build_c23_second())
     if edit == "no flags or labels":
         del doc["me_flags"], doc["labels"]
@@ -183,9 +183,10 @@ def test_loaded_basis_is_the_public_constructors_bit_for_bit(tmp_path, edit):
         loaded = load_basis(p)
         rows = _read_states(doc["states"], doc["d"] * doc["dprime"], p)
     flags = doc.get("me_flags")
-    built = BasisSet(doc["d"], doc["dprime"], rows, flags or [False] * len(rows), doc.get("labels"))
     if flags is None:
-        built.me_flags = [bool(dev <= ME_TOL) for dev in built.me_deviations()]
+        unflagged = BasisSet(doc["d"], doc["dprime"], rows, [False] * len(rows))
+        flags = [bool(dev <= ME_TOL) for dev in unflagged.me_deviations()]
+    built = BasisSet(doc["d"], doc["dprime"], rows, flags, doc.get("labels"))
     assert vars(loaded).keys() == vars(built).keys()
     assert (loaded.d, loaded.dprime, loaded.me_flags, loaded.labels) == (
         built.d, built.dprime, built.me_flags, built.labels)
@@ -288,14 +289,14 @@ def test_writer_writes_a_report_as_its_json_fields():
     assert "rho_perp" not in json.loads(_dumps(channel))
 
 
-def test_failed_save_leaves_the_old_file(tmp_path):
+def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
     p = tmp_path / "w.json"
     save_basis(p, build_weyl_umeb(2, 3))
     before = p.read_bytes()
-    basis = build_weyl_umeb(2, 3)
-    basis.labels = [np.int64(i) for i in range(4)]  # set past the constructor's check
-    with pytest.raises(TypeError):
-        save_basis(p, basis)
+    with monkeypatch.context() as m:  # a document the writer refuses: labels left a tuple
+        m.setattr("umebkit.fileio.basis_to_obj", lambda basis: {"labels": basis.labels})
+        with pytest.raises(TypeError):
+            save_basis(p, build_weyl_umeb(2, 3))
     assert p.read_bytes() == before
 
     s = tmp_path / "s.json"

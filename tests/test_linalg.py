@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from umebkit import ContractViolationError
-from umebkit.linalg import _entropy, _schmidt_coefficients
+from umebkit.linalg import _entropy, _gram_deviation, _schmidt_coefficients
 
 
 def random_complex(rng, shape):
@@ -60,6 +60,17 @@ def test_svd_deterministic():
     assert stacked.tobytes() == _schmidt_coefficients(rows.copy(), 3, 4).tobytes()
     for row, s in zip(rows, stacked):
         assert _schmidt_coefficients(row, 3, 4)[0].tobytes() == s.tobytes()
+
+
+def test_gram_deviation_is_each_inline_form_bit_for_bit():
+    rng = np.random.default_rng(5)
+    rows = random_unitary(rng, 6)[:4] * (1 + 1e-7)
+    assert _gram_deviation(rows) == np.abs(rows.conj() @ rows.T - np.eye(4)).max()
+    U = random_unitary(rng, 5) + 1e-9
+    assert _gram_deviation(U.T) == np.abs(U.conj().T @ U - np.eye(5)).max()  # columns
+    assert _gram_deviation(np.zeros((0, 6), dtype=complex)) == 0.0
+    rows[1, 2] = np.nan
+    assert np.isnan(_gram_deviation(rows))
 
 
 def test_kron_block_swap():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,16 @@ def test_search_config_validation():
     for seed in (2**63, 2**64):
         with pytest.raises(ContractViolationError):
             SearchConfig(seed=seed)
+
+
+@pytest.mark.parametrize("field, value", [("restarts", 0), ("max_iters", 0), ("seed", 1.5),
+                                          ("seed", -1), ("restarts", 8)])
+def test_a_config_is_checked_once_and_never_changed(field, value):
+    # a field assigned after the checks in __post_init__ would bypass them
+    config = SearchConfig(seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    assert (config.restarts, config.max_iters, config.seed) == (64, 10000, 1)
 
 
 @pytest.mark.parametrize(
