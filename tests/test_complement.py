@@ -116,16 +116,45 @@ def test_a_basis_never_changes_so_its_frame_is_kept(svd_calls):
         basis.labels[0] = "x"
     assert _complement(basis) is _complement(basis) is kept
     assert frame_and_spectra(svd_calls)[0] == 1
-    # to change a basis, build another: it gets its own frame, that of a fresh build
+
+
+def test_reassigned_flags_give_a_fresh_frame(svd_calls):
+    # flags cannot be reassigned on a basis; a basis built with other flags
+    # gets its own frame, that of a fresh build, and the first keeps its own
+    basis = build_weyl_umeb(2, 4)
+    kept = _complement(basis)
+    assert kept.Q.shape == (8, 4)
+    other_flags = [True, True, True, False]
+    with pytest.raises(AttributeError):
+        basis.me_flags = other_flags
     fewer = BasisSet(2, 4, basis.amplitudes, other_flags)
+    Q = _complement(fewer).Q
+    assert Q.shape == (8, 5)
+    assert np.array_equal(Q, _complement(BasisSet(2, 4, basis.amplitudes.copy(), other_flags)).Q)
+    other_flags[3] = True  # the list it was built from: the basis keeps its own flags
     assert _complement(fewer).Q.shape == (8, 5)
-    assert np.array_equal(_complement(fewer).Q,
-                          _complement(BasisSet(2, 4, basis.amplitudes.copy(), other_flags)).Q)
+    assert _complement(BasisSet(2, 4, basis.amplitudes, [True] * 4)).Q.shape == (8, 4)
     assert _complement(basis) is kept
-    moved, fresh = BasisSet(2, 4, swapped, [True] * 4), BasisSet(2, 4, swapped, [True] * 4)
+    assert frame_and_spectra(svd_calls)[0] == 4
+
+
+def test_reassigned_amplitudes_give_a_fresh_frame():
+    # rows cannot be reassigned on a basis; a basis built over swapped rows
+    # gets its own frame and the same bits as a fresh build over those rows
+    basis = build_weyl_umeb(2, 4)
+    certify(basis, CONFIG)
+    before = _complement(basis)
+    amps = basis.amplitudes.copy()
+    amps[[0, 1]] = amps[[1, 0]]
+    with pytest.raises(AttributeError):
+        basis.amplitudes = amps
+    moved, fresh = BasisSet(2, 4, amps, [True] * 4), BasisSet(2, 4, amps, [True] * 4)
     certify(moved, CONFIG)
-    assert report_bytes(certify(moved, CONFIG)) == report_bytes(certify(fresh, CONFIG))
+    assert _complement(moved) is not before
+    assert _complement(moved) is _complement(moved)
+    assert _complement(basis) is before
     assert np.array_equal(complement_projector(moved), complement_projector(fresh))
+    assert report_bytes(certify(moved, CONFIG)) == report_bytes(certify(fresh, CONFIG))
 
 
 def test_rows_edited_after_the_build_do_not_reach_the_basis():
