@@ -7,9 +7,11 @@ its stderr; a call that writes a file adds the sha256 of that file.  The
 calls cover every subcommand with its refusals on the Weyl bases (2,3) to
 (4,6) and both 2 x 3 bases, and ``certify --json`` and ``search --json``
 (seeds 1, 7 and 42) and ``channel --json`` on the 49 shapes with
-``2 <= d < d'`` and ``d*d' <= 49``, and last the loader's missing-flags rule,
-on copies of the (3,4) Weyl basis and the first 2 x 3 basis written without
-``me_flags`` and ``labels``.
+``2 <= d < d'`` and ``d*d' <= 49``, then the loader's missing-flags rule, on
+copies of the (3,4) Weyl basis and the first 2 x 3 basis written without
+``me_flags`` and ``labels``, and last selections of other than d^2 members:
+the (3,5) Weyl basis without its last member, and the (2,5) Weyl basis with
+a copy moved up two B levels, whose complement is C^2 x the last B level.
 They run in-process, in a fresh temporary directory, with relative file
 names and 80 terminal columns, so no line depends on the checkout's path or
 the terminal.  Two checkouts compare by running this script with each one's
@@ -134,6 +136,24 @@ def main_calls() -> None:
         call("verify", path, "--json")
         call("certify", path, "--json", "--seed", "1")
         call("channel", path, "--json")
+    with open("s3_5.json", encoding="utf-8") as f:
+        less = json.load(f)
+    for key in ("states", "me_flags", "labels"):
+        del less[key][-1]
+    with open("s2_5.json", encoding="utf-8") as f:
+        blocks = json.load(f)
+    # every amplitude up two B levels, i*5 + j -> i*5 + j + 2: the members
+    # live on levels 0 and 1, so the entries shifted out or across are zeros
+    blocks["states"] += [[[0.0, 0.0]] * 2 + row[:-2] for row in blocks["states"]]
+    blocks["me_flags"] *= 2
+    blocks["labels"] += [f"{label}+2" for label in blocks["labels"]]
+    for path, doc in (("s3_5-less.json", less), ("b2_5.json", blocks)):
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=2)
+        call("verify", path)
+        call("channel", path)
+        call("channel", path, "--json", "--log-base", "e")
+        call("certify", path, "--json", "--seed", "1")
 
 
 if __name__ == "__main__":

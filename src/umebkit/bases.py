@@ -150,7 +150,7 @@ class BasisSet:
         dev = _gram_deviation(self.amplitudes)
         if dev > EXACT_TOL:
             raise ContractViolationError(
-                f"basis is not orthonormal: Gram deviation {dev:.3e} > {EXACT_TOL:g}"
+                f"basis is not orthonormal: Gram deviation {dev:.3e} > {cite(EXACT_TOL)}"
             )
         for k, dev in enumerate(self.me_deviations()):
             if (dev <= ME_TOL) != self.me_flags[k]:

@@ -41,10 +41,10 @@ from .tolerances import EXACT_TOL, MAX_SPACE_DIM, ME_TOL, check_tol
 __all__ = ["main"]
 
 
-def _format_matrix(M: np.ndarray, indent: str = "  ") -> str:
+def _format_matrix(M: np.ndarray) -> str:
     rows = []
     for row in M:
-        rows.append(indent + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row))
+        rows.append("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row))
     return "\n".join(rows)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bases import BasisSet, CertificateReport, _complement, support_rank_certificate
+from .bases import BasisSet, CertificateReport, complement_projector, support_rank_certificate
 from .errors import ContractViolationError, NumericalFailureError
 from .states import BipartiteState
 from .tolerances import EXACT_TOL, cite
@@ -477,25 +477,24 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
 
     The support-rank certificate is conclusive whenever its Schmidt-rank
     bound is below d.  Otherwise :func:`_search`, the search of
-    ``max_entanglement_in_subspace``, runs on the projector ``Q Q^dag`` of
-    the certificate's complement frame Q: the first restart that the exact
-    test or the polish accepts is returned as the ``extendible`` witness, and
-    ``search_best_F`` is its F.  On the Weyl shapes with d <= d'/2 one of
-    restarts 0-7 is accepted by its second F evaluation, so restarts 8 and
-    up are never drawn: it is exact there, or, on a d = 2 shape where a start
-    already has ``1 - F <= PARK_STEP``, polished at the first.  A search that
-    accepts no restart downgrades the verdict to ``inconclusive`` with the
-    best overlap of every restart run to convergence recorded.  The frame is
-    orthonormal by construction and the certificate refuses an empty one, so
-    its projector is not checked again.  The frame and the singular values
-    the certificate counts are built once per basis and shared with
-    ``analyze``.
+    ``max_entanglement_in_subspace``, runs on :func:`complement_projector`,
+    formed from the certificate's own complement frame: the first restart
+    that the exact test or the polish accepts is returned as the
+    ``extendible`` witness, and ``search_best_F`` is its F.  On the Weyl
+    shapes with d <= d'/2 one of restarts 0-7 is accepted by its second F
+    evaluation, so restarts 8 and up are never drawn: it is exact there, or,
+    on a d = 2 shape where a start already has ``1 - F <= PARK_STEP``,
+    polished at the first.  A search that accepts no restart downgrades the
+    verdict to ``inconclusive`` with the best overlap of every restart run to
+    convergence recorded.  The frame is orthonormal by construction and the
+    certificate refuses an empty one, so its projector is not checked again.
+    The frame and the singular values the certificate counts are built once
+    per basis and shared with ``analyze``.
     """
     report = support_rank_certificate(basis)
     if report.verdict == "unextendible":
         return report
-    Q = _complement(basis).Q
-    result = _search(Q @ Q.conj().T, basis.d, basis.dprime, config)
+    result = _search(complement_projector(basis), basis.d, basis.dprime, config)
     found = result.verdict == "found_me"
     return replace(
         report,

@@ -260,6 +260,13 @@ def test_basisset_validate_catches_semantic_breaks():
         mislabeled.validate()
 
 
+def test_validate_cites_its_bound_as_every_refusal_does():
+    phi0 = standard_mes(2, 3)
+    with pytest.raises(ContractViolationError) as refusal:
+        BasisSet(2, 3, [phi0, phi0], me_flags=[True, True]).validate()
+    assert str(refusal.value) == "basis is not orthonormal: Gram deviation 1.000e+00 > 1e-9"
+
+
 SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
 
 

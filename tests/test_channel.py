@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from umebkit import ContractViolationError, bases
+from umebkit import ContractViolationError, bases, channel
 from umebkit.bases import (
     BasisSet,
     build_c23_first,
@@ -13,6 +15,8 @@ from umebkit.bases import (
     complement_projector,
 )
 from umebkit.channel import analyze
+from umebkit.search import certify
+from umebkit.states import _weyl_operators
 
 SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
 
@@ -25,9 +29,10 @@ def test_complement_state_23():
 
 
 def test_complement_state_member_count_checks():
-    with pytest.raises(ContractViolationError, match="exactly d"):
-        analyze(build_c23_first(), me_only=False)  # 6 members != 4
-    # the four flagged members do qualify
+    # any count of members is analysed; only an empty complement is refused
+    with pytest.raises(ContractViolationError, match="complement is empty: the 6 chosen"):
+        analyze(build_c23_first(), me_only=False)  # all 6 members span C2 x C3
+    # the four flagged members leave a complement
     rho = analyze(build_c23_first()).rho_perp
     assert abs(np.trace(rho) - 1.0) < 1e-12
 
@@ -138,12 +143,54 @@ def test_analyze_matches_the_partial_trace_route(monkeypatch):
     assert len(cases) == 2 * (4 * len(SWEEP_SHAPES) + 2)
     want = [_reference_report(basis, log_base, me_only) for basis, me_only, log_base in cases]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("analyze must not take this route")
+    formed = []
 
-    monkeypatch.setattr(bases, "complement_projector", refuse)
+    def counted(*args, **kwargs):
+        formed.append(args)
+        return complement_projector(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "complement_projector", counted)
     for (basis, me_only, log_base), ref in zip(cases, want):
         rep = analyze(basis, log_base=log_base, me_only=me_only)
         assert rep.rho_perp.tobytes() == ref["rho_perp"].tobytes()
         for key, value in ref.items():
             assert np.abs(getattr(rep, key) - value).max() <= 1e-14, (basis.d, basis.dprime, key)
+    assert len(formed) == len(cases)  # Q Q^dag is formed once per report
+
+
+def block_selection(d, dprime):
+    """The q = d' // d copies of Weyl(d, d) on B levels jd ... jd + d - 1:
+    q d^2 maximally entangled members whose complement is C^d (x) the last
+    r = d' - qd levels."""
+    blocks = []
+    for j in range(dprime // d):
+        base = np.zeros((d, dprime), dtype=complex)
+        base[range(d), range(j * d, (j + 1) * d)] = 1 / np.sqrt(d)
+        blocks.append(bases._turned(_weyl_operators(d), base))
+    rows = np.vstack(blocks)
+    return BasisSet(d, dprime, rows, [True] * len(rows))
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=st.sampled_from([(2, 5), (3, 8), (4, 11)]), data=st.data())
+def test_a_block_selection_is_analysed_in_closed_form(shape, data):
+    # not d^2 members, yet trace-preserving: each ME member has A-marginal I/d
+    d, dprime = shape
+    basis = block_selection(d, dprime)
+    basis.validate()
+    k = len(basis)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    local = np.kron(random_unitary(rng, d), random_unitary(rng, dprime))
+    order = data.draw(st.permutations(range(k)), label="order")
+    moved = BasisSet(d, dprime, basis.amplitudes[order] @ local.T, [True] * k)
+    for b in (basis, moved):
+        rep = analyze(b, log_base=math.e)
+        assert rep.trace_preserving_deviation <= 1e-12
+        assert abs(rep.entropy_A - math.log(dprime % d)) <= 1e-12
+        assert abs(rep.entropy_B - math.log(d)) <= 1e-12
+        assert certify(b).verdict == "unextendible"
