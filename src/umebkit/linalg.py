@@ -41,10 +41,13 @@ def _gram_deviation(rows: np.ndarray) -> float:
 
 def _entropy(vals: np.ndarray, log_base: float) -> float:
     """Entropy ``-sum(lam * log(lam))``, in base ``log_base``, of a density
-    matrix with eigenvalues ``vals``; ``log_base`` finite, above 0, not 1."""
+    matrix with eigenvalues ``vals``; ``log_base`` finite, above 0, not 1.
+
+    The sum in nats is clamped at 0: a pure spectrum whose eigenvalue rounds
+    to ``1 + eps`` would give ``-eps``, and ``+ 0.0`` clears only ``-0.0``."""
     if not (isfinite(log_base) and log_base > 0 and log_base != 1):
         raise ContractViolationError(
             f"log base must be finite, above 0 and not 1, got {log_base!r}"
         )
     vals = vals[vals > EIGENVALUE_CLIP]
-    return float(-(vals * np.log(vals)).sum() / np.log(log_base)) + 0.0
+    return float(max(-(vals * np.log(vals)).sum(), 0.0) / np.log(log_base)) + 0.0

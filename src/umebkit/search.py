@@ -5,11 +5,13 @@ The objective is the fully-entangled overlap ``F(psi) = (sum_p s_p)^2 / d``
 which equals 1 exactly on the maximally entangled states.  Each restart
 alternates two closed-form projections — onto the subspace and onto the
 maximally entangled set — so F never decreases within a restart.  A restart
-that comes within :data:`PARK_STEP` of F = 1 is finished at once, by an exact
-test or a Gauss-Newton polish, and the first iteration in which they accept
-one gives the witness: an exact row, or else the first parked row the
-polish accepts, best F first.  A row they reject ascends on and is tried
-again closer to F = 1.
+that comes within :data:`PARK_STEP` of F = 1, at its second F evaluation or
+later, is finished at once, by an exact test or a Gauss-Newton polish, and
+the first iteration in which they accept one gives the witness: an exact
+row, or else the first parked row the polish accepts, best F first.  A row
+they reject ascends on and is tried again closer to F = 1.  The ascent only
+brings a row near F = 1; the quadratic polish, not the linear tail of the
+ascent, takes it the rest of the way.
 The search can only ever *find* witnesses; a failed search is reported as
 inconclusive, never as a proof of absence.
 """
@@ -49,45 +51,56 @@ GRAM_CUTOFF = 1e-4
 CONVERGENCE_TOL = 1e-12
 
 #: Restarts every search runs first.  On every Weyl shape with d <= d'/2 one
-#: of them is accepted by its second F evaluation (370 of 370 shape and seed
-#: pairs tried, seeds 1-10): exact at the second in 360, and in 10, all at
-#: d = 2, polished at the first, where a start already has F >= 0.999.  8
-#: rows cost about half of what 64 do to draw and ascend; 8 keeps a margin
-#: for bad starts.
+#: of them is accepted, exact, at its second F evaluation (370 of 370 shape
+#: and seed pairs tried, seeds 1-10), with no Gauss-Newton step; so is one on
+#: each of the 60 search-hard subspaces (seeds 1, 7 and 42), after at most 4
+#: steps.  8 rows cost about half of what 64 do to draw and ascend; 8 keeps a
+#: margin for bad starts.
 FIRST_STAGE = 8
 
 #: F evaluations the first :data:`FIRST_STAGE` restarts get when more are
 #: asked for.  Without an accepted witness by then, every restart runs from
-#: its start, the first ones again.  An easy witness shows by the second;
-#: on the benchmark's 20 search-hard subspaces (seeds 1, 7 and 42) the first
-#: run accepts one after 3-7, so a cap of 4 sends many of them to the second
-#: run (164 searches/s at seed 1 against 276).  Uncapped, the searches that
-#: find nothing slow down: a random (5,7) rank-12 subspace took 3.7 s, not 2.7.
+#: its start, the first ones again.  An easy witness shows by the second:
+#: the first run accepts one there on the benchmark's search-hard subspaces
+#: (seeds 1, 7 and 42).  The cap is for the searches near the threshold rank,
+#: whose rows the polish rejects at first: with rows parked from 1e-3, a cap
+#: of 4 sent many search-hard searches to the second run (164 searches/s at
+#: seed 1 against 276).  Uncapped, the searches that find nothing slow down:
+#: a random (5,7) rank-12 subspace took 3.7 s, not 2.7.
 FIRST_RUN_EVALS = 32
 
 #: Largest ``max|d X X^dag - I|`` at which a parked row counts as maximally
 #: entangled: the exact test's bound and the Gauss-Newton polish's target.
 #: ``1 - F`` is quadratic in this residual, so a row that meets it has F = 1
-#: to rounding.  Rows park at ``1 - F <= 1e-3`` with spectral residuals
-#: ``max|d w - 1|`` near 0.1, and three quadratic steps mostly bring them
-#: below it (3.0 steps a row on the 60 search-hard subspaces, (3,5)-(7,7)
-#: at seeds 1, 7 and 42, each accepting the first row it polishes), where a
-#: bound of 1e-14 would cost 30 % more; rounding leaves at most about 3e-14
-#: on the exact witnesses of the Weyl complements.
+#: to rounding.  Search-hard rows park at their second F evaluation with
+#: ``1 - F`` of 4e-3 to 3e-2 and spectral residuals ``max|d w - 1|`` of 0.16
+#: to 0.63, and four quadratic steps bring them below it (4.0 steps a row
+#: on the 60 search-hard subspaces, (3,5)-(7,7) at seeds 1, 7 and 42, each
+#: accepting the first row it polishes); a bound of 1e-14 costs 2 % more
+#: steps there (30 % when rows parked at 1e-3).  Rounding leaves at most
+#: about 3e-14 on the exact witnesses of the Weyl complements.
 #: (Gauss-Newton: Absil, Mahony & Sepulchre, Optimization Algorithms on
 #: Matrix Manifolds, 2008; alternating projections converge only linearly:
 #: Lewis, Luke & Malick, Found. Comput. Math. 9, 2009.)
 POLISH_TOL = 1e-11
 
 #: The park ladder: a row parks for the exact test and the polish at its
-#: first F evaluation with ``1 - F <= PARK_STEP``, and a row they reject
-#: ascends on and parks again at ``PARK_STEP**2``, then ``PARK_STEP**3``.
-#: From 1e-3 the polish converges quadratically, where the ascent converges
-#: only linearly, so a lower first rung would pay for more slow iterations.
-#: Near the threshold rank the polish stalls from 1e-3 and succeeds from
-#: closer in: on eight random (5,7) rank-13 subspaces, parking each row only
-#: once found 2 witnesses in 14 s, and this ladder 8 in 2.7 s.
-PARK_STEP = 1e-3
+#: first F evaluation after the first with ``1 - F <= PARK_STEP``, and a row
+#: they reject ascends on and parks again at ``PARK_STEP**2`` (9e-4), then
+#: ``PARK_STEP**3`` (2.7e-5), and so on.  On the search-hard subspaces most
+#: rows (347 of 480 at seeds 1, 7 and 42) are within 3e-2 of F = 1 at their
+#: second evaluation, and the polish converges quadratically from there,
+#: where the ascent converges only linearly: a first rung of 1e-3 took 720 F
+#: evaluations for the 20 searches at seed 1, and this one takes 320.  No row
+#: parks at its first evaluation: a raw start has ``1 - F`` of 0.07-0.32 on
+#: search-hard, and Gauss-Newton from the best one fails on 7 of 20 at seed
+#: 1; and the Weyl complements with d <= d'/2 are exact at the second,
+#: without a polish.  So a search with ``max_iters`` 1 parks no row and finds
+#: nothing.  Near the threshold rank the polish stalls from the first rungs
+#: and succeeds from closer in: on eight random (5,7) rank-13 subspaces,
+#: parking each row only once found 2 witnesses in 14 s, and a ladder from
+#: 1e-3 found 8 in 2.7 s.
+PARK_STEP = 3e-2
 
 
 @dataclass(eq=False, frozen=True)
@@ -99,7 +112,9 @@ class SearchConfig:
     fixed.  Both ``certify`` and ``max_entanglement_in_subspace`` run
     restarts 0-7 first, for at most :data:`FIRST_RUN_EVALS` F evaluations,
     and all restarts again from their starts only if none of the first is
-    accepted; the first accepted restart ends the search.
+    accepted; the first accepted restart ends the search.  No restart parks
+    before its second F evaluation, so with ``max_iters`` 1 the search
+    accepts none and is ``none_found``.
     ``seed`` makes the whole search deterministic: restart r draws its start
     from an independent counter-based stream keyed by ``(seed, r)``.  Seeds
     run from 0 to ``2**63 - 1``; numpy's Philox key parser reads larger ones
@@ -250,10 +265,13 @@ def _gauss_newton(P, x, d, dprime):
     exact arithmetic: with J the Jacobian in X, ``J_P J_P^T = J P P^dag J^T
     = J Q Q^dag J^T``; and c starts at ``P x = x`` and every step ``J_P^T y``
     lies in range(P), so ``|c| = |X|`` throughout.  An orthonormal Q handed
-    in as P takes the same steps.  Scaling X rather than c keeps that true
-    of a P that is a projector only within its checks: on ``(1 + delta) Q
-    Q^dag`` a unit c gives ``|X| = 1 + delta``, which would hold the residual
-    near ``2 delta``, above the tolerance for any delta over about 5e-12.
+    in as P takes the same steps in exact arithmetic, not on a stalled row:
+    there J J^T is ill-conditioned, rounding moves the two trajectories
+    apart, and they can stop a step or more apart, both rejecting the row.
+    Scaling X rather than c keeps the frames alike for a P that is a
+    projector only within its checks: on ``(1 + delta) Q Q^dag`` a unit c
+    gives ``|X| = 1 + delta``, which would hold the residual near
+    ``2 delta``, above the tolerance for any delta over about 5e-12.
     """
     k = P.shape[1]
     # Bc[j d + b] = conj((1 + i) B_j)[b]: Bc X^T = ((1 - i) X B_j^dag)^T, every j at once
@@ -298,14 +316,14 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, park=False):
     its own ``max_iters`` F evaluations; a row that stops without collapsing
     keeps the state it was last evaluated at, so its recorded F is that
     state's F.  With ``park``, each row has a park threshold, at first
-    :data:`PARK_STEP`: a row parks at an F evaluation with ``1 - F`` at most
-    its threshold, which then tightens by the factor :data:`PARK_STEP`, and
-    :func:`_polish` tries the rows parked in one iteration on P in that
-    iteration.  Without ``park`` no row parks.  The first iteration in which
-    a row is accepted ends the whole batch, without projecting again, so
-    :func:`_polish` stops at the first row it accepts; a row not accepted
-    ascends on as if it had never parked, until it meets its tightened
-    threshold.
+    :data:`PARK_STEP`: a row parks at an F evaluation after its first with
+    ``1 - F`` at most its threshold, which then tightens by the factor
+    :data:`PARK_STEP`, and :func:`_polish` tries the rows parked in one
+    iteration on P in that iteration.  Without ``park`` no row parks.  The
+    first iteration in which a row is accepted ends the whole batch, without
+    projecting again, so :func:`_polish` stops at the first row it accepts;
+    a row not accepted ascends on as if it had never parked, until it meets
+    its tightened threshold.
     Returns the states, their last F, per-row F evaluation counts, converged
     and collapsed flags, per iteration the array of F evaluated on the rows
     then advancing, the flags of the accepted rows (which count as
@@ -326,7 +344,7 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, park=False):
         iterations[active] += 1
         history.append(F)
         converged[active[done]] = True
-        parking = 1.0 - F <= park_at[active]
+        parking = (1.0 - F <= park_at[active]) & (iterations[active] > 1)
         if parking.any():
             rows = active[parking]
             park_evals += int(iterations[rows[~parked[rows]]].sum())  # up to the first park
@@ -481,12 +499,11 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     formed from the certificate's own complement frame: the first restart
     that the exact test or the polish accepts is returned as the
     ``extendible`` witness, and ``search_best_F`` is its F.  On the Weyl
-    shapes with d <= d'/2 one of restarts 0-7 is accepted by its second F
-    evaluation, so restarts 8 and up are never drawn: it is exact there, or,
-    on a d = 2 shape where a start already has ``1 - F <= PARK_STEP``,
-    polished at the first.  A search that accepts no restart downgrades the
-    verdict to ``inconclusive`` with the best overlap of every restart run to
-    convergence recorded.  The frame is orthonormal by construction and the
+    shapes with d <= d'/2 one of restarts 0-7 is accepted, exact, at its
+    second F evaluation, so restarts 8 and up are never drawn and no
+    Gauss-Newton step is taken.  A search that accepts no restart downgrades
+    the verdict to ``inconclusive`` with the best overlap of every restart run
+    to convergence recorded.  The frame is orthonormal by construction and the
     certificate refuses an empty one, so its projector is not checked again.
     The frame and the singular values the certificate counts are built once
     per basis and shared with ``analyze``.

@@ -47,6 +47,20 @@ def test_analyze_23():
     assert abs(rep.entropy_B - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("log_base", [2.0, math.e, 2.0 / 3.0])
+def test_a_pure_marginal_has_entropy_exactly_0(log_base):
+    # Weyl(2,3) and the (2,5) block selection of the snapshot's b2_5.json:
+    # the B-side marginal is pure, and its eigenvalue rounds to 1 + eps
+    weyl = build_weyl_umeb(2, 5).amplitudes.reshape(4, 2, 5)
+    moved = np.zeros_like(weyl)
+    moved[:, :, 2:] = weyl[:, :, :3]  # up two B levels
+    rows = np.concatenate([weyl, moved]).reshape(8, 10)
+    for basis in (build_weyl_umeb(2, 3), BasisSet(2, 5, rows, [True] * 8)):
+        rep = analyze(basis, log_base=log_base)
+        assert rep.entropy_A == 0.0 and math.copysign(1.0, rep.entropy_A) == 1.0
+        assert abs(rep.entropy_B - math.log(2, log_base)) <= 1e-12
+
+
 def test_analyze_34():
     rep = analyze(build_weyl_umeb(3, 4), log_base=2.0)
     assert abs(rep.entropy_A - 0.0) < 1e-9

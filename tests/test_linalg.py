@@ -92,6 +92,12 @@ def test_entropy_examples():
     assert abs(_entropy(np.full(3, 1 / 3), 2.0) - np.log2(3)) < 1e-12
 
 
+def test_entropy_of_a_pure_spectrum_rounded_above_1_is_0():
+    # 1 + eps has log eps > 0, so the sum alone would be -eps, not 0
+    for log_base in (2.0, np.e, 3.0, 0.5):
+        assert _entropy(np.array([1e-17, 1.0 + 2.0**-52]), log_base) == 0.0
+
+
 def test_entropy_bounds_random():
     rng = np.random.default_rng(7)
     for _ in range(50):

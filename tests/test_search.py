@@ -63,12 +63,13 @@ def ladder_parks(out):
     no row, read from its F history: ``(i, rows, F)`` per iteration i at
     which some rows have ``1 - F`` at most their threshold, which starts at
     ``PARK_STEP`` and tightens by ``PARK_STEP`` at each park.  The rows
-    evaluated at iteration i are those with more than i evaluations."""
+    evaluated at iteration i are those with more than i evaluations; no row
+    parks at its first, iteration 0."""
     import umebkit.search as search
 
     iterations, history = out[2], out[5]
     threshold, parks = np.full(len(iterations), search.PARK_STEP), []
-    for i, F in enumerate(history):
+    for i, F in enumerate(history[1:], start=1):
         live = np.flatnonzero(iterations > i)
         park = 1.0 - F <= threshold[live]
         if park.any():
@@ -80,8 +81,8 @@ def ladder_parks(out):
 def count_work(monkeypatch):
     """Count a search's work from outside it; the returned function gives
     the F evaluations of its recorded runs, those of rows that met
-    ``PARK_STEP`` at an earlier one, and its solves, one Gauss-Newton step
-    of one row each."""
+    ``PARK_STEP`` at an earlier one (the first evaluation aside, at which no
+    row parks), and its solves, one Gauss-Newton step of one row each."""
     import umebkit.search as search
 
     runs, solved, solve = record_runs(monkeypatch), [], np.linalg.solve
@@ -95,9 +96,11 @@ def count_work(monkeypatch):
 
     def counts():
         # F never falls within a run, so a row meets the tolerance at every
-        # evaluation from the one it parked at, and with its last F
-        met = sum(int(np.sum(1.0 - F <= search.PARK_STEP)) for _, out in runs for F in out[5])
-        rows = sum(int(np.sum(1.0 - out[1] <= search.PARK_STEP)) for _, out in runs)
+        # evaluation from the one it parked at, and with its last F; a row
+        # parks at its second evaluation at the earliest
+        met = sum(int(np.sum(1.0 - F <= search.PARK_STEP)) for _, out in runs for F in out[5][1:])
+        rows = sum(int(np.sum((1.0 - out[1] <= search.PARK_STEP) & (out[2] > 1)))
+                   for _, out in runs)
         return sum(int(out[2].sum()) for _, out in runs), met - rows, sum(solved)
 
     return counts
@@ -409,17 +412,37 @@ def test_restart_starts_match_one_generator_per_restart(seed, restarts, n):
 
 @pytest.mark.parametrize("max_iters", [1, 5])
 def test_best_F_is_the_F_of_best_state_at_max_iters(max_iters):
-    d, dprime, rank = 7, 7, 30
+    # rank 20 is below the threshold rank 25 of (7,7): no row is accepted,
+    # and every row is cut at max_iters (at rank 30 a row is accepted at
+    # its fourth F evaluation)
+    d, dprime, rank = 7, 7, 20
     n = d * dprime
     rng = np.random.default_rng([1, d, dprime, rank, 0])
     q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
     result = max_entanglement_in_subspace(
         q @ q.conj().T, d, dprime, SearchConfig(max_iters=max_iters, seed=1)
     )
+    assert result.verdict == "none_found"
     assert result.iterations_used == max_iters and not result.converged
     best = result.best_state.amplitudes
     F = abs(np.vdot(_nearest_me_amplitudes(best.reshape(d, dprime))[0], best)) ** 2
     assert abs(result.best_F - F) <= 1e-12
+
+
+@pytest.mark.parametrize("d, dprime, seed", [(2, 4, 1), (2, 17, 42)])
+def test_a_search_of_one_evaluation_parks_no_row(d, dprime, seed):
+    # no row parks at its first F evaluation, so max_iters = 1 finds
+    # nothing, even where a start is within 1e-3 of F = 1 (Weyl(2,17) at
+    # seed 42); one evaluation more and the witness is exact
+    P = complement_projector(build_weyl_umeb(d, dprime))
+    one = max_entanglement_in_subspace(P, d, dprime, SearchConfig(max_iters=1, seed=seed))
+    assert one.verdict == "none_found" and one.polish_steps == 0
+    assert one.evaluations == 72 and one.evaluations_after_park == 0
+    two = max_entanglement_in_subspace(P, d, dprime, SearchConfig(max_iters=2, seed=seed))
+    assert two.verdict == "found_me" and two.evaluations == 16 and two.polish_steps == 0
+    assert abs(1.0 - two.best_F) <= 1e-12
+    if seed == 42:
+        assert 1.0 - one.best_F <= 1e-3
 
 
 def test_restarts_used_counts_restarts_with_a_candidate(monkeypatch):
@@ -568,13 +591,19 @@ def _check_witness(state, P):
 def test_first_witness_search_agrees_with_full_search(d, dprime, k):
     import umebkit.search as search
 
-    # the search against the same restarts ascended to convergence, unstopped
+    # the search against the same restarts ascended to convergence, unstopped:
+    # it finds a witness iff the polish accepts one of the rows that end
+    # within PARK_STEP of F = 1 (at (3,5) k=4, below the threshold rank, all
+    # eight rows end within it, and the polish rejects each)
     P = subspace_projector(1, d, dprime, k)
     config = SearchConfig(restarts=8, max_iters=2000, seed=1)
     first = max_entanglement_in_subspace(P, d, dprime, config)
     psi, F, iterations = _ascend_batch(P, projected_starts(P, 1, range(8)), d, dprime, 2000)[:3]
     met = 1.0 - F <= search.PARK_STEP
-    assert (first.verdict == "found_me") == bool(met.any())
+    w = spectra(psi[met], d, dprime)[1]
+    accepted = search._polish(P, psi[met], F[met], w, d, dprime)[2]
+    assert (first.verdict == "found_me") == bool(accepted.any())
+    assert met.any() and (k == 4) == (not accepted.any())
     if first.verdict == "found_me":
         _check_witness(first.best_state, P)
         assert me_residual(first.best_state.amplitudes, d, dprime) <= search.POLISH_TOL
@@ -621,23 +650,26 @@ def test_restart_starts_over_a_range_are_that_slice_of_the_full_draw(seed, n):
         assert part.tobytes() == full[rows.start:rows.stop].tobytes()
 
 
-# (3,5) k=5: four rows of the first run park in its 32 F evaluations and the
-# polish rejects each, and the second run accepts one at its 41st; (3,5) k=4:
-# no witness, every row of the second run runs to its cap of 150 iterations
-# (the first to converge needs 178).
+# (3,5) k=5 at seed 3: every row of the first run parks in its 32 F
+# evaluations and the polish rejects each, and the second run accepts one at
+# its 47th (at seed 1 the first run accepts one at its fifth); (3,5) k=4 at
+# seed 1: no witness, every row of either run parks and is rejected, and every
+# row of the second run runs to its cap of 150 iterations (the first to
+# converge needs 178).
 @pytest.mark.parametrize("k", [5, 4])
 def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     import umebkit.search as search
 
     d, dprime, R, max_iters = 3, 5, 24, 2000 if k == 5 else 150
+    seed = 3 if k == 5 else 1
     P = subspace_projector(1, d, dprime, k)
     runs = record_runs(monkeypatch)
     calls = record_polish(monkeypatch, runs)
-    config = SearchConfig(restarts=R, max_iters=max_iters, seed=1)
+    config = SearchConfig(restarts=R, max_iters=max_iters, seed=seed)
     result = _search(P, d, dprime, config)
     (first_args, first), (args, second) = runs
     # the first run: restarts 0-7, capped at FIRST_RUN_EVALS F evaluations
-    starts = projected_starts(P, 1, range(R))
+    starts = projected_starts(P, seed, range(R))
     assert first_args[1].tobytes() == starts[:search.FIRST_STAGE].tobytes()
     assert first_args[4] == len(first[5]) == search.FIRST_RUN_EVALS
     # no row of it is accepted: every row that met the threshold was handed
@@ -647,16 +679,19 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     assert [F.tobytes() for _, F, _ in first_calls] == [F.tobytes() for _, _, F in parks]
     met = np.flatnonzero(1.0 - first[1] <= search.PARK_STEP)
     assert set(met) <= {r for _, rows, _ in parks for r in rows}
-    assert len(met) == (4 if k == 5 else 0)
+    assert len(met) == search.FIRST_STAGE
     # the second: every restart from its start, with the full max_iters
     assert args[1].tobytes() == starts.tobytes() and args[4] == max_iters
     psi, F, iterations, converged, collapsed, history, accepted = second[:7]
     assert not collapsed.any()
     assert min(map(len, history)) >= 2
     assert len(history) == iterations.max()
-    # k=5: one row meets the witness tolerance, is polished and ends the run
+    # k=5: one row is polished and ends the run; k=4: the polish rejects
+    # every row handed to it, of the 24 that end within PARK_STEP of F = 1
     met = 1.0 - F <= search.PARK_STEP
-    assert accepted.sum() == (k == 5) and (k == 5) == bool(met.any())
+    assert accepted.sum() == (k == 5) and met.sum() >= 1 + 23 * (k == 4)
+    second_calls = [c for c in calls if c[0] == 1]
+    assert [ok.any() for _, _, ok in second_calls] == [False] * (len(second_calls) - 1) + [k == 5]
     b = int(np.argmax(F))
     assert accepted[b] or k == 4
     assert result.best_F == F[b] and result.iterations_used == iterations[b]
@@ -737,27 +772,27 @@ def test_certify_verdicts_match_the_full_search_on_the_sweep(seed):
         assert (report.verdict == "extendible") == (2 * d <= dprime), (d, dprime)
 
 
-# Extendible sweep shapes where a start of restarts 0-7 already has
-# 1 - F <= PARK_STEP, so that its first F evaluation parks it and the
-# polish finishes it there.
-POLISHED_AT_FIRST = {1: set(), 42: {(2, 17), (2, 24)}}
+EXTENDIBLE_SHAPES = [(d, dprime) for d, dprime in SWEEP_SHAPES if 2 * d <= dprime]
 
 
-@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 42])
 def test_certify_of_an_extendible_sweep_shape_is_one_run_of_two_evaluations(monkeypatch, seed):
-    # the traffic the staging is for: restarts 0-7 are accepted by their
-    # second F evaluation, and restarts 8-63 are never drawn; the witness is
-    # exact at the second, or polished at the first
+    # the traffic the staging is for: on each of the 37 Weyl complements with
+    # d <= d'/2, restarts 0-7 are accepted at their second F evaluation,
+    # exact, and restarts 8-63 are never drawn; no row parks at its first,
+    # so the starts of Weyl(2,17) and Weyl(2,24) at seed 42 within 1e-3 of
+    # F = 1 are not polished there
+    import umebkit.search as search
+
     runs = record_runs(monkeypatch)
-    for d, dprime in SWEEP_SHAPES:
-        if 2 * d > dprime:
-            continue
+    assert len(EXTENDIBLE_SHAPES) == 37
+    for d, dprime in EXTENDIBLE_SHAPES:
         runs.clear()
         report = certify(build_weyl_umeb(d, dprime), SearchConfig(seed=seed))
-        early = (d, dprime) in POLISHED_AT_FIRST[seed]
-        assert [len(out[5]) for _, out in runs] == [1 if early else 2], (d, dprime)
-        assert (runs[0][1][8] > 0) == early, (d, dprime)  # Gauss-Newton steps
+        assert [len(out[5]) for _, out in runs] == [2], (d, dprime)
+        assert runs[0][1][2].tolist() == [2] * 8 and runs[0][1][8] == 0, (d, dprime)
         assert report.verdict == "extendible" and report.restarts_used == 8, (d, dprime)
+        assert me_residual(report.witness.amplitudes, d, dprime) <= search.POLISH_TOL
 
 
 def test_fruitless_first_witness_search_keeps_the_full_best_F():
@@ -1052,7 +1087,8 @@ def test_no_search_path_eigendecomposes_the_projector(monkeypatch, tmp_path, cap
     # the polish steps on the columns of P, so the library search, certify
     # and umeb search eigendecompose only d x d Gram matrices (the ascent's
     # stacked ones and the polished row's), whether the witness is exact
-    # (Weyl(2,4)) or polished ((3,5) k=10, and Weyl(2,17) at seed 42)
+    # (Weyl(2,4), and Weyl(2,17) at seed 42, at the second evaluation) or
+    # polished ((3,5) k=10)
     from umebkit.cli import main
     from umebkit.fileio import save_basis
 
@@ -1080,7 +1116,7 @@ def test_no_search_path_eigendecomposes_the_projector(monkeypatch, tmp_path, cap
         capsys.readouterr()
         assert report.verdict == "extendible"
         assert shapes and all(shape[-2:] == (2, 2) for shape in shapes), dprime
-        assert ((2, 2) in shapes) == (dprime == 17)  # only a polished row's is 2-D
+        assert (2, 2) not in shapes  # only a polished row's is 2-D
 
 
 # the benchmark's search-hard subspaces: (d, d') and rank k, four of each
@@ -1089,13 +1125,55 @@ SEARCH_HARD = [((3, 5), 10), ((4, 6), 16), ((5, 7), 26), ((6, 8), 37), ((7, 7), 
 
 def test_each_search_hard_search_ends_at_its_first_polished_row():
     # no witness of these is exact: each search polishes parked rows best
-    # first and keeps the first one accepted
-    for (d, dprime), k in SEARCH_HARD:
-        for j in range(4):
-            P = subspace_projector(1, d, dprime, k, j)
-            result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
-            assert result.verdict == "found_me" and result.restarts_polished == 1, (d, dprime, k, j)
-            assert result.polish_steps > 0, (d, dprime, k, j)
+    # first and keeps the first one accepted, at the rows' second F
+    # evaluation in the first run (8 rows, 16 evaluations), within 4 steps
+    for seed in (1, 7, 42):
+        for (d, dprime), k in SEARCH_HARD:
+            for j in range(4):
+                P = subspace_projector(seed, d, dprime, k, j)
+                result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=seed))
+                case = (seed, d, dprime, k, j)
+                assert result.verdict == "found_me" and result.restarts_polished == 1, case
+                assert result.restarts_used == 8 and result.evaluations == 16, case
+                assert 0 < result.polish_steps <= 4, case
+
+
+def test_no_row_is_polished_before_its_second_evaluation(monkeypatch):
+    import umebkit.search as search
+
+    # every row of a batch is evaluated once per iteration, so the
+    # iterations of a batch so far are each row's F evaluations
+    evaluations, polished_at = [0], []
+    nearest, batch, polish = search._nearest_me_amplitudes, search._ascend_batch, search._polish
+
+    def counting_batch(*args, **kwargs):
+        evaluations[0] = 0
+        return batch(*args, **kwargs)
+
+    def counting_nearest(x):
+        evaluations[0] += 1
+        return nearest(x)
+
+    def recording_polish(*args):
+        polished_at.append(evaluations[0])
+        return polish(*args)
+
+    monkeypatch.setattr(search, "_ascend_batch", counting_batch)
+    monkeypatch.setattr(search, "_nearest_me_amplitudes", counting_nearest)
+    monkeypatch.setattr(search, "_polish", recording_polish)
+    # Weyl(2,17) and (2,24) at seed 42 have starts within 1e-3 of F = 1; they
+    # wait for the second evaluation, where they are exact
+    for dprime in (17, 24):
+        polished_at.clear()
+        certify(build_weyl_umeb(2, dprime), SearchConfig(seed=42))
+        assert polished_at == [2], dprime
+    # search-hard and (3,5) k=4, whose parked rows the polish rejects in both runs
+    cases = [(subspace_projector(1, d, dprime, k, j), d, dprime)
+             for (d, dprime), k in SEARCH_HARD for j in range(4)]
+    for P, d, dprime in cases + [(subspace_projector(1, 3, 5, 4), 3, 5)]:
+        polished_at.clear()
+        _search(P, d, dprime, SearchConfig(seed=1))
+        assert polished_at and min(polished_at) >= 2, (d, dprime)
 
 
 def parked_rows(monkeypatch, P, d, dprime, seed):
@@ -1116,17 +1194,18 @@ def parked_rows(monkeypatch, P, d, dprime, seed):
 
 def gauss_newton_on_both_frames(P, rows, d, dprime):
     """Each row polished on the columns of P and on an orthonormal frame of
-    range(P): both take the same steps, and their states agree to 1e-12.
-    Returns the pairs of outcomes."""
+    range(P): both accept it or both reject it, and where they accept it
+    they take the same steps and their states agree to 1e-12.  Returns the
+    pairs of outcomes."""
     import umebkit.search as search
 
     Q = range_frame(P)
     pairs = [(search._gauss_newton(P, x, d, dprime), search._gauss_newton(Q, x, d, dprime))
              for x in rows]
     for (on_P, steps_P), (on_Q, steps_Q) in pairs:
-        assert steps_P == steps_Q and (on_P is None) == (on_Q is None)
+        assert (on_P is None) == (on_Q is None)
         if on_P is not None:
-            assert np.abs(on_P - on_Q).max() <= 1e-12
+            assert steps_P == steps_Q and np.abs(on_P - on_Q).max() <= 1e-12
     return pairs
 
 
@@ -1144,6 +1223,7 @@ def test_gauss_newton_on_the_projector_steps_as_on_an_orthonormal_frame(monkeypa
             result, rows = parked_rows(monkeypatch, P, d, dprime, seed)
             pairs = gauss_newton_on_both_frames(P, rows, d, dprime)
             assert any(on_P is not None for (on_P, _), _ in pairs), (d, dprime, k, j)
+            assert all(steps_P == steps_Q for (_, steps_P), (_, steps_Q) in pairs)
             witness = result.best_state.amplitudes
             assert result.verdict == "found_me", (d, dprime, k, j)
             assert me_residual(witness, d, dprime) <= search.POLISH_TOL
@@ -1151,14 +1231,17 @@ def test_gauss_newton_on_the_projector_steps_as_on_an_orthonormal_frame(monkeypa
 
 
 def test_gauss_newton_rejects_the_near_miss_on_either_frame(monkeypatch):
-    # every row the r45 near-miss search parks is rejected, after as many
-    # steps on the columns of P as on an orthonormal frame
+    # every row the r45 near-miss search parks is rejected on the columns of
+    # P and on an orthonormal frame.  The step counts agree only in exact
+    # arithmetic: on a stalled row J J^T is ill-conditioned, and a few rows
+    # of each seed (3 of 124 at seed 1) stop a step or more apart
     P = near_miss_projector()
-    result, rows = parked_rows(monkeypatch, P, 4, 5, 1)
-    assert result.verdict == "none_found" and len(rows) > 0
-    pairs = gauss_newton_on_both_frames(P, rows, 4, 5)
-    assert all(on_P is None for (on_P, _), _ in pairs)
-    assert sum(steps for (_, steps), _ in pairs) == result.polish_steps
+    for seed in (1, 2, 3, 42):
+        result, rows = parked_rows(monkeypatch, P, 4, 5, seed)
+        assert result.verdict == "none_found" and len(rows) > 0, seed
+        pairs = gauss_newton_on_both_frames(P, rows, 4, 5)
+        assert all(on_P is None and on_Q is None for (on_P, _), (on_Q, _) in pairs), seed
+        assert sum(steps for (_, steps), _ in pairs) == result.polish_steps, seed
 
 
 @pytest.mark.parametrize("delta", [1e-10, -4e-10])
