@@ -115,6 +115,7 @@ def main_calls() -> None:
                  ["construct", "--kind", "other"],
                  ["pauli", "--d", "1"], ["pauli", "--d", "3", "--n", "1"],
                  ["verify", "missing.json"], ["verify", "bad.json"], ["certify", "bad.json"],
+                 ["search", "w24.json", "--max-iters", "1"],
                  ["channel", "bad.json"], ["mub", "bad.json", "c23-first.json"], []):
         call(*argv)
     for d, dp in SWEEP_SHAPES:

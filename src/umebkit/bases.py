@@ -168,10 +168,13 @@ class CertificateReport:
     A-side marginals of the complement projector; any state of the complement
     has Schmidt rank at most ``schmidt_rank_bound = min(d, a_rank, b_rank)``.
     A bound below d proves no maximally entangled state fits, hence
-    ``unextendible``.  ``witness`` is present exactly when the verdict is
+    ``unextendible``.  ``method`` names what decided: ``support-rank``,
+    ``product-block`` (a witness in closed form, see ``search.certify``) or
+    ``numeric-search``.  ``witness`` is present exactly when the verdict is
     ``extendible``.  ``search_best_F`` and ``restarts_used`` are present
-    exactly when a search ran: the witness's F on ``extendible`` (the first
-    state the search accepted as exact) or the whole search's best F on
+    exactly when a search ran, so never under ``support-rank`` or
+    ``product-block``: the witness's F on ``extendible`` (the first state
+    the search accepted as exact) or the whole search's best F on
     ``inconclusive``, and the restarts drawn and ascended without collapse.
     """
 
@@ -309,8 +312,9 @@ def support_rank_certificate(basis: BasisSet) -> CertificateReport:
     most ``min(rank Tr_B P, rank Tr_A P)``, P the complement projector; when
     that bound is below d, no maximally entangled state (Schmidt rank d) fits
     and the basis is certified unextendible.  Otherwise the verdict is
-    ``inconclusive`` and a numeric search must decide.  A complete basis
-    (empty complement) is not a UMEB and is rejected.
+    ``inconclusive``, and ``certify`` decides with a closed-form witness or
+    a numeric search.  A complete basis (empty complement) is not a UMEB and
+    is rejected.
     """
     complement = _complement(basis)
     flagged = np.array(basis.me_flags, dtype=bool)

@@ -13,7 +13,9 @@ they reject ascends on and is tried again closer to F = 1.  The ascent only
 brings a row near F = 1; the quadratic polish, not the linear tail of the
 ascent, takes it the rest of the way.
 The search can only ever *find* witnesses; a failed search is reported as
-inconclusive, never as a proof of absence.
+inconclusive, never as a proof of absence.  ``certify`` searches only where
+neither the support-rank certificate nor a closed-form witness on a product
+block of the complement decides.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 
 from .bases import BasisSet, CertificateReport, complement_projector, support_rank_certificate
 from .errors import ContractViolationError, NumericalFailureError
+from .linalg import _gram_deviation
 from .states import BipartiteState
-from .tolerances import EXACT_TOL, cite
+from .tolerances import EXACT_TOL, NULL_CUT, cite
 
 __all__ = [
     "SearchConfig",
@@ -95,11 +98,11 @@ POLISH_TOL = 1e-11
 #: parks at its first evaluation: a raw start has ``1 - F`` of 0.07-0.32 on
 #: search-hard, and Gauss-Newton from the best one fails on 7 of 20 at seed
 #: 1; and the Weyl complements with d <= d'/2 are exact at the second,
-#: without a polish.  So a search with ``max_iters`` 1 parks no row and finds
-#: nothing.  Near the threshold rank the polish stalls from the first rungs
-#: and succeeds from closer in: on eight random (5,7) rank-13 subspaces,
-#: parking each row only once found 2 witnesses in 14 s, and a ladder from
-#: 1e-3 found 8 in 2.7 s.
+#: without a polish.  So a search with ``max_iters`` 1 could park no row,
+#: and :class:`SearchConfig` refuses it.  Near the threshold rank the polish
+#: stalls from the first rungs and succeeds from closer in: on eight random
+#: (5,7) rank-13 subspaces, parking each row only once found 2 witnesses in
+#: 14 s, and a ladder from 1e-3 found 8 in 2.7 s.
 PARK_STEP = 3e-2
 
 
@@ -113,8 +116,8 @@ class SearchConfig:
     restarts 0-7 first, for at most :data:`FIRST_RUN_EVALS` F evaluations,
     and all restarts again from their starts only if none of the first is
     accepted; the first accepted restart ends the search.  No restart parks
-    before its second F evaluation, so with ``max_iters`` 1 the search
-    accepts none and is ``none_found``.
+    before its second F evaluation, so ``max_iters`` must be at least 2:
+    with 1 no restart could be accepted.
     ``seed`` makes the whole search deterministic: restart r draws its start
     from an independent counter-based stream keyed by ``(seed, r)``.  Seeds
     run from 0 to ``2**63 - 1``; numpy's Philox key parser reads larger ones
@@ -135,6 +138,9 @@ class SearchConfig:
                 raise ContractViolationError(f"{name} must be an integer, got {value!r}")
         if self.restarts <= 0 or self.max_iters <= 0:
             raise ContractViolationError("restarts and max_iters must be positive")
+        if self.max_iters == 1:
+            raise ContractViolationError(
+                "max_iters must be at least 2: no restart parks before its second F evaluation")
         if not 0 <= self.seed < 2**63:
             raise ContractViolationError("seed must be an integer in [0, 2**63)")
 
@@ -490,18 +496,54 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult
     )
 
 
+def _product_block_witness(basis: BasisSet) -> BipartiteState | None:
+    """A maximally entangled state of the complement in closed form, or None.
+
+    Let W be the B-side kets w with ``conj(A_k) w = 0`` for the amplitude
+    matrix ``A_k`` (d x d') of every flagged member.  Then the complement
+    holds ``C^d (x) W``, and when ``dim W >= d`` it holds the maximally
+    entangled ``(1/sqrt(d)) sum_i |i>|w_i>`` for any orthonormal
+    ``w_0 ... w_{d-1}`` of W, whose amplitude matrix is their rows over
+    ``sqrt(d)``.  One SVD of the stacked ``A_k``, ``U S Vh``, gives W: the
+    rows of Vh past the singular values above ``NULL_CUT`` (all of C^{d'}
+    when nothing is flagged).  The state is returned only if it meets what
+    a search witness meets: ``max|d X X^dag - I| <= POLISH_TOL`` and an
+    overlap of at most ``EXACT_TOL`` with every flagged member.
+    A local unitary ``U_A (x) U_B`` maps ``C^d (x) W`` to ``C^d (x) U_B W``,
+    so whether a witness is found does not depend on it.
+    """
+    d, dprime = basis.d, basis.dprime
+    A = basis.amplitudes[np.array(basis.me_flags, dtype=bool)]
+    if len(A):
+        _, s, Vh = np.linalg.svd(A.reshape(-1, dprime))
+        rank = int((s > NULL_CUT).sum())
+    else:
+        Vh, rank = np.eye(dprime, dtype=complex), 0
+    if dprime - rank < d:
+        return None
+    w = Vh[rank:rank + d]  # max|d X X^dag - I| is the Gram deviation of its rows
+    x = w.reshape(-1) / np.sqrt(d)
+    if _gram_deviation(w) <= POLISH_TOL and np.abs(A.conj() @ x).max(initial=0.0) <= EXACT_TOL:
+        return BipartiteState(d, dprime, x)
+    return None
+
+
 def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateReport:
-    """Decide extendibility of a basis: analytic certificate, then search.
+    """Decide extendibility of a basis: analytic certificates, then search.
 
     The support-rank certificate is conclusive whenever its Schmidt-rank
-    bound is below d.  Otherwise :func:`_search`, the search of
+    bound is below d.  Otherwise :func:`_product_block_witness` looks for a
+    maximally entangled state in closed form, on a block ``C^d (x) W`` of
+    the complement: found, it is the ``extendible`` witness, method
+    ``product-block``, and no search runs, so ``search_best_F`` and
+    ``restarts_used`` stay None and the witness does not depend on
+    ``config``.  On the Weyl shapes with d <= d'/2, W holds B levels d to
+    d' - 1.  Otherwise :func:`_search`, the search of
     ``max_entanglement_in_subspace``, runs on :func:`complement_projector`,
     formed from the certificate's own complement frame: the first restart
     that the exact test or the polish accepts is returned as the
-    ``extendible`` witness, and ``search_best_F`` is its F.  On the Weyl
-    shapes with d <= d'/2 one of restarts 0-7 is accepted, exact, at its
-    second F evaluation, so restarts 8 and up are never drawn and no
-    Gauss-Newton step is taken.  A search that accepts no restart downgrades
+    ``extendible`` witness, method ``numeric-search``, and
+    ``search_best_F`` is its F.  A search that accepts no restart downgrades
     the verdict to ``inconclusive`` with the best overlap of every restart run
     to convergence recorded.  The frame is orthonormal by construction and the
     certificate refuses an empty one, so its projector is not checked again.
@@ -511,6 +553,9 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
     report = support_rank_certificate(basis)
     if report.verdict == "unextendible":
         return report
+    witness = _product_block_witness(basis)
+    if witness is not None:
+        return replace(report, method="product-block", verdict="extendible", witness=witness)
     result = _search(complement_projector(basis), basis.d, basis.dprime, config)
     found = result.verdict == "found_me"
     return replace(

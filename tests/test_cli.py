@@ -22,6 +22,13 @@ from umebkit.search import SearchConfig, SearchResult, certify, max_entanglement
 from umebkit.states import is_maximally_entangled, standard_mes, weyl_operator
 
 
+def weyl_less(d, dprime):
+    """Weyl(d, d') without its last member: at (3,5) its complement holds no
+    closed-form product-block witness, and certify searches it."""
+    amplitudes = build_weyl_umeb(d, dprime).amplitudes[:-1]
+    return BasisSet(d, dprime, amplitudes, [True] * len(amplitudes))
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     out = tmp_path / "w34.json"
     assert main(["construct", "--kind", "weyl", "--d", "3", "--dprime", "4", "-o", str(out)]) == 0
@@ -311,9 +318,10 @@ def test_a_search_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, c
         raise MemoryError("Unable to allocate 175. TiB for an array")
 
     monkeypatch.setattr(search, "_restart_starts", refuse)
-    w24 = tmp_path / "w24.json"
-    save_basis(w24, build_weyl_umeb(2, 4))
-    assert main([command, str(w24), "--json"]) == 2
+    # Weyl(3,5) without its last member: certify searches it too
+    less = tmp_path / "s3_5-less.json"
+    save_basis(less, weyl_less(3, 5))
+    assert main([command, str(less), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Unable to allocate 175. TiB for an array\n"
@@ -332,15 +340,25 @@ def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
 
 
 def test_reports_count_the_restarts_that_ran_and_were_polished(tmp_path, capsys):
-    w24, w34 = tmp_path / "w24.json", tmp_path / "w34.json"
+    w24, w34, less = (tmp_path / f"{name}.json" for name in ("w24", "w34", "s3_5-less"))
     save_basis(w24, build_weyl_umeb(2, 4))
     save_basis(w34, build_weyl_umeb(3, 4))
+    save_basis(less, weyl_less(3, 5))
     # an easy witness comes from certify's first stage of 8 restarts
+    assert main(["certify", str(less), "--json", "--seed", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == "numeric-search"
+    assert (doc["restarts_used"], doc["seed"], doc["restarts"]) == (8, 1, 64)
+    assert main(["certify", str(less), "--seed", "1"]) == 1
+    assert "seed: 1, restarts: 64\nrestarts used: 8\n" in capsys.readouterr().out
+    # the product block decides Weyl(2,4): a witness, and no search ran
     assert main(["certify", str(w24), "--json", "--seed", "1"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["restarts_used"], doc["seed"], doc["restarts"]) == (8, 1, 64)
+    assert doc["method"] == "product-block" and doc["witness"] is not None
+    assert doc["restarts_used"] is None and doc["search_best_F"] is None
     assert main(["certify", str(w24), "--seed", "1"]) == 1
-    assert "seed: 1, restarts: 64\nrestarts used: 8\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "method: product-block\n" in out and "restarts" not in out
     # the certificate decides Weyl(3,4): no search ran
     assert main(["certify", str(w34), "--json", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -448,7 +466,7 @@ LAPACK_FAILURES = [
     ("svd", ["search", "w34.json"]),
     ("svd", ["search", "w24.json"]),
     ("svd", ["channel", "w34.json"]),
-    ("eigh", ["certify", "w24.json"]),
+    ("eigh", ["certify", "s3_5-less.json"]),
     ("eigh", ["search", "w34.json"]),
     ("eigh", ["search", "w24.json"]),
 ]
@@ -462,6 +480,7 @@ def test_a_lapack_failure_exits_2_as_a_numerical_failure(tmp_path, capsys, monke
     monkeypatch.chdir(tmp_path)
     save_basis("w34.json", build_weyl_umeb(3, 4))
     save_basis("w24.json", build_weyl_umeb(2, 4))
+    save_basis("s3_5-less.json", weyl_less(3, 5))
 
     def diverge(*args, **kwargs):
         raise np.linalg.LinAlgError(f"{patched} did not converge")

@@ -152,6 +152,24 @@ def test_certify_and_channel_invariant_under_symmetries(shape, data):
 
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from(SMALL_WEYL_SHAPES), data=st.data())
+def test_product_block_invariant_under_symmetries(shape, data):
+    # U_A (x) U_B maps the product block C^d (x) W of the complement to
+    # C^d (x) U_B W: the moved basis is certified the same way, by its
+    # product block exactly when d <= d'/2
+    basis, moved = weyl_and_moved(shape, data)
+    d, dprime = shape
+    config = SearchConfig(restarts=8)
+    before, after = certify(basis, config), certify(moved, config)
+    assert (after.method, after.verdict) == (before.method, before.verdict)
+    assert (after.method == "product-block") == (2 * d <= dprime)
+    if after.witness is not None:
+        assert np.abs(moved.amplitudes.conj() @ after.witness.amplitudes).max() <= 1e-12
+        s = np.linalg.svd(after.witness.amplitudes.reshape(d, dprime), compute_uv=False)
+        assert np.abs(s - 1.0 / np.sqrt(d)).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SMALL_WEYL_SHAPES), data=st.data())
 def test_search_best_F_invariant_under_symmetries(shape, data):
     # the most entangled state in the complement of Weyl(d, d') has
     # F = (d' - d)/d, or 1 (an ME state) once d <= d'/2

@@ -11,6 +11,7 @@ from umebkit.search import (
     _ascend,
     _ascend_batch,
     _nearest_me_amplitudes,
+    _product_block_witness,
     _restart_starts,
     _search,
     certify,
@@ -19,6 +20,22 @@ from umebkit.search import (
 from umebkit.states import BipartiteState, is_maximally_entangled, standard_mes
 
 FAST = SearchConfig(restarts=8, max_iters=500)
+
+
+def weyl_less(d, dprime):
+    """Weyl(d, d') without its last member.  Every member lives on B levels
+    0 to d - 1, so the product block of the complement, C^d (x) levels d to
+    d' - 1, is too small for a witness at (3,5): certify searches."""
+    amplitudes = build_weyl_umeb(d, dprime).amplitudes[:-1]
+    return BasisSet(d, dprime, amplitudes, [True] * len(amplitudes))
+
+
+def search_only(monkeypatch):
+    """Silence certify's product-block test: certify then searches, as it
+    does on every complement that holds no closed-form witness."""
+    import umebkit.search as search
+
+    monkeypatch.setattr(search, "_product_block_witness", lambda basis: None)
 
 
 def random_subspace_projector(rng, n, rank):
@@ -352,15 +369,30 @@ def test_certify_routes():
     assert rep.method == "support-rank"
     assert rep.search_best_F is None
 
+    # Weyl(2,4): the complement holds C^2 (x) B levels 2 and 3, and a
+    # witness on it in closed form; no search runs
     rep = certify(build_weyl_umeb(2, 4), FAST)
     assert rep.verdict == "extendible"
-    assert rep.method == "numeric-search"
+    assert rep.method == "product-block"
     assert rep.witness is not None
     flag, _ = is_maximally_entangled(rep.witness, 1e-6)
     assert flag
     P = complement_projector(build_weyl_umeb(2, 4))
     assert np.linalg.norm((np.eye(8) - P) @ rep.witness.amplitudes) <= 1e-8
-    assert rep.search_best_F is not None
+    assert rep.search_best_F is None and rep.restarts_used is None
+
+    # Weyl(3,5) without its last member: a product block of dimension 2 < 3,
+    # so the search finds the witness
+    basis = weyl_less(3, 5)
+    rep = certify(basis, FAST)
+    assert rep.verdict == "extendible"
+    assert rep.method == "numeric-search"
+    assert rep.witness is not None
+    flag, _ = is_maximally_entangled(rep.witness, 1e-6)
+    assert flag
+    P = complement_projector(basis)
+    assert np.linalg.norm((np.eye(15) - P) @ rep.witness.amplitudes) <= 1e-8
+    assert rep.search_best_F is not None and rep.restarts_used == 8
 
     rep = certify(build_weyl_umeb(2, 3), FAST)
     assert rep.verdict == "unextendible"
@@ -410,7 +442,7 @@ def test_restart_starts_match_one_generator_per_restart(seed, restarts, n):
         assert starts[r].tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("max_iters", [1, 5])
+@pytest.mark.parametrize("max_iters", [2, 5])
 def test_best_F_is_the_F_of_best_state_at_max_iters(max_iters):
     # rank 20 is below the threshold rank 25 of (7,7): no row is accepted,
     # and every row is cut at max_iters (at rank 30 a row is accepted at
@@ -431,18 +463,21 @@ def test_best_F_is_the_F_of_best_state_at_max_iters(max_iters):
 
 @pytest.mark.parametrize("d, dprime, seed", [(2, 4, 1), (2, 17, 42)])
 def test_a_search_of_one_evaluation_parks_no_row(d, dprime, seed):
-    # no row parks at its first F evaluation, so max_iters = 1 finds
-    # nothing, even where a start is within 1e-3 of F = 1 (Weyl(2,17) at
-    # seed 42); one evaluation more and the witness is exact
+    # no row parks at its first F evaluation, so a run of one evaluation
+    # accepts nothing, even where a start is within 1e-3 of F = 1 (Weyl(2,17)
+    # at seed 42), and a search of max_iters 1 is refused; one evaluation
+    # more and the witness is exact
     P = complement_projector(build_weyl_umeb(d, dprime))
-    one = max_entanglement_in_subspace(P, d, dprime, SearchConfig(max_iters=1, seed=seed))
-    assert one.verdict == "none_found" and one.polish_steps == 0
-    assert one.evaluations == 72 and one.evaluations_after_park == 0
+    with pytest.raises(ContractViolationError, match="max_iters must be at least 2"):
+        SearchConfig(max_iters=1, seed=seed)
+    one = _ascend_batch(P, projected_starts(P, seed, range(8)), d, dprime, 1, park=True)
+    F, iterations, accepted, polish_steps = one[1], one[2], one[6], one[8]
+    assert iterations.tolist() == [1] * 8 and not accepted.any() and polish_steps == 0
     two = max_entanglement_in_subspace(P, d, dprime, SearchConfig(max_iters=2, seed=seed))
     assert two.verdict == "found_me" and two.evaluations == 16 and two.polish_steps == 0
     assert abs(1.0 - two.best_F) <= 1e-12
     if seed == 42:
-        assert 1.0 - one.best_F <= 1e-3
+        assert 1.0 - F.max() <= 1e-3
 
 
 def test_restarts_used_counts_restarts_with_a_candidate(monkeypatch):
@@ -618,6 +653,9 @@ def test_first_witness_search_agrees_with_full_search(d, dprime, k):
 def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dprime):
     import umebkit.search as search
 
+    # certify's search, with the product block that decides these shapes
+    # silenced
+    search_only(monkeypatch)
     runs = record_runs(monkeypatch)
     basis = build_weyl_umeb(d, dprime)
     P = complement_projector(basis)
@@ -777,13 +815,15 @@ EXTENDIBLE_SHAPES = [(d, dprime) for d, dprime in SWEEP_SHAPES if 2 * d <= dprim
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 42])
 def test_certify_of_an_extendible_sweep_shape_is_one_run_of_two_evaluations(monkeypatch, seed):
-    # the traffic the staging is for: on each of the 37 Weyl complements with
-    # d <= d'/2, restarts 0-7 are accepted at their second F evaluation,
-    # exact, and restarts 8-63 are never drawn; no row parks at its first,
-    # so the starts of Weyl(2,17) and Weyl(2,24) at seed 42 within 1e-3 of
-    # F = 1 are not polished there
+    # certify's search, with the product block that decides these shapes
+    # silenced: on each of the 37 Weyl complements with d <= d'/2, restarts
+    # 0-7 are accepted at their second F evaluation, exact, and restarts
+    # 8-63 are never drawn; no row parks at its first, so the starts of
+    # Weyl(2,17) and Weyl(2,24) at seed 42 within 1e-3 of F = 1 are not
+    # polished there
     import umebkit.search as search
 
+    search_only(monkeypatch)
     runs = record_runs(monkeypatch)
     assert len(EXTENDIBLE_SHAPES) == 37
     for d, dprime in EXTENDIBLE_SHAPES:
@@ -793,6 +833,78 @@ def test_certify_of_an_extendible_sweep_shape_is_one_run_of_two_evaluations(monk
         assert runs[0][1][2].tolist() == [2] * 8 and runs[0][1][8] == 0, (d, dprime)
         assert report.verdict == "extendible" and report.restarts_used == 8, (d, dprime)
         assert me_residual(report.witness.amplitudes, d, dprime) <= search.POLISH_TOL
+
+
+def test_every_extendible_sweep_shape_is_certified_by_its_product_block():
+    # the complement of Weyl(d, d') holds C^d (x) B levels d to d' - 1, and
+    # once d <= d'/2 a maximally entangled state on it, found without a
+    # search, so the witness is the same whatever the search config
+    for d, dprime in EXTENDIBLE_SHAPES:
+        basis = build_weyl_umeb(d, dprime)
+        report = certify(basis, SearchConfig(seed=1))
+        assert (report.method, report.verdict) == ("product-block", "extendible"), (d, dprime)
+        assert report.search_best_F is None and report.restarts_used is None
+        witness = report.witness.amplitudes
+        assert np.abs(basis.amplitudes.conj() @ witness).max() <= 1e-12, (d, dprime)
+        s = np.linalg.svd(witness.reshape(d, dprime), compute_uv=False)
+        assert np.abs(s - 1.0 / np.sqrt(d)).max() <= 1e-12, (d, dprime)
+        other = certify(basis, SearchConfig(restarts=1, max_iters=2, seed=42))
+        assert other.witness.amplitudes.tobytes() == witness.tobytes()
+
+
+def test_no_unextendible_sweep_shape_reaches_the_product_block(monkeypatch):
+    import umebkit.search as search
+
+    real, reached = search._product_block_witness, []
+
+    def recording(basis):
+        reached.append((basis.d, basis.dprime))
+        return real(basis)
+
+    monkeypatch.setattr(search, "_product_block_witness", recording)
+    for d, dprime in SWEEP_SHAPES:
+        report = certify(build_weyl_umeb(d, dprime), SearchConfig(seed=1))
+        assert (report.method == "support-rank") == (2 * d > dprime), (d, dprime)
+    assert reached == EXTENDIBLE_SHAPES
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_complement_without_a_product_block_falls_through_to_the_search(seed):
+    rng = np.random.default_rng(seed)
+    # random orthonormal rows, read as flagged: between them, their d x d'
+    # matrices annihilate no B-side ket, so there is no candidate at all
+    rows = random_unitary(rng, 15)[:3]
+    assert _product_block_witness(BasisSet(3, 5, rows, [True] * 3)) is None
+    # Weyl(2,5)'s members on B levels 0 and 1 and one more on levels 2 and 3,
+    # (|0>|2> + |1>|3>)/sqrt(2), turned by a random local unitary and
+    # permuted: only B level 4 is annihilated, one ket, fewer than d = 2, yet
+    # the complement holds (|0>|4> + |1>|2>)/sqrt(2), which the search finds
+    extra = np.zeros((2, 5), dtype=complex)
+    extra[0, 2] = extra[1, 3] = 1.0 / np.sqrt(2)
+    members = np.vstack([build_weyl_umeb(2, 5).amplitudes, extra.reshape(1, -1)])
+    local = np.kron(random_unitary(rng, 2), random_unitary(rng, 5))
+    basis = BasisSet(2, 5, rng.permutation(members @ local.T), [True] * 5)
+    assert _product_block_witness(basis) is None
+    report = certify(basis, SearchConfig(seed=seed))
+    assert (report.method, report.verdict) == ("numeric-search", "extendible")
+    assert np.abs(basis.amplitudes.conj() @ report.witness.amplitudes).max() <= 1e-9
+
+
+def test_an_unflagged_basis_has_the_whole_space_as_its_product_block():
+    # no member is flagged: the complement is all of C^3 (x) C^4, the stack
+    # of flagged matrices is empty, and the witness is the standard state
+    rows = random_unitary(np.random.default_rng(5), 12)[:5]
+    basis = BasisSet(3, 4, rows, [False] * 5)
+    report = certify(basis, SearchConfig(seed=1))
+    assert (report.method, report.verdict) == ("product-block", "extendible")
+    assert report.complement_dimension == 12
+    np.testing.assert_allclose(report.witness.amplitudes, standard_mes(3, 4).amplitudes,
+                               rtol=0, atol=1e-15)
 
 
 def test_fruitless_first_witness_search_keeps_the_full_best_F():
@@ -814,7 +926,9 @@ def test_certify_of_the_sweep_takes_no_gauss_newton_step(monkeypatch):
     def refuse(*args):
         raise AssertionError("certify called the Gauss-Newton polish")
 
-    # every witness of an extendible sweep shape passes the exact test
+    # with the product block silenced, every witness of an extendible sweep
+    # shape that certify's search finds passes the exact test
+    search_only(monkeypatch)
     monkeypatch.setattr(search, "_gauss_newton", refuse)
     for d, dprime in SWEEP_SHAPES:
         certify(build_weyl_umeb(d, dprime), SearchConfig(seed=1))
@@ -1161,11 +1275,13 @@ def test_no_row_is_polished_before_its_second_evaluation(monkeypatch):
     monkeypatch.setattr(search, "_ascend_batch", counting_batch)
     monkeypatch.setattr(search, "_nearest_me_amplitudes", counting_nearest)
     monkeypatch.setattr(search, "_polish", recording_polish)
-    # Weyl(2,17) and (2,24) at seed 42 have starts within 1e-3 of F = 1; they
-    # wait for the second evaluation, where they are exact
+    # the complements of Weyl(2,17) and (2,24) have starts within 1e-3 of
+    # F = 1 at seed 42; they wait for the second evaluation, where they are
+    # exact
     for dprime in (17, 24):
         polished_at.clear()
-        certify(build_weyl_umeb(2, dprime), SearchConfig(seed=42))
+        _search(complement_projector(build_weyl_umeb(2, dprime)), 2, dprime,
+                SearchConfig(seed=42))
         assert polished_at == [2], dprime
     # search-hard and (3,5) k=4, whose parked rows the polish rejects in both runs
     cases = [(subspace_projector(1, d, dprime, k, j), d, dprime)
