@@ -28,7 +28,7 @@ from .bases import BasisSet, CertificateReport, complement_projector, support_ra
 from .errors import ContractViolationError, NumericalFailureError
 from .linalg import _gram_deviation
 from .states import BipartiteState
-from .tolerances import EXACT_TOL, NULL_CUT, cite
+from .tolerances import EXACT_TOL, cite
 
 __all__ = [
     "SearchConfig",
@@ -504,25 +504,28 @@ def _product_block_witness(basis: BasisSet) -> BipartiteState | None:
     holds ``C^d (x) W``, and when ``dim W >= d`` it holds the maximally
     entangled ``(1/sqrt(d)) sum_i |i>|w_i>`` for any orthonormal
     ``w_0 ... w_{d-1}`` of W, whose amplitude matrix is their rows over
-    ``sqrt(d)``.  One SVD of the stacked ``A_k``, ``U S Vh``, gives W: the
-    rows of Vh past the singular values above ``NULL_CUT`` (all of C^{d'}
-    when nothing is flagged).  The state is returned only if it meets what
-    a search witness meets: ``max|d X X^dag - I| <= POLISH_TOL`` and an
-    overlap of at most ``EXACT_TOL`` with every flagged member.
+    ``sqrt(d)``.  ``C^d (x) W`` takes d^2 of the ``d d' - k`` dimensions
+    of the complement of k flagged members, so with fewer there is no
+    witness and no SVD is taken.  Otherwise one SVD of the stacked ``A_k``,
+    ``C = U S Vh``, gives the candidate: the last d rows of the d' x d' Vh,
+    the B-side kets that C shrinks least (d of W when ``dim W >= d``; all
+    of C^{d'} is W when nothing is flagged).  The full U is asked for only
+    when C is wide, so U is at most ``(k d) x d'``.  The state is returned
+    only if it meets what a search witness meets: ``max|d X X^dag - I| <=
+    POLISH_TOL`` and an overlap of at most ``EXACT_TOL`` with every flagged
+    member, which no candidate does when ``dim W < d``.
     A local unitary ``U_A (x) U_B`` maps ``C^d (x) W`` to ``C^d (x) U_B W``,
     so whether a witness is found does not depend on it.
     """
     d, dprime = basis.d, basis.dprime
-    A = basis.amplitudes[np.array(basis.me_flags, dtype=bool)]
-    if len(A):
-        _, s, Vh = np.linalg.svd(A.reshape(-1, dprime))
-        rank = int((s > NULL_CUT).sum())
-    else:
-        Vh, rank = np.eye(dprime, dtype=complex), 0
-    if dprime - rank < d:
+    flagged = np.array(basis.me_flags, dtype=bool)
+    if d * dprime - flagged.sum() < d * d:
         return None
-    w = Vh[rank:rank + d]  # max|d X X^dag - I| is the Gram deviation of its rows
+    A = basis.amplitudes[flagged]
+    C = A.reshape(-1, dprime)
+    w = np.linalg.svd(C, full_matrices=len(C) < dprime)[2][-d:]
     x = w.reshape(-1) / np.sqrt(d)
+    # max|d X X^dag - I| is the Gram deviation of the rows w
     if _gram_deviation(w) <= POLISH_TOL and np.abs(A.conj() @ x).max(initial=0.0) <= EXACT_TOL:
         return BipartiteState(d, dprime, x)
     return None

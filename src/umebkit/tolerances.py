@@ -28,11 +28,7 @@ what the stage before it admitted:
    its Schmidt coefficients are off by more than :data:`ADMIT_TOL`, and
    counts the singular values of the frame's two reshapes above
    :data:`RANK_CUT`.  The frame is orthonormal to machine precision even at
-   the admission limit.  Where the certificate is silent, ``certify`` looks
-   for a product block first: the B-side kets that every flagged member
-   annihilates are the null space of the members' stacked amplitude
-   matrices, whose singular values at or below :data:`NULL_CUT` count as
-   zeros.
+   the admission limit.
 4. **Channel and search**.  They read that frame unchecked: the channel's
    marginals and entropies come from the certificate's reshapes, and
    ``certify`` hands the search the frame's projector.  Only a projector
@@ -64,7 +60,6 @@ __all__ = [
     "ME_TOL",
     "EXACT_TOL",
     "RANK_CUT",
-    "NULL_CUT",
     "MAX_SPACE_DIM",
     "NORM_SQ_TOL",
     "cite",
@@ -96,14 +91,6 @@ EXACT_TOL = 1e-9
 #: Singular values of the reshaped complement frame above this count towards
 #: a support rank.
 RANK_CUT = 1e-5
-
-#: Singular values of the flagged members' stacked d x d' amplitude matrices
-#: at or below this count as zeros in ``certify``'s product-block test.  A
-#: witness built from d null kets at this cut overlaps a member by at most
-#: ``sqrt(d) * NULL_CUT``, and ``d <= sqrt(MAX_SPACE_DIM)``, so by at most
-#: :data:`EXACT_TOL`, the bound that test then checks.  The cut only picks
-#: the candidate: the check decides.
-NULL_CUT = EXACT_TOL / MAX_SPACE_DIM**0.25
 
 #: Bound on ``|sum(s**2) - 1|`` for the Schmidt coefficients ``s`` of a vector
 #: admitted at :data:`NORM_TOL`: its squared norm lies within

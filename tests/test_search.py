@@ -897,14 +897,53 @@ def test_a_complement_without_a_product_block_falls_through_to_the_search(seed):
 
 def test_an_unflagged_basis_has_the_whole_space_as_its_product_block():
     # no member is flagged: the complement is all of C^3 (x) C^4, the stack
-    # of flagged matrices is empty, and the witness is the standard state
+    # of flagged matrices is empty, its Vh is the identity, and the witness
+    # pairs A level i with the last three B levels, i + 1
     rows = random_unitary(np.random.default_rng(5), 12)[:5]
     basis = BasisSet(3, 4, rows, [False] * 5)
     report = certify(basis, SearchConfig(seed=1))
     assert (report.method, report.verdict) == ("product-block", "extendible")
     assert report.complement_dimension == 12
-    np.testing.assert_allclose(report.witness.amplitudes, standard_mes(3, 4).amplitudes,
-                               rtol=0, atol=1e-15)
+    expected = np.zeros((3, 4))
+    expected[[0, 1, 2], [1, 2, 3]] = 1.0 / np.sqrt(3)
+    np.testing.assert_allclose(report.witness.amplitudes, expected.reshape(-1), rtol=0, atol=1e-15)
+
+
+def test_the_product_block_asks_for_no_square_U_of_a_tall_stack(monkeypatch):
+    # Weyl(22,46): 484 flagged members stack into a 10648 x 46 matrix, whose
+    # full U alone would take 1.8 GB; the test needs only Vh, so U must stay
+    # at most 10648 x 46, and a call that would ask for more fails unrun
+    real, asked = np.linalg.svd, []
+
+    def guarded(a, full_matrices=True, compute_uv=True, **kwargs):
+        m, n = np.shape(a)[-2:]
+        asked.append((m, n))
+        assert not (compute_uv and full_matrices and m > n), (m, n)
+        return real(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    basis = build_weyl_umeb(22, 46)
+    monkeypatch.setattr(np.linalg, "svd", guarded)
+    report = certify(basis, SearchConfig(seed=1))
+    assert (report.method, report.verdict) == ("product-block", "extendible")
+    assert (484 * 22, 46) in asked
+
+
+def test_a_complement_of_fewer_than_d_squared_dimensions_takes_no_svd(monkeypatch):
+    # Weyl(3,5) without its last member: a complement of 15 - 8 = 7 < 9
+    # dimensions holds no C^3 (x) W with dim W >= 3, so the product-block
+    # test returns before it stacks the 8 members into a 24 x 5 matrix
+    real, asked = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        asked.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    basis = weyl_less(3, 5)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    assert _product_block_witness(basis) is None
+    assert asked == []
+    assert certify(basis, SearchConfig(seed=1)).method == "numeric-search"
+    assert (24, 5) not in asked
 
 
 def test_fruitless_first_witness_search_keeps_the_full_best_F():
