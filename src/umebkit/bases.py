@@ -162,20 +162,21 @@ class BasisSet:
 
 @dataclass(eq=False)
 class CertificateReport:
-    """Outcome of an unextendibility analysis of a basis' complement.
+    """Outcome of an unextendibility analysis, read off a complement's frame.
 
     ``b_support_rank`` and ``a_support_rank`` are the ranks of the B-side and
     A-side marginals of the complement projector; any state of the complement
     has Schmidt rank at most ``schmidt_rank_bound = min(d, a_rank, b_rank)``.
     A bound below d proves no maximally entangled state fits, hence
     ``unextendible``.  ``method`` names what decided: ``support-rank``,
-    ``product-block`` (a witness in closed form, see ``search.certify``) or
-    ``numeric-search``.  ``witness`` is present exactly when the verdict is
-    ``extendible``.  ``search_best_F`` and ``restarts_used`` are present
-    exactly when a search ran, so never under ``support-rank`` or
-    ``product-block``: the witness's F on ``extendible`` (the first state
-    the search accepted as exact) or the whole search's best F on
-    ``inconclusive``, and the restarts drawn and ascended without collapse.
+    ``product-block`` (a witness in closed form on the eigenspace of the B
+    marginal at d) or ``numeric-search``.  ``witness`` is present exactly
+    when the verdict is ``extendible``.  ``search_best_F`` and
+    ``restarts_used`` are present exactly when a search ran, so never under
+    ``support-rank`` or ``product-block``: the witness's F on ``extendible``
+    (the first state the search accepted as exact) or the whole search's
+    best F on ``inconclusive``, and the restarts drawn and ascended without
+    collapse.
     """
 
     method: str
@@ -241,31 +242,47 @@ def gram_matrix(basis: BasisSet) -> np.ndarray:
 
 
 class _Complement:
-    """The complement of one member selection of a basis, built once by
-    :func:`_complement`: its orthonormal frame ``Q``, read-only, and, computed
-    on first use, the ``singular_values`` of its two :meth:`reshapes`.
-
-    The projector ``Q Q^dag`` and the reshapes are formed again at each use:
-    kept too, they would hold 2 + n/m times Q's memory, n x m, for as long
-    as the basis lives.
-    """
+    """A complement as its orthonormal frame ``Q`` (n x m, read-only), all
+    that ``certify`` decides from; a basis builds one per member selection
+    (:func:`_complement`).  The ``singular_values`` of its :meth:`reshapes`
+    and its ``marginals`` are kept, read-only, from their first use; the
+    :meth:`projector` and the reshapes, 2 + n/m times Q's memory, are not."""
 
     def __init__(self, Q: np.ndarray, d: int, dprime: int) -> None:
-        self.Q, self._dims = _frozen(Q), (d, dprime)
+        self.Q, self.d, self.dprime = _frozen(Q), d, dprime
 
     def reshapes(self) -> tuple:
         """Q with the A and with the B index leading, ``(M_A, M_B)``, of shapes
         d x d'm and d' x dm.  ``M M^dag`` is the marginal of ``Q Q^dag`` on
         the leading side, of eigenvalues the squared singular values of M."""
-        d, dprime = self._dims
-        m = self.Q.shape[1]
+        d, dprime, m = self.d, self.dprime, self.Q.shape[1]
         Q3 = self.Q.reshape(d, dprime, m)
         return Q3.reshape(d, dprime * m), Q3.transpose(1, 0, 2).reshape(dprime, d * m)
+
+    def projector(self) -> np.ndarray:
+        """The projector ``Q Q^dag`` onto the complement."""
+        return self.Q @ self.Q.conj().T
 
     @functools.cached_property
     def singular_values(self) -> tuple:
         """``(s_A, s_B)``, the singular values of ``(M_A, M_B)``."""
         return tuple(_frozen(np.linalg.svd(M, compute_uv=False)) for M in self.reshapes())
+
+    @functools.cached_property
+    def marginals(self) -> tuple:
+        """``(M_A M_A^dag, M_B M_B^dag) = (Tr_B P, Tr_A P)``, P the projector."""
+        return tuple(_frozen(M @ M.conj().T) for M in self.reshapes())
+
+    def support_rank(self) -> CertificateReport:
+        """The support-rank cut: a state of the complement has Schmidt rank at
+        most ``min(rank Tr_B P, rank Tr_A P)``, the singular values above
+        ``RANK_CUT``; a bound below d proves ``unextendible``."""
+        r_a, r_b = (int((s > RANK_CUT).sum()) for s in self.singular_values)
+        bound = min(self.d, r_a, r_b)
+        return CertificateReport(
+            method="support-rank", complement_dimension=self.Q.shape[1], b_support_rank=r_b,
+            a_support_rank=r_a, schmidt_rank_bound=bound,
+            verdict="unextendible" if bound < self.d else "inconclusive")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -299,23 +316,10 @@ def _complement(basis: BasisSet, me_only: bool = True) -> _Complement:
     return basis._complements[me_only]
 
 
-def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
-    """Projector ``Q Q^dag`` onto the :func:`_complement`, Q its frame."""
-    Q = _complement(basis, me_only).Q
-    return Q @ Q.conj().T
-
-
-def support_rank_certificate(basis: BasisSet) -> CertificateReport:
-    """Analytic unextendibility certificate from the complement's marginals.
-
-    Every state in the complement of the flagged members has Schmidt rank at
-    most ``min(rank Tr_B P, rank Tr_A P)``, P the complement projector; when
-    that bound is below d, no maximally entangled state (Schmidt rank d) fits
-    and the basis is certified unextendible.  Otherwise the verdict is
-    ``inconclusive``, and ``certify`` decides with a closed-form witness or
-    a numeric search.  A complete basis (empty complement) is not a UMEB and
-    is rejected.
-    """
+def _flagged_complement(basis: BasisSet) -> _Complement:
+    """The complement of the flagged members, once each of them is maximally
+    entangled within ``ADMIT_TOL`` and they leave a complement (a complete
+    basis is not a UMEB): the member checks of every certificate."""
     complement = _complement(basis)
     flagged = np.array(basis.me_flags, dtype=bool)
     false_flags = np.flatnonzero(flagged & (basis.me_deviations() > ADMIT_TOL))
@@ -323,24 +327,24 @@ def support_rank_certificate(basis: BasisSet) -> CertificateReport:
         raise ContractViolationError(
             f"member {false_flags[0]} is flagged maximally entangled but is not"
         )
-    d, dprime, m = basis.d, basis.dprime, complement.Q.shape[1]
-    if m == 0:
+    if complement.Q.shape[1] == 0:
         raise ContractViolationError(
-            f"the {len(basis)} members span all of C{d} x C{dprime}: "
-            f"a UMEB has fewer than d*dprime = {d * dprime} members"
+            f"the {len(basis)} members span all of C{basis.d} x C{basis.dprime}: "
+            f"a UMEB has fewer than d*dprime = {basis.d * basis.dprime} members"
         )
-    # A marginal's eigenvalues above RANK_CUT**2 are its s above RANK_CUT.
-    r_a, r_b = (int((s > RANK_CUT).sum()) for s in complement.singular_values)
-    bound = min(d, r_a, r_b)
-    verdict = "unextendible" if bound < d else "inconclusive"
-    return CertificateReport(
-        method="support-rank",
-        complement_dimension=m,
-        b_support_rank=r_b,
-        a_support_rank=r_a,
-        schmidt_rank_bound=bound,
-        verdict=verdict,
-    )
+    return complement
+
+
+def complement_projector(basis: BasisSet, me_only: bool = True) -> np.ndarray:
+    """Projector ``Q Q^dag`` onto the :func:`_complement`, Q its frame."""
+    return _complement(basis, me_only).projector()
+
+
+def support_rank_certificate(basis: BasisSet) -> CertificateReport:
+    """Analytic unextendibility certificate: the support-rank cut
+    (:meth:`_Complement.support_rank`) on the complement of the flagged
+    members, ``inconclusive`` where it is silent; ``certify`` then decides."""
+    return _flagged_complement(basis).support_rank()
 
 
 def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:

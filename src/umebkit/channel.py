@@ -58,8 +58,8 @@ def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> Cha
     not empty, and all of it is read off its frame Q of m > 0 columns:
     ``rho_perp = Q Q^dag / m``, and each marginal is ``M M^dag / m``, of
     eigenvalues ``s**2 / m``, for the reshapes M of Q and their singular
-    values s that the certificate counts ranks from; a basis builds Q and s
-    once for both.
+    values s that the certificate counts ranks from; a basis builds Q, s and
+    ``M M^dag`` once for both.
     Gram matrices of a frame orthonormal to machine precision, the marginals
     need no density-matrix check.  ``log_base`` must be finite, above 0, not 1.
     """
@@ -71,9 +71,9 @@ def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> Cha
             f"complement is empty: the {d * dprime} chosen members span all of "
             f"C{d} x C{dprime}"
         )
-    (M_A, M_B), (s_A, s_B) = complement.reshapes(), complement.singular_values
-    # named for the side traced out: M_A M_A^dag = Tr_B(Q Q^dag) is marginal_B
-    marginal_B, marginal_A = M_A @ M_A.conj().T / m, M_B @ M_B.conj().T / m
+    (tr_B, tr_A), (s_A, s_B) = complement.marginals, complement.singular_values
+    # named for the side traced out: Tr_B(Q Q^dag) is marginal_B
+    marginal_B, marginal_A = tr_B / m, tr_A / m
     return ChannelReport(
         rho_perp=complement_projector(basis, me_only) / m,
         marginal_A=marginal_A,

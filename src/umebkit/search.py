@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bases import BasisSet, CertificateReport, complement_projector, support_rank_certificate
+from .bases import BasisSet, CertificateReport, _Complement, _flagged_complement
 from .errors import ContractViolationError, NumericalFailureError
 from .linalg import _gram_deviation
 from .states import BipartiteState
@@ -496,70 +496,56 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult
     )
 
 
-def _product_block_witness(basis: BasisSet) -> BipartiteState | None:
+def _product_block_witness(complement: _Complement) -> BipartiteState | None:
     """A maximally entangled state of the complement in closed form, or None.
 
-    Let W be the B-side kets w with ``conj(A_k) w = 0`` for the amplitude
-    matrix ``A_k`` (d x d') of every flagged member.  Then the complement
-    holds ``C^d (x) W``, and when ``dim W >= d`` it holds the maximally
-    entangled ``(1/sqrt(d)) sum_i |i>|w_i>`` for any orthonormal
-    ``w_0 ... w_{d-1}`` of W, whose amplitude matrix is their rows over
-    ``sqrt(d)``.  ``C^d (x) W`` takes d^2 of the ``d d' - k`` dimensions
-    of the complement of k flagged members, so with fewer there is no
-    witness and no SVD is taken.  Otherwise one SVD of the stacked ``A_k``,
-    ``C = U S Vh``, gives the candidate: the last d rows of the d' x d' Vh,
-    the B-side kets that C shrinks least (d of W when ``dim W >= d``; all
-    of C^{d'} is W when nothing is flagged).  The full U is asked for only
-    when C is wide, so U is at most ``(k d) x d'``.  The state is returned
-    only if it meets what a search witness meets: ``max|d X X^dag - I| <=
-    POLISH_TOL`` and an overlap of at most ``EXACT_TOL`` with every flagged
-    member, which no candidate does when ``dim W < d``.
-    A local unitary ``U_A (x) U_B`` maps ``C^d (x) W`` to ``C^d (x) U_B W``,
-    so whether a witness is found does not depend on it.
+    For P the projector and every unit ket w of B, ``<w|Tr_A P|w> = sum_a
+    <a w|P|a w> <= d``, with equality iff ``C^d (x) w`` lies in the
+    complement; so the largest W with ``C^d (x) W`` in it is the eigenspace
+    of the B marginal ``Tr_A P`` at d.  When ``dim W >= d`` it holds the
+    maximally entangled ``(1/sqrt(d)) sum_i |i>|w_i>`` for any orthonormal
+    ``w_i`` of W.  That takes d^2 of the complement's m dimensions, so with
+    fewer no ``eigh`` is taken; otherwise the candidate is the top d
+    eigenvectors of the d' x d' marginal, returned only if the d-th
+    eigenvalue is d within ``EXACT_TOL``, ``max|d X X^dag - I| <=
+    POLISH_TOL`` (what a search witness meets), and the state lies in the
+    complement within ``EXACT_TOL``.  A local unitary ``U_A (x) U_B`` maps
+    W to ``U_B W``, so it does not decide whether a witness is found.
     """
-    d, dprime = basis.d, basis.dprime
-    flagged = np.array(basis.me_flags, dtype=bool)
-    if d * dprime - flagged.sum() < d * d:
+    d, dprime, Q = complement.d, complement.dprime, complement.Q
+    if Q.shape[1] < d * d:
         return None
-    A = basis.amplitudes[flagged]
-    C = A.reshape(-1, dprime)
-    w = np.linalg.svd(C, full_matrices=len(C) < dprime)[2][-d:]
+    values, vectors = np.linalg.eigh(complement.marginals[1])
+    w = vectors[:, -d:].T
     x = w.reshape(-1) / np.sqrt(d)
     # max|d X X^dag - I| is the Gram deviation of the rows w
-    if _gram_deviation(w) <= POLISH_TOL and np.abs(A.conj() @ x).max(initial=0.0) <= EXACT_TOL:
+    if (d - values[-d] <= EXACT_TOL and _gram_deviation(w) <= POLISH_TOL
+            and np.linalg.norm(x - Q @ (Q.conj().T @ x)) <= EXACT_TOL):
         return BipartiteState(d, dprime, x)
     return None
 
 
-def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateReport:
-    """Decide extendibility of a basis: analytic certificates, then search.
-
-    The support-rank certificate is conclusive whenever its Schmidt-rank
-    bound is below d.  Otherwise :func:`_product_block_witness` looks for a
-    maximally entangled state in closed form, on a block ``C^d (x) W`` of
-    the complement: found, it is the ``extendible`` witness, method
-    ``product-block``, and no search runs, so ``search_best_F`` and
-    ``restarts_used`` stay None and the witness does not depend on
-    ``config``.  On the Weyl shapes with d <= d'/2, W holds B levels d to
-    d' - 1.  Otherwise :func:`_search`, the search of
-    ``max_entanglement_in_subspace``, runs on :func:`complement_projector`,
-    formed from the certificate's own complement frame: the first restart
-    that the exact test or the polish accepts is returned as the
-    ``extendible`` witness, method ``numeric-search``, and
-    ``search_best_F`` is its F.  A search that accepts no restart downgrades
-    the verdict to ``inconclusive`` with the best overlap of every restart run
-    to convergence recorded.  The frame is orthonormal by construction and the
-    certificate refuses an empty one, so its projector is not checked again.
-    The frame and the singular values the certificate counts are built once
-    per basis and shared with ``analyze``.
+def _certify_complement(complement: _Complement,
+                        config: SearchConfig | None) -> CertificateReport:
+    """The certify decision from an orthonormal frame alone: the first rung
+    that decides gives the report.  The support-rank cut
+    (:meth:`_Complement.support_rank`) proves ``unextendible``.  Else
+    :func:`_product_block_witness` gives an ``extendible`` witness in closed
+    form, method ``product-block``, and no search runs (``search_best_F`` and
+    ``restarts_used`` stay None; on Weyl shapes with d <= d'/2, W holds B
+    levels d to d' - 1).  Else :func:`_search` runs on the frame's projector,
+    unchecked: the first restart the exact test or the polish accepts is the
+    ``extendible`` witness, method ``numeric-search``, with its F; a search
+    that accepts none gives ``inconclusive`` and the best F of every restart
+    run to convergence.
     """
-    report = support_rank_certificate(basis)
+    report = complement.support_rank()
     if report.verdict == "unextendible":
         return report
-    witness = _product_block_witness(basis)
+    witness = _product_block_witness(complement)
     if witness is not None:
         return replace(report, method="product-block", verdict="extendible", witness=witness)
-    result = _search(complement_projector(basis), basis.d, basis.dprime, config)
+    result = _search(complement.projector(), complement.d, complement.dprime, config)
     found = result.verdict == "found_me"
     return replace(
         report,
@@ -569,3 +555,11 @@ def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateR
         search_best_F=result.best_F,
         restarts_used=result.restarts_used,
     )
+
+
+def certify(basis: BasisSet, config: SearchConfig | None = None) -> CertificateReport:
+    """Decide extendibility of a basis: :func:`_certify_complement` on the
+    complement of its flagged members, once they pass the member checks;
+    the frame and its spectra are built once per basis, shared with
+    ``analyze``."""
+    return _certify_complement(_flagged_complement(basis), config)

@@ -22,22 +22,23 @@ what the stage before it admitted:
    and Schmidt rank reads the Schmidt coefficients of one kernel,
    ``linalg._schmidt_coefficients``, and every Gram deviation one more,
    ``linalg._gram_deviation``.
-3. **Frame, certificate and mub**.  The complement frame and ``mub`` admit
-   members whose Gram matrix is within :data:`ADMIT_TOL` of the identity,
-   as the loader does; the certificate refuses a flagged member only when
-   its Schmidt coefficients are off by more than :data:`ADMIT_TOL`, and
-   counts the singular values of the frame's two reshapes above
-   :data:`RANK_CUT`.  The frame is orthonormal to machine precision even at
-   the admission limit.
-4. **Channel and search**.  They read that frame unchecked: the channel's
-   marginals and entropies come from the certificate's reshapes, and
-   ``certify`` hands the search the frame's projector.  Only a projector
-   handed to ``max_entanglement_in_subspace`` is checked, at
-   :data:`EXACT_TOL`.  The search's verdict reads
-   no bound of this module: a search state is a witness only once the
-   search's exact test or Gauss-Newton polish brings it within
-   ``search.POLISH_TOL`` of maximal entanglement, and where it parks for
-   them is the search's own ladder, ``search.PARK_STEP``.
+3. **Frame and member checks, and mub**.  The complement frame and ``mub``
+   admit members whose Gram matrix is within :data:`ADMIT_TOL` of the
+   identity, as the loader does, and the certificates refuse a flagged
+   member only when its Schmidt coefficients are off by more than
+   :data:`ADMIT_TOL`.  The frame is orthonormal to machine precision even
+   at the admission limit.
+4. **Certificate, channel and search**.  They read that frame alone,
+   unchecked.  The support-rank cut counts the singular values of its two
+   reshapes above :data:`RANK_CUT`, which give the channel's entropies too.
+   The product-block witness needs the d-th eigenvalue of the B marginal to
+   be d, and itself to lie in the frame's range, both within
+   :data:`EXACT_TOL`.  ``certify`` hands the search the frame's projector;
+   only one handed to ``max_entanglement_in_subspace`` is checked, at
+   :data:`EXACT_TOL`.  A witness, closed-form or searched, is within
+   ``search.POLISH_TOL`` of maximal entanglement, and where the search
+   parks a row for its exact test and polish is its own ladder,
+   ``search.PARK_STEP``.
 
 Checks of operators a caller hands in (the unitaries of ``apply_local`` and
 ``overlap_constraint_matrix``, the projector of

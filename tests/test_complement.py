@@ -198,9 +198,11 @@ def test_checks_still_run_on_a_reused_complement():
 def test_the_shared_arrays_are_read_only():
     basis = build_weyl_umeb(3, 4)
     complement = _complement(basis)
-    for a in (complement.Q, _complement(basis).Q, *complement.singular_values):
+    for a in (complement.Q, _complement(basis).Q, *complement.singular_values,
+              *complement.marginals):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
-    for a in (complement_projector(basis), analyze(basis).rho_perp, *complement.reshapes()):
+    for a in (complement_projector(basis), complement.projector(), analyze(basis).rho_perp,
+              analyze(basis).marginal_A, *complement.reshapes()):
         assert a.flags.writeable  # a new array of its own at every call

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from umebkit import ContractViolationError
-from umebkit.bases import BasisSet, build_weyl_umeb, complement_projector
+from umebkit.bases import (
+    BasisSet, _complement, _Complement, build_weyl_umeb, complement_projector,
+)
 from umebkit.search import (
     COLLAPSE_FLOOR,
     SearchConfig,
     _ascend,
     _ascend_batch,
+    _certify_complement,
     _nearest_me_amplitudes,
     _product_block_witness,
     _restart_starts,
@@ -35,7 +38,7 @@ def search_only(monkeypatch):
     does on every complement that holds no closed-form witness."""
     import umebkit.search as search
 
-    monkeypatch.setattr(search, "_product_block_witness", lambda basis: None)
+    monkeypatch.setattr(search, "_product_block_witness", lambda complement: None)
 
 
 def random_subspace_projector(rng, n, rank):
@@ -857,9 +860,9 @@ def test_no_unextendible_sweep_shape_reaches_the_product_block(monkeypatch):
 
     real, reached = search._product_block_witness, []
 
-    def recording(basis):
-        reached.append((basis.d, basis.dprime))
-        return real(basis)
+    def recording(complement):
+        reached.append((complement.d, complement.dprime))
+        return real(complement)
 
     monkeypatch.setattr(search, "_product_block_witness", recording)
     for d, dprime in SWEEP_SHAPES:
@@ -876,29 +879,32 @@ def random_unitary(rng, n):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_complement_without_a_product_block_falls_through_to_the_search(seed):
     rng = np.random.default_rng(seed)
-    # random orthonormal rows, read as flagged: between them, their d x d'
-    # matrices annihilate no B-side ket, so there is no candidate at all
+    # random orthonormal rows, read as flagged: the B marginal of their
+    # complement has no eigenvalue d = 3, so there is no candidate at all
     rows = random_unitary(rng, 15)[:3]
-    assert _product_block_witness(BasisSet(3, 5, rows, [True] * 3)) is None
+    assert _product_block_witness(_complement(BasisSet(3, 5, rows, [True] * 3))) is None
     # Weyl(2,5)'s members on B levels 0 and 1 and one more on levels 2 and 3,
-    # (|0>|2> + |1>|3>)/sqrt(2), turned by a random local unitary and
-    # permuted: only B level 4 is annihilated, one ket, fewer than d = 2, yet
-    # the complement holds (|0>|4> + |1>|2>)/sqrt(2), which the search finds
+    # (|0>|2> + |1>|3>)/sqrt(2), as they are and turned by a random local
+    # unitary and permuted: only B level 4 has C^2 (x) it in the complement
+    # (B-marginal eigenvalues 0, 0, 3/2, 3/2, 2), one ket, fewer than d = 2,
+    # yet the complement holds (|0>|4> + |1>|2>)/sqrt(2), which the search
+    # finds
     extra = np.zeros((2, 5), dtype=complex)
     extra[0, 2] = extra[1, 3] = 1.0 / np.sqrt(2)
     members = np.vstack([build_weyl_umeb(2, 5).amplitudes, extra.reshape(1, -1)])
     local = np.kron(random_unitary(rng, 2), random_unitary(rng, 5))
-    basis = BasisSet(2, 5, rng.permutation(members @ local.T), [True] * 5)
-    assert _product_block_witness(basis) is None
-    report = certify(basis, SearchConfig(seed=seed))
-    assert (report.method, report.verdict) == ("numeric-search", "extendible")
-    assert np.abs(basis.amplitudes.conj() @ report.witness.amplitudes).max() <= 1e-9
+    for rows in (members, rng.permutation(members @ local.T)):
+        basis = BasisSet(2, 5, rows, [True] * 5)
+        assert _product_block_witness(_complement(basis)) is None
+        report = certify(basis, SearchConfig(seed=seed))
+        assert (report.method, report.verdict) == ("numeric-search", "extendible")
+        assert np.abs(basis.amplitudes.conj() @ report.witness.amplitudes).max() <= 1e-9
 
 
 def test_an_unflagged_basis_has_the_whole_space_as_its_product_block():
-    # no member is flagged: the complement is all of C^3 (x) C^4, the stack
-    # of flagged matrices is empty, its Vh is the identity, and the witness
-    # pairs A level i with the last three B levels, i + 1
+    # no member is flagged: the complement is all of C^3 (x) C^4, its frame
+    # the identity, its B marginal 3 I, whose eigenvectors are the B levels,
+    # and the witness pairs A level i with the last three B levels, i + 1
     rows = random_unitary(np.random.default_rng(5), 12)[:5]
     basis = BasisSet(3, 4, rows, [False] * 5)
     report = certify(basis, SearchConfig(seed=1))
@@ -909,41 +915,96 @@ def test_an_unflagged_basis_has_the_whole_space_as_its_product_block():
     np.testing.assert_allclose(report.witness.amplitudes, expected.reshape(-1), rtol=0, atol=1e-15)
 
 
-def test_the_product_block_asks_for_no_square_U_of_a_tall_stack(monkeypatch):
-    # Weyl(22,46): 484 flagged members stack into a 10648 x 46 matrix, whose
-    # full U alone would take 1.8 GB; the test needs only Vh, so U must stay
-    # at most 10648 x 46, and a call that would ask for more fails unrun
-    real, asked = np.linalg.svd, []
+def record_decompositions(monkeypatch):
+    """The shapes handed to ``np.linalg.svd`` (with ``compute_uv``) and to
+    ``np.linalg.eigh``, by name, as they are called."""
+    asked = {"svd": [], "eigh": []}
+    for name in asked:
+        real = getattr(np.linalg, name)
 
-    def guarded(a, full_matrices=True, compute_uv=True, **kwargs):
-        m, n = np.shape(a)[-2:]
-        asked.append((m, n))
-        assert not (compute_uv and full_matrices and m > n), (m, n)
-        return real(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+        def recording(a, *args, real=real, name=name, **kwargs):
+            if kwargs.get("compute_uv", True):
+                asked[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
 
+        monkeypatch.setattr(np.linalg, name, recording)
+    return asked
+
+
+def test_certify_of_a_large_shape_decomposes_nothing_past_its_frame_and_marginal(monkeypatch):
+    # Weyl(22,46): 484 flagged members.  certify takes the frame from one
+    # SVD of the 484 x 1012 members and the witness from one eigh of the
+    # 46 x 46 B marginal; no stack of the members' d x d' matrices (10648 x
+    # 46, whose full U alone would take 1.8 GB) is decomposed
     basis = build_weyl_umeb(22, 46)
-    monkeypatch.setattr(np.linalg, "svd", guarded)
+    asked = record_decompositions(monkeypatch)
     report = certify(basis, SearchConfig(seed=1))
     assert (report.method, report.verdict) == ("product-block", "extendible")
-    assert (484 * 22, 46) in asked
+    assert asked == {"svd": [(484, 1012)], "eigh": [(46, 46)]}
 
 
-def test_a_complement_of_fewer_than_d_squared_dimensions_takes_no_svd(monkeypatch):
+def test_a_complement_of_fewer_than_d_squared_dimensions_takes_no_eigh(monkeypatch):
     # Weyl(3,5) without its last member: a complement of 15 - 8 = 7 < 9
     # dimensions holds no C^3 (x) W with dim W >= 3, so the product-block
-    # test returns before it stacks the 8 members into a 24 x 5 matrix
-    real, asked = np.linalg.svd, []
-
-    def recording(a, *args, **kwargs):
-        asked.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
+    # test returns before it eigendecomposes the 5 x 5 B marginal
     basis = weyl_less(3, 5)
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    assert _product_block_witness(basis) is None
-    assert asked == []
+    asked = record_decompositions(monkeypatch)
+    assert _product_block_witness(_complement(basis)) is None
+    assert asked["eigh"] == []
     assert certify(basis, SearchConfig(seed=1)).method == "numeric-search"
-    assert (24, 5) not in asked
+    assert (5, 5) not in asked["eigh"]
+
+
+def product_block_frame(rng, d, dprime, r):
+    """An orthonormal frame of ``C^d (x) W``, W the first r B levels, and d
+    random vectors of ``C^d (x) W^perp`` (which hold no product block), turned
+    by a random local unitary: every support rank is at least d, so the rank
+    cut is silent, and the largest product block is ``C^d (x) U_B W``."""
+    n = d * dprime
+    block = np.zeros((d, dprime, d * r), dtype=complex)
+    for a in range(d):
+        block[a, range(r), range(a * r, (a + 1) * r)] = 1.0
+    rest = np.zeros((d, dprime, d), dtype=complex)
+    rest[:, r:] = rng.normal(size=(d, dprime - r, d)) + 1j * rng.normal(size=(d, dprime - r, d))
+    Q = np.linalg.qr(np.concatenate([block, rest], axis=2).reshape(n, -1))[0]
+    return np.kron(random_unitary(rng, d), random_unitary(rng, dprime)) @ Q
+
+
+@pytest.mark.parametrize("d, dprime", [(2, 5), (3, 7)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_frame_is_certified_by_its_product_block_iff_it_holds_d_product_kets(d, dprime, seed):
+    rng = np.random.default_rng([seed, d, dprime])
+    for r in (d - 1, d, d + 1):
+        Q = product_block_frame(rng, d, dprime, r)
+        report = _certify_complement(_Complement(Q, d, dprime), SearchConfig(seed=seed))
+        assert report.complement_dimension == d * r + d
+        assert (report.method == "product-block") == (r >= d), (r, report.method)
+        if r < d:
+            assert report.method == "numeric-search"
+            continue
+        x = report.witness.amplitudes
+        assert np.linalg.norm(x - Q @ (Q.conj().T @ x)) <= 1e-12
+        s = np.linalg.svd(x.reshape(d, dprime), compute_uv=False)
+        assert np.abs(s - 1.0 / np.sqrt(d)).max() <= 1e-12
+
+
+def test_a_frame_turned_out_of_its_product_block_reaches_the_search():
+    # the frame of Weyl(2,4)'s complement, C^2 (x) B levels 2 and 3, turned
+    # by exp(1e-4 i H), H a random Hermitian of norm 1: as a basis its
+    # members, turned alike, are 1e-4 from maximal entanglement, which the
+    # certificate refuses; as a frame it has no product block of dimension
+    # d^2 left, and the search decides
+    rng = np.random.default_rng(7)
+    G = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    values, vectors = np.linalg.eigh(G + G.conj().T)
+    turn = (vectors * np.exp(1e-4j * values / np.abs(values).max())) @ vectors.conj().T
+    weyl = build_weyl_umeb(2, 4)
+    with pytest.raises(ContractViolationError, match="flagged maximally entangled"):
+        certify(BasisSet(2, 4, weyl.amplitudes @ turn.T, [True] * 4))
+    complement = _Complement(turn @ _complement(weyl).Q, 2, 4)
+    assert _product_block_witness(complement) is None
+    report = _certify_complement(complement, SearchConfig(seed=1))
+    assert report.method == "numeric-search"
 
 
 def test_fruitless_first_witness_search_keeps_the_full_best_F():
@@ -1237,11 +1298,12 @@ def test_the_search_counts_its_own_work(monkeypatch, case):
 
 
 def test_no_search_path_eigendecomposes_the_projector(monkeypatch, tmp_path, capsys):
-    # the polish steps on the columns of P, so the library search, certify
-    # and umeb search eigendecompose only d x d Gram matrices (the ascent's
-    # stacked ones and the polished row's), whether the witness is exact
-    # (Weyl(2,4), and Weyl(2,17) at seed 42, at the second evaluation) or
-    # polished ((3,5) k=10)
+    # the polish steps on the columns of P, so the library search and umeb
+    # search eigendecompose only d x d Gram matrices (the ascent's stacked
+    # ones and the polished row's), whether the witness is exact (Weyl(2,4),
+    # and Weyl(2,17) at seed 42, at the second evaluation) or polished ((3,5)
+    # k=10); certify, decided there by the product block, eigendecomposes
+    # the d' x d' B marginal once, and nothing n x n either
     from umebkit.cli import main
     from umebkit.fileio import save_basis
 
@@ -1265,9 +1327,11 @@ def test_no_search_path_eigendecomposes_the_projector(monkeypatch, tmp_path, cap
         save_basis(path, basis)
         shapes.clear()
         report = certify(basis, SearchConfig(seed=seed))
+        assert report.verdict == "extendible"
+        assert shapes == [(dprime, dprime)]
+        shapes.clear()
         assert main(["search", str(path), "--seed", str(seed), "--json"]) == 0
         capsys.readouterr()
-        assert report.verdict == "extendible"
         assert shapes and all(shape[-2:] == (2, 2) for shape in shapes), dprime
         assert (2, 2) not in shapes  # only a polished row's is 2-D
 
