@@ -244,9 +244,9 @@ def gram_matrix(basis: BasisSet) -> np.ndarray:
 class _Complement:
     """A complement as its orthonormal frame ``Q`` (n x m, read-only), all
     that ``certify`` decides from; a basis builds one per member selection
-    (:func:`_complement`).  The ``singular_values`` of its :meth:`reshapes`
-    and its ``marginals`` are kept, read-only, from their first use; the
-    :meth:`projector` and the reshapes, 2 + n/m times Q's memory, are not."""
+    (:func:`_complement`).  Its ``marginals`` and their ``spectra`` are kept,
+    read-only, from their first use; the :meth:`projector` and the
+    :meth:`reshapes`, up to 1 + n/m times Q's memory, are not."""
 
     def __init__(self, Q: np.ndarray, d: int, dprime: int) -> None:
         self.Q, self.d, self.dprime = _frozen(Q), d, dprime
@@ -264,20 +264,21 @@ class _Complement:
         return self.Q @ self.Q.conj().T
 
     @functools.cached_property
-    def singular_values(self) -> tuple:
-        """``(s_A, s_B)``, the singular values of ``(M_A, M_B)``."""
-        return tuple(_frozen(np.linalg.svd(M, compute_uv=False)) for M in self.reshapes())
-
-    @functools.cached_property
     def marginals(self) -> tuple:
         """``(M_A M_A^dag, M_B M_B^dag) = (Tr_B P, Tr_A P)``, P the projector."""
         return tuple(_frozen(M @ M.conj().T) for M in self.reshapes())
 
+    @functools.cached_property
+    def spectra(self) -> tuple:
+        """``((w_A, V_A), (w_B, V_B))``: the ``eigh`` of each marginal, w the
+        squared singular values of the reshapes, ascending."""
+        return tuple(tuple(_frozen(a) for a in np.linalg.eigh(M)) for M in self.marginals)
+
     def support_rank(self) -> CertificateReport:
         """The support-rank cut: a state of the complement has Schmidt rank at
-        most ``min(rank Tr_B P, rank Tr_A P)``, the singular values above
-        ``RANK_CUT``; a bound below d proves ``unextendible``."""
-        r_a, r_b = (int((s > RANK_CUT).sum()) for s in self.singular_values)
+        most ``min(rank Tr_B P, rank Tr_A P)``, the marginals' eigenvalues
+        above ``RANK_CUT**2``; a bound below d proves ``unextendible``."""
+        r_a, r_b = (int((w > RANK_CUT**2).sum()) for w, _ in self.spectra)
         bound = min(self.d, r_a, r_b)
         return CertificateReport(
             method="support-rank", complement_dimension=self.Q.shape[1], b_support_rank=r_b,
@@ -295,23 +296,22 @@ def _complement(basis: BasisSet, me_only: bool = True) -> _Complement:
     (their span is what unextendibility is about), all with ``me_only=False``.
 
     The members must be orthonormal within 1e-6, which the build checks; the
-    frame Q (n x (n - k)), their SVD null space, is then orthonormal to
-    machine precision even at that limit.  A basis never changes, so it keeps
-    the complement of each selection once built.
+    frame Q (n x (n - k)), from a Householder QR of their columns, is then
+    orthonormal to machine precision even at that limit.  A basis never
+    changes, so it keeps the complement of each selection once built.
     """
     if me_only in basis._complements:
         return basis._complements[me_only]
     d, dprime = basis.d, basis.dprime
     A = basis.amplitudes[np.array(basis.me_flags, dtype=bool)] if me_only else basis.amplitudes
-    k = len(A)
     gram_dev = _gram_deviation(A)
     if gram_dev > ADMIT_TOL:
         raise ContractViolationError(
             f"selected members are not orthonormal (deviation {gram_dev:.3e})"
         )
-    # A = U S Vh: the rows of Vh past k span the kets x with conj(A) x = 0;
-    # copied, so that the n x n Vh is not kept alive with them
-    Q = np.linalg.svd(A)[2][k:].copy().T if k else np.eye(d * dprime, dtype=complex)
+    # A^T = Q R: Q's columns past the k members span the x with conj(A) x = 0
+    # (a QR of A^dag's, x with A x = 0); copied, not to keep the n x n Q alive
+    Q = np.linalg.qr(A.T, mode="complete")[0][:, len(A):].copy()
     basis._complements[me_only] = _Complement(Q, d, dprime)
     return basis._complements[me_only]
 

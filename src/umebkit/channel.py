@@ -57,9 +57,9 @@ def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> Cha
     default, all with ``me_only=False``), of any number whose complement is
     not empty, and all of it is read off its frame Q of m > 0 columns:
     ``rho_perp = Q Q^dag / m``, and each marginal is ``M M^dag / m``, of
-    eigenvalues ``s**2 / m``, for the reshapes M of Q and their singular
-    values s that the certificate counts ranks from; a basis builds Q, s and
-    ``M M^dag`` once for both.
+    eigenvalues ``w / m``, for the reshapes M of Q and the eigenvalues w of
+    ``M M^dag`` that the certificate counts ranks from; a basis builds Q,
+    ``M M^dag`` and w once for both.
     Gram matrices of a frame orthonormal to machine precision, the marginals
     need no density-matrix check.  ``log_base`` must be finite, above 0, not 1.
     """
@@ -71,7 +71,7 @@ def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> Cha
             f"complement is empty: the {d * dprime} chosen members span all of "
             f"C{d} x C{dprime}"
         )
-    (tr_B, tr_A), (s_A, s_B) = complement.marginals, complement.singular_values
+    (tr_B, tr_A), ((w_A, _), (w_B, _)) = complement.marginals, complement.spectra
     # named for the side traced out: Tr_B(Q Q^dag) is marginal_B
     marginal_B, marginal_A = tr_B / m, tr_A / m
     return ChannelReport(
@@ -80,7 +80,7 @@ def analyze(basis: BasisSet, log_base: float = 2.0, me_only: bool = True) -> Cha
         marginal_B=marginal_B,
         trace_preserving_deviation=float(np.linalg.norm(marginal_B - np.eye(d) / d)),
         unitality_deviation=float(np.linalg.norm(marginal_A - np.eye(dprime) / dprime)),
-        entropy_A=_entropy(s_B**2 / m, log_base),
-        entropy_B=_entropy(s_A**2 / m, log_base),
+        entropy_A=_entropy(w_B / m, log_base),
+        entropy_B=_entropy(w_A / m, log_base),
         log_base=float(log_base),
     )

@@ -2,10 +2,10 @@
 
 ``_schmidt_coefficients`` is the one computation of the Schmidt coefficients
 of held states: every maximal-entanglement check, flag check and Schmidt rank
-reads it; every orthonormality check reads ``_gram_deviation``.  ``_entropy``
-is the von Neumann entropy of a spectrum, which ``channel.analyze`` reads off
-the complement frame.  All are private and pure; their callers hold states
-and spectra that earlier stages admitted.
+reads it, as does the search's best state; every orthonormality check reads
+``_gram_deviation``.  ``_entropy`` is the von Neumann entropy of a spectrum,
+which ``channel.analyze`` reads off the complement frame.  All are private
+and pure; their callers hold states and spectra that earlier stages admitted.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bases import BasisSet, CertificateReport, _Complement, _flagged_complement
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import _gram_deviation
+from .linalg import _gram_deviation, _schmidt_coefficients
 from .states import BipartiteState
 from .tolerances import EXACT_TOL, cite
 
@@ -480,11 +480,10 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult
 
     b = int(np.argmax(np.where(accepted if accepted.any() else ~collapsed, F, -np.inf)))
     best = psi[b].copy()  # a view would keep the whole batch alive
-    s = np.linalg.svd(best.reshape(d, dprime), full_matrices=False)[1]
     return SearchResult(
         best_state=BipartiteState(d, dprime, best),
         best_F=float(F[b]),
-        best_min_coeff_scaled=float(np.sqrt(d) * s[-1]),
+        best_min_coeff_scaled=float(np.sqrt(d) * _schmidt_coefficients(best, d, dprime)[0, -1]),
         iterations_used=int(iterations[b]),
         restarts_used=int((~collapsed).sum()),
         restarts_polished=int(accepted.sum()),
@@ -505,8 +504,8 @@ def _product_block_witness(complement: _Complement) -> BipartiteState | None:
     of the B marginal ``Tr_A P`` at d.  When ``dim W >= d`` it holds the
     maximally entangled ``(1/sqrt(d)) sum_i |i>|w_i>`` for any orthonormal
     ``w_i`` of W.  That takes d^2 of the complement's m dimensions, so with
-    fewer no ``eigh`` is taken; otherwise the candidate is the top d
-    eigenvectors of the d' x d' marginal, returned only if the d-th
+    fewer it returns None; otherwise the candidate is the top d eigenvectors
+    of the d' x d' marginal (its kept ``spectra``), returned only if the d-th
     eigenvalue is d within ``EXACT_TOL``, ``max|d X X^dag - I| <=
     POLISH_TOL`` (what a search witness meets), and the state lies in the
     complement within ``EXACT_TOL``.  A local unitary ``U_A (x) U_B`` maps
@@ -515,7 +514,7 @@ def _product_block_witness(complement: _Complement) -> BipartiteState | None:
     d, dprime, Q = complement.d, complement.dprime, complement.Q
     if Q.shape[1] < d * d:
         return None
-    values, vectors = np.linalg.eigh(complement.marginals[1])
+    values, vectors = complement.spectra[1]
     w = vectors[:, -d:].T
     x = w.reshape(-1) / np.sqrt(d)
     # max|d X X^dag - I| is the Gram deviation of the rows w

@@ -29,8 +29,8 @@ what the stage before it admitted:
    :data:`ADMIT_TOL`.  The frame is orthonormal to machine precision even
    at the admission limit.
 4. **Certificate, channel and search**.  They read that frame alone,
-   unchecked.  The support-rank cut counts the singular values of its two
-   reshapes above :data:`RANK_CUT`, which give the channel's entropies too.
+   unchecked.  The support-rank cut counts its two marginals' eigenvalues
+   above ``RANK_CUT**2``, which give the channel's entropies too.
    The product-block witness needs the d-th eigenvalue of the B marginal to
    be d, and itself to lie in the frame's range, both within
    :data:`EXACT_TOL`.  ``certify`` hands the search the frame's projector;
@@ -90,7 +90,7 @@ ME_TOL = 1e-8
 EXACT_TOL = 1e-9
 
 #: Singular values of the reshaped complement frame above this count towards
-#: a support rank.
+#: a support rank: the marginals' eigenvalues above its square.
 RANK_CUT = 1e-5
 
 #: Bound on ``|sum(s**2) - 1|`` for the Schmidt coefficients ``s`` of a vector

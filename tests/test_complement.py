@@ -1,7 +1,7 @@
 """The complement of a basis is built once per member selection and shared:
-one frame SVD and one pair of spectra SVDs, the same bits on a fresh basis
-and on a reused one, a basis that cannot change under its kept frame, and
-read-only shared arrays."""
+one frame QR and one eigendecomposition of each marginal, the same bits on a
+fresh basis and on a reused one, a basis that cannot change under its kept
+frame, and read-only shared arrays."""
 
 import math
 import sys
@@ -28,39 +28,76 @@ BUILDERS = {"weyl24": lambda: build_weyl_umeb(2, 4), "weyl34": lambda: build_wey
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
-    """The ``np.linalg.svd`` calls made from ``umebkit.bases``, by function."""
-    svd, calls = np.linalg.svd, []
+def decompositions(monkeypatch):
+    """The ``np.linalg`` ``qr``, ``eigh`` and ``svd`` calls made from
+    ``umebkit.bases``, as ``(name, calling function)``."""
+    calls = []
+    for name in ("qr", "eigh", "svd"):
+        real = getattr(np.linalg, name)
 
-    def counting_svd(*args, **kwargs):
-        caller = sys._getframe(1)
-        while caller.f_code.co_name.startswith("<"):  # a generator expression's caller
-            caller = caller.f_back
-        if caller.f_globals["__name__"] == "umebkit.bases":
-            calls.append(caller.f_code.co_name)
-        return svd(*args, **kwargs)
+        def counting(*args, real=real, name=name, **kwargs):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a generator expression's caller
+                caller = caller.f_back
+            if caller.f_globals["__name__"] == "umebkit.bases":
+                calls.append((name, caller.f_code.co_name))
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
 def frame_and_spectra(calls):
-    return calls.count("_complement"), calls.count("singular_values")
+    """The frame QRs and the marginals' eigendecompositions; any other
+    decomposition ``umebkit.bases`` made fails the count."""
+    frames, spectra = calls.count(("qr", "_complement")), calls.count(("eigh", "spectra"))
+    assert frames + spectra == len(calls), calls
+    return frames, spectra
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (3, 4), (3, 6)])
-def test_certify_then_analyze_takes_one_frame_and_one_pair_of_spectra(svd_calls, shape):
+def test_certify_then_analyze_takes_one_frame_and_one_pair_of_spectra(decompositions, shape):
     basis = build_weyl_umeb(*shape)
     certify(basis, CONFIG)
     analyze(basis)
-    assert frame_and_spectra(svd_calls) == (1, 2)
+    assert frame_and_spectra(decompositions) == (1, 2)
     support_rank_certificate(basis)
     complement_projector(basis)
     certify(basis, CONFIG)
     analyze(basis, log_base=math.e)
-    assert frame_and_spectra(svd_calls) == (1, 2)
+    assert frame_and_spectra(decompositions) == (1, 2)
     analyze(basis, me_only=False)  # another selection: its own complement
-    assert frame_and_spectra(svd_calls) == (2, 4)
+    assert frame_and_spectra(decompositions) == (2, 4)
+
+
+LINALG = ("qr", "eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "solve", "lstsq",
+          "inv", "pinv", "cholesky", "det", "slogdet", "matrix_rank")
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 4), (3, 6)])
+def test_past_the_member_checks_certify_and_analyze_take_one_qr_and_two_eighs(monkeypatch,
+                                                                             shape):
+    # every numpy.linalg decomposition or solve, from any module: the frame's
+    # QR, the member checks' one stacked SVD of Schmidt coefficients, then
+    # one eigh of each marginal, read by the rank cut, the product block
+    # (Weyl(2,4) and (3,6), extendible) and the entropies, and nothing more
+    d, dprime = shape
+    basis, calls = build_weyl_umeb(d, dprime), []
+    for name in LINALG:
+        real = getattr(np.linalg, name, None)
+        if real is None:  # svdvals is new in numpy 2.0
+            continue
+
+        def recording(a, *args, real=real, name=name, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    certify(basis, CONFIG)
+    analyze(basis)
+    k, n = d * d, d * dprime
+    assert calls == [("qr", (n, k)), ("svd", (k, d, dprime)),
+                     ("eigh", (d, d)), ("eigh", (dprime, dprime))]
 
 
 def report_bytes(report) -> bytes:
@@ -98,7 +135,7 @@ def test_reports_are_the_same_bits_on_a_fresh_and_a_reused_basis(name, me_only):
         assert {step: run(basis, step, me_only) for step in order} == fresh
 
 
-def test_a_basis_never_changes_so_its_frame_is_kept(svd_calls):
+def test_a_basis_never_changes_so_its_frame_is_kept(decompositions):
     basis = build_weyl_umeb(2, 4)
     kept = _complement(basis)
     other_flags, swapped = [True, True, True, False], basis.amplitudes[[1, 0, 2, 3]]
@@ -115,10 +152,10 @@ def test_a_basis_never_changes_so_its_frame_is_kept(svd_calls):
     with pytest.raises(TypeError):
         basis.labels[0] = "x"
     assert _complement(basis) is _complement(basis) is kept
-    assert frame_and_spectra(svd_calls)[0] == 1
+    assert frame_and_spectra(decompositions)[0] == 1
 
 
-def test_reassigned_flags_give_a_fresh_frame(svd_calls):
+def test_reassigned_flags_give_a_fresh_frame(decompositions):
     # flags cannot be reassigned on a basis; a basis built with other flags
     # gets its own frame, that of a fresh build, and the first keeps its own
     basis = build_weyl_umeb(2, 4)
@@ -135,7 +172,7 @@ def test_reassigned_flags_give_a_fresh_frame(svd_calls):
     assert _complement(fewer).Q.shape == (8, 5)
     assert _complement(BasisSet(2, 4, basis.amplitudes, [True] * 4)).Q.shape == (8, 4)
     assert _complement(basis) is kept
-    assert frame_and_spectra(svd_calls)[0] == 4
+    assert frame_and_spectra(decompositions)[0] == 4
 
 
 def test_reassigned_amplitudes_give_a_fresh_frame():
@@ -172,7 +209,7 @@ def test_rows_edited_after_the_build_do_not_reach_the_basis():
     assert np.array_equal(complement_projector(built), complement_projector(basis))
 
 
-def test_members_are_judged_once_per_build(svd_calls, monkeypatch):
+def test_members_are_judged_once_per_build(decompositions, monkeypatch):
     # a kept frame was built from the same basis, so it passed its check
     basis = build_weyl_umeb(2, 4)
     kept = _complement(basis)
@@ -180,7 +217,7 @@ def test_members_are_judged_once_per_build(svd_calls, monkeypatch):
     assert _complement(basis) is kept
     with pytest.raises(ContractViolationError, match="not orthonormal"):
         _complement(BasisSet(2, 4, basis.amplitudes, basis.me_flags))  # a new build
-    assert frame_and_spectra(svd_calls)[0] == 1
+    assert frame_and_spectra(decompositions)[0] == 1
 
 
 def test_checks_still_run_on_a_reused_complement():
@@ -198,11 +235,13 @@ def test_checks_still_run_on_a_reused_complement():
 def test_the_shared_arrays_are_read_only():
     basis = build_weyl_umeb(3, 4)
     complement = _complement(basis)
-    for a in (complement.Q, _complement(basis).Q, *complement.singular_values,
-              *complement.marginals):
+    for a in (complement.Q, _complement(basis).Q, *complement.marginals,
+              *(a for spectrum in complement.spectra for a in spectrum)):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
     for a in (complement_projector(basis), complement.projector(), analyze(basis).rho_perp,
-              analyze(basis).marginal_A, *complement.reshapes()):
+              analyze(basis).marginal_A):
         assert a.flags.writeable  # a new array of its own at every call
+    for a in complement.reshapes():  # a view of Q is read-only, as Q is; a copy is its own
+        assert not (a.flags.writeable and np.shares_memory(a, complement.Q))

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from umebkit import ContractViolationError
 from umebkit.bases import (
     BasisSet,
+    _complement,
+    _Complement,
+    build_c23_second,
     build_weyl_umeb,
     complement_projector,
     support_rank_certificate,
@@ -22,6 +25,7 @@ from umebkit.cli import main
 from umebkit.fileio import load_basis, save_basis
 from umebkit.search import SearchConfig, certify, max_entanglement_in_subspace
 from umebkit.states import BipartiteState, apply_local, standard_mes
+from umebkit.tolerances import RANK_CUT
 
 PAULIS = [
     np.eye(2),
@@ -88,6 +92,53 @@ def test_frame_projector_is_idempotent_on_tilted_members(tmp_path):
     assert np.abs(P @ P - P).max() < 1e-14
     assert np.abs(P - P.conj().T).max() < 1e-14
     assert abs(np.trace(P).real - 4) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["c23-second", "turned-weyl35", "tilted-weyl24"])
+def test_the_frame_is_the_complement_of_the_members_not_of_their_conjugates(tmp_path, case):
+    # the flagged members of the second 2 x 3 basis and a Weyl basis turned by
+    # a random local unitary span no space closed under complex conjugation,
+    # so a frame of the conjugates' complement would fail the first bound; the
+    # tilted Weyl(2,4) rows sit at a Gram deviation of 3e-7, near the frame's
+    # 1e-6 admission, where the frame must still be orthonormal
+    if case == "c23-second":
+        basis = build_c23_second()
+    elif case == "turned-weyl35":
+        weyl, rng = build_weyl_umeb(3, 5), np.random.default_rng(35)
+        local = np.kron(random_unitary(rng, 3), random_unitary(rng, 5))
+        basis = BasisSet(3, 5, weyl.amplitudes @ local.T, weyl.me_flags)
+    else:
+        basis = BasisSet(2, 4, tilted_weyl24(tmp_path)[1], [True] * 4)
+    members = basis.amplitudes[np.array(basis.me_flags)]
+    Q = _complement(basis).Q
+    assert Q.shape == (members.shape[1], members.shape[1] - len(members))
+    assert np.abs(members.conj() @ Q).max() <= 1e-14
+    assert np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("t_a", [3e-5, 3e-6])
+@pytest.mark.parametrize("t_b", [3e-5, 3e-6])
+def test_the_rank_cut_on_eigenvalues_counts_what_the_cut_on_singular_values_counts(t_a, t_b):
+    # a frame of C^3 (x) C^5 with two columns, (|00> + |11> + t_a |22>) and
+    # (|03> + t_b |14>), normalised and turned by a random local unitary: the
+    # singular values of its B reshape are about 0.7, 0.7, t_a, 0.7, t_b and
+    # those of its A reshape about 1, 0.7, t_a, each small one on one side of
+    # RANK_CUT; the support ranks count the marginals' eigenvalues above
+    # RANK_CUT**2, and must count what the singular values above RANK_CUT count
+    columns = np.zeros((2, 3, 5), dtype=complex)
+    columns[0, [0, 1, 2], [0, 1, 2]] = 1.0, 1.0, t_a
+    columns[1, [0, 1], [3, 4]] = 1.0, t_b
+    columns /= np.linalg.norm(columns, axis=(1, 2), keepdims=True)
+    rng = np.random.default_rng([round(1e7 * t_a), round(1e7 * t_b)])
+    local = np.kron(random_unitary(rng, 3), random_unitary(rng, 5))
+    complement = _Complement(local @ columns.reshape(2, 15).T, 3, 5)
+    report = complement.support_rank()
+    r_a, r_b = (int((np.linalg.svd(M, compute_uv=False) > RANK_CUT).sum())
+                for M in complement.reshapes())
+    assert (r_a, r_b) == (2 + (t_a > RANK_CUT), 3 + (t_a > RANK_CUT) + (t_b > RANK_CUT))
+    assert (report.a_support_rank, report.b_support_rank) == (r_a, r_b)
+    assert report.schmidt_rank_bound == min(3, r_a, r_b)
+    assert report.verdict == ("inconclusive" if t_a > RANK_CUT else "unextendible")
 
 
 def test_complete_basis_is_not_a_umeb():

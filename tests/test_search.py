@@ -544,7 +544,9 @@ def test_search_takes_one_stacked_eigh_per_iteration(monkeypatch):
     max_entanglement_in_subspace(P, 4, 6, SearchConfig(restarts=16, seed=3))
     iterations = runs[0][1][2]
     assert len(eighs) <= iterations.max() + 1 < iterations.sum()
-    assert svds == []  # every state of this search is well conditioned
+    # every state of this search is well conditioned: the one SVD is the
+    # best state's Schmidt coefficients, without singular vectors
+    assert svds == [(1, 4, 6)]
 
 
 def subspace_projector(seed, d, dprime, k, j=0):
@@ -916,9 +918,9 @@ def test_an_unflagged_basis_has_the_whole_space_as_its_product_block():
 
 
 def record_decompositions(monkeypatch):
-    """The shapes handed to ``np.linalg.svd`` (with ``compute_uv``) and to
-    ``np.linalg.eigh``, by name, as they are called."""
-    asked = {"svd": [], "eigh": []}
+    """The shapes handed to ``np.linalg.svd`` (with ``compute_uv``), to
+    ``np.linalg.eigh`` and to ``np.linalg.qr``, by name, as they are called."""
+    asked = {"svd": [], "eigh": [], "qr": []}
     for name in asked:
         real = getattr(np.linalg, name)
 
@@ -933,26 +935,28 @@ def record_decompositions(monkeypatch):
 
 def test_certify_of_a_large_shape_decomposes_nothing_past_its_frame_and_marginal(monkeypatch):
     # Weyl(22,46): 484 flagged members.  certify takes the frame from one
-    # SVD of the 484 x 1012 members and the witness from one eigh of the
-    # 46 x 46 B marginal; no stack of the members' d x d' matrices (10648 x
-    # 46, whose full U alone would take 1.8 GB) is decomposed
+    # QR of the 1012 x 484 members as columns, and the ranks and the witness
+    # from one eigh of each marginal, 22 x 22 and 46 x 46; no stack of the
+    # members' d x d' matrices (10648 x 46, whose full U alone would take
+    # 1.8 GB) is decomposed, and the witness takes no eigh of its own
     basis = build_weyl_umeb(22, 46)
     asked = record_decompositions(monkeypatch)
     report = certify(basis, SearchConfig(seed=1))
     assert (report.method, report.verdict) == ("product-block", "extendible")
-    assert asked == {"svd": [(484, 1012)], "eigh": [(46, 46)]}
+    assert asked == {"svd": [], "eigh": [(22, 22), (46, 46)], "qr": [(1012, 484)]}
 
 
 def test_a_complement_of_fewer_than_d_squared_dimensions_takes_no_eigh(monkeypatch):
     # Weyl(3,5) without its last member: a complement of 15 - 8 = 7 < 9
     # dimensions holds no C^3 (x) W with dim W >= 3, so the product-block
-    # test returns before it eigendecomposes the 5 x 5 B marginal
+    # test returns before it eigendecomposes the 5 x 5 B marginal; certify
+    # eigendecomposes it once, for the support ranks, and no more
     basis = weyl_less(3, 5)
     asked = record_decompositions(monkeypatch)
     assert _product_block_witness(_complement(basis)) is None
     assert asked["eigh"] == []
     assert certify(basis, SearchConfig(seed=1)).method == "numeric-search"
-    assert (5, 5) not in asked["eigh"]
+    assert asked["eigh"].count((5, 5)) == 1
 
 
 def product_block_frame(rng, d, dprime, r):
@@ -1303,7 +1307,7 @@ def test_no_search_path_eigendecomposes_the_projector(monkeypatch, tmp_path, cap
     # ones and the polished row's), whether the witness is exact (Weyl(2,4),
     # and Weyl(2,17) at seed 42, at the second evaluation) or polished ((3,5)
     # k=10); certify, decided there by the product block, eigendecomposes
-    # the d' x d' B marginal once, and nothing n x n either
+    # the d x d and d' x d' marginals once each, and nothing n x n either
     from umebkit.cli import main
     from umebkit.fileio import save_basis
 
@@ -1328,7 +1332,7 @@ def test_no_search_path_eigendecomposes_the_projector(monkeypatch, tmp_path, cap
         shapes.clear()
         report = certify(basis, SearchConfig(seed=seed))
         assert report.verdict == "extendible"
-        assert shapes == [(dprime, dprime)]
+        assert shapes == [(2, 2), (dprime, dprime)]
         shapes.clear()
         assert main(["search", str(path), "--seed", str(seed), "--json"]) == 0
         capsys.readouterr()
