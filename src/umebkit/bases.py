@@ -351,16 +351,16 @@ def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:
     """The d^2 x d^2 coefficient matrix of the orthogonality constraints that
     a candidate extension state must satisfy, with its determinant magnitude.
 
-    A candidate with Schmidt data (U, V, lambda) is orthogonal to all d^2
-    shift-phase family members iff M v = 0, where v collects the entries of
-    the upper d x d block of V row-major and M factors as
-
-        (C (x) I_d) . blockdiag(I, A, ..., A^{d-1}) . (I_d (x) U) . (I_d (x) W)
-
-    with C[r, c] = zeta^{-rc}, A the cyclic shift, and W = diag(sqrt(lambda)).
-    Returns ``(M, det_magnitude)`` where the magnitude is computed from the
-    factor determinants, ``d^{d^2/2} * prod(lambda)^{d/2} * |det U|^d`` — a
-    strictly positive number, which is what rules the extension out.
+    A candidate ``psi`` with Schmidt data (U, V, lambda), amplitude matrix
+    ``X = U W V^T`` with W = diag(sqrt(lambda)), has overlap ``Tr(U_nm^dag U
+    W v^T) / sqrt(d)`` with member nm, ``(U_nm (x) I)|Phi>``, v the upper
+    d x d block of V.  So row nm of M is vec(U_nm^dag U W), row-major, from
+    the family's one stack, and ``M vec(v) = sqrt(d) *
+    (<member_nm|psi>)_nm``: psi is orthogonal to all d^2 members iff M v = 0.
+    Returns ``(M, det_magnitude)``: the rows vec(U_nm^dag) are orthogonal with
+    norm sqrt(d) and M is their matrix times ``I_d (x) U W``, so ``|det M| =
+    d^{d^2/2} * prod(lambda)^{d/2} * |det U|^d`` — strictly positive, which
+    is what rules the extension out.
     ``U`` must be unitary within ``EXACT_TOL``, and ``lambdas`` positive with
     a sum within ``NORM_SQ_TOL`` of 1, which the squared Schmidt coefficients
     of every admitted state meet.
@@ -377,19 +377,10 @@ def overlap_constraint_matrix(U, lambdas) -> tuple[np.ndarray, float]:
     if not (lambdas.min() > 0 and abs(lambdas.sum() - 1.0) <= NORM_SQ_TOL):
         raise ContractViolationError("lambdas must be positive and sum to 1")
 
-    zeta = np.exp(2j * np.pi / d)
-    C = np.array([[zeta ** (-r * c) for c in range(d)] for r in range(d)])
-    A = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        A[i, (i + 1) % d] = 1.0
-    shift_blocks = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        shift_blocks[k * d : (k + 1) * d, k * d : (k + 1) * d] = np.linalg.matrix_power(A, k)
-    W = np.diag(np.sqrt(lambdas))
-    M = np.kron(C, np.eye(d)) @ shift_blocks @ np.kron(np.eye(d), U @ W)
+    M = _weyl_operators(d).conj().transpose(0, 2, 1) @ (U * np.sqrt(lambdas))
     det_magnitude = float(
         d ** (d * d / 2)
         * np.prod(lambdas) ** (d / 2)
         * abs(np.linalg.det(U)) ** d
     )
-    return M, det_magnitude
+    return M.reshape(d * d, d * d), det_magnitude

@@ -35,7 +35,7 @@ from .fileio import _dumps, _report_fields, basis_to_obj, load_basis, save_basis
 from .linalg import _gram_deviation
 from .mub import overlap_matrix
 from .search import SearchConfig, _search, certify
-from .states import weyl_operator
+from .states import _weyl_operators, weyl_operator
 from .tolerances import EXACT_TOL, MAX_SPACE_DIM, ME_TOL, check_tol
 
 __all__ = ["main"]
@@ -212,10 +212,9 @@ def cmd_pauli(args) -> tuple:
     if (args.n is None) != (args.m is None):
         raise ContractViolationError("--n and --m must be given together")
     if args.n is not None:
-        pairs = [(args.n, args.m)]
-    else:
-        pairs = [(n, m) for n in range(args.d) for m in range(args.d)]
-    operators = [(n, m, weyl_operator(args.d, n, m)) for n, m in pairs]
+        operators = [(args.n, args.m, weyl_operator(args.d, args.n, args.m))]
+    else:  # one stack, not d^2 calls that each build it
+        operators = [(*divmod(k, args.d), U) for k, U in enumerate(_weyl_operators(args.d))]
 
     def text():
         for n, m, U in operators:

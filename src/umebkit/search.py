@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 #: Norm below which a vector counts as vanished: a restart whose projection
-#: falls below it collapses, and a nearest-ME point below it is not unique.
+#: falls below it collapses.
 COLLAPSE_FLOOR = 1e-14
 
 #: Gram ratio ``w_min / w_max = (s_min / s_max)**2`` above which the nearest
@@ -362,7 +362,7 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, park=False):
             if accepted.any():
                 converged |= accepted
                 break
-        stop = done if len(history) < max_iters else done | (iterations[active] >= max_iters)
+        stop = done | (len(history) >= max_iters)  # every active row has len(history) evals
         active, pm = active[~stop], _project(m[~stop], P)
         norm_pm = np.linalg.norm(pm, axis=1)
         kept = norm_pm >= COLLAPSE_FLOOR
@@ -503,17 +503,15 @@ def _product_block_witness(complement: _Complement) -> BipartiteState | None:
     complement; so the largest W with ``C^d (x) W`` in it is the eigenspace
     of the B marginal ``Tr_A P`` at d.  When ``dim W >= d`` it holds the
     maximally entangled ``(1/sqrt(d)) sum_i |i>|w_i>`` for any orthonormal
-    ``w_i`` of W.  That takes d^2 of the complement's m dimensions, so with
-    fewer it returns None; otherwise the candidate is the top d eigenvectors
-    of the d' x d' marginal (its kept ``spectra``), returned only if the d-th
-    eigenvalue is d within ``EXACT_TOL``, ``max|d X X^dag - I| <=
+    ``w_i`` of W.  The candidate is the top d eigenvectors of the d' x d'
+    marginal (its kept ``spectra``), returned only if the d-th eigenvalue is
+    d within ``EXACT_TOL`` (never so with m < d^2: the eigenvalues are at
+    most d and sum to m, so the d-th is at most d - 1/d), ``max|d X X^dag - I| <=
     POLISH_TOL`` (what a search witness meets), and the state lies in the
     complement within ``EXACT_TOL``.  A local unitary ``U_A (x) U_B`` maps
     W to ``U_B W``, so it does not decide whether a witness is found.
     """
     d, dprime, Q = complement.d, complement.dprime, complement.Q
-    if Q.shape[1] < d * d:
-        return None
     values, vectors = complement.spectra[1]
     w = vectors[:, -d:].T
     x = w.reshape(-1) / np.sqrt(d)

@@ -101,20 +101,14 @@ def is_maximally_entangled(
     return deviation <= tol, deviation
 
 
-def _weyl_phases(d: int, ns) -> np.ndarray:
-    """Row per n in ``ns``: the phases ``zeta^{n k}``, k = 0..d-1, of U_nm."""
-    zeta = np.exp(2j * np.pi / d)
-    return np.array([[zeta ** (n * k) for k in range(d)] for n in ns])
-
-
 def _weyl_operators(d: int) -> np.ndarray:
     """The ``(d*d, d, d)`` stack of every :func:`weyl_operator`, ``U_nm`` at
-    index ``n*d + m``."""
-    phases = _weyl_phases(d, range(d))
+    index ``n*d + m``: the one construction of the shift-phase family."""
     k = np.arange(d)
+    m = k[:, None]
     ops = np.zeros((d, d, d, d), dtype=complex)
-    for m in range(d):
-        ops[:, m, (k + m) % d, k] = phases
+    # ops[n, m, k + m, k] = zeta^{n k}
+    ops[:, m, (k + m) % d, k] = (np.exp(2j * np.pi / d) ** np.outer(k, k))[:, None, :]
     return ops.reshape(d * d, d, d)
 
 
@@ -123,24 +117,19 @@ def weyl_operator(d: int, n: int, m: int) -> np.ndarray:
 
     ``zeta = exp(2 pi i / d)``.  The d^2 operators obtained for
     ``0 <= n, m < d`` form a trace-orthogonal basis of the operator space and
-    generalize the Pauli matrices (up to phases at d = 2).
+    generalize the Pauli matrices (up to phases at d = 2).  Returns a copy of
+    entry ``n*d + m`` of the whole family's stack.
     """
     if not (0 <= n < d and 0 <= m < d):
         raise ContractViolationError(f"indices (n, m) = ({n}, {m}) out of range for d = {d}")
-    k = np.arange(d)
-    U = np.zeros((d, d), dtype=complex)
-    U[(k + m) % d, k] = _weyl_phases(d, [n])[0]
-    return U
+    return _weyl_operators(d)[n * d + m].copy()
 
 
 def standard_mes(d: int, dprime: int) -> BipartiteState:
     """The canonical maximally entangled state ``sum_p |p>|p'> / sqrt(d)``."""
     if not 2 <= d <= dprime:
         raise ContractViolationError(f"need 2 <= d <= dprime, got ({d}, {dprime})")
-    amp = np.zeros(d * dprime, dtype=complex)
-    for p in range(d):
-        amp[p * dprime + p] = 1.0 / np.sqrt(d)
-    return BipartiteState(d, dprime, amp)
+    return BipartiteState(d, dprime, np.eye(d, dprime) / np.sqrt(d))
 
 
 def apply_local(psi: BipartiteState, opA, opB) -> BipartiteState:

@@ -25,6 +25,8 @@ from umebkit.states import (
     weyl_operator,
 )
 
+from helpers import random_unitary
+
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -36,11 +38,6 @@ def pauli_bell_states():
     """The four sigma-rotated Bell-type states of C^2 (x) C^3."""
     phi0 = standard_mes(2, 3)
     return [phi0] + [apply_local(phi0, s, np.eye(3)) for s in SIGMA]
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def test_weyl_family_23_matches_pauli_set_up_to_phase():
@@ -196,6 +193,22 @@ def test_constraint_matrix_random_determinants():
             det_numeric = abs(np.linalg.det(M))
             assert abs(det_numeric - det_formula) <= 1e-8 * det_formula
             assert det_formula > 0
+
+
+@pytest.mark.parametrize("d, dprime", [(2, 3), (3, 4), (3, 5), (4, 7)])
+def test_constraint_matrix_gives_the_overlaps_with_the_members(d, dprime):
+    # psi = sum_i sqrt(lambda_i) |u_i>|v_i> has amplitude matrix
+    # X = U diag(sqrt(lambda)) V^T; with v the upper d x d block of V read
+    # row-major, M v = sqrt(d) * <member_nm|psi> for every member nm
+    rng = np.random.default_rng(d * dprime)
+    members = build_weyl_umeb(d, dprime).amplitudes
+    for _ in range(5):
+        U, V = random_unitary(rng, d), random_unitary(rng, dprime)[:, :d]
+        lams = rng.dirichlet(np.ones(d))
+        X = U @ np.diag(np.sqrt(lams)) @ V.T
+        M, _ = overlap_constraint_matrix(U, lams)
+        overlaps = members.conj() @ X.ravel()
+        assert np.abs(M @ V[:d].ravel() - np.sqrt(d) * overlaps).max() <= 1e-13
 
 
 def test_constraint_matrix_rejects_bad_inputs():

@@ -18,6 +18,8 @@ from umebkit.channel import analyze
 from umebkit.search import certify
 from umebkit.states import _weyl_operators
 
+from helpers import random_unitary
+
 SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
 
 
@@ -183,11 +185,6 @@ def block_selection(d, dprime):
         blocks.append(bases._turned(_weyl_operators(d), base))
     rows = np.vstack(blocks)
     return BasisSet(d, dprime, rows, [True] * len(rows))
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 @settings(max_examples=15, deadline=None)

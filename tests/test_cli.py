@@ -21,12 +21,7 @@ from umebkit.mub import OverlapReport, overlap_matrix
 from umebkit.search import SearchConfig, SearchResult, certify, max_entanglement_in_subspace
 from umebkit.states import is_maximally_entangled, standard_mes, weyl_operator
 
-
-def weyl_less(d, dprime):
-    """Weyl(d, d') without its last member: at (3,5) its complement holds no
-    closed-form product-block witness, and certify searches it."""
-    amplitudes = build_weyl_umeb(d, dprime).amplitudes[:-1]
-    return BasisSet(d, dprime, amplitudes, [True] * len(amplitudes))
+from helpers import random_unitary, weyl_less
 
 
 def test_construct_verify_roundtrip(tmp_path, capsys):
@@ -572,11 +567,6 @@ def test_json_formats_no_text(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("AssertionError: text formatted\n")
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 @st.composite

@@ -27,6 +27,8 @@ from umebkit.search import SearchConfig, certify, max_entanglement_in_subspace
 from umebkit.states import BipartiteState, apply_local, standard_mes
 from umebkit.tolerances import RANK_CUT
 
+from helpers import random_unitary
+
 PAULIS = [
     np.eye(2),
     np.array([[0, 1], [1, 0]]),
@@ -35,11 +37,6 @@ PAULIS = [
 ]
 #: Weyl shapes (d, d') with d < d' and d*d' <= 20.
 SMALL_WEYL_SHAPES = [(d, dp) for d in range(2, 5) for dp in range(d + 1, 11) if d * dp <= 20]
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def tilted_weyl24(tmp_path, tilt=3e-7):

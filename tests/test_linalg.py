@@ -6,14 +6,7 @@ import pytest
 from umebkit import ContractViolationError
 from umebkit.linalg import _entropy, _gram_deviation, _schmidt_coefficients
 
-
-def random_complex(rng, shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_complex(rng, (n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+from helpers import random_complex, random_unitary
 
 
 def test_svd_identity():

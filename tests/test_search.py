@@ -22,15 +22,9 @@ from umebkit.search import (
 )
 from umebkit.states import BipartiteState, is_maximally_entangled, standard_mes
 
+from helpers import random_unitary, weyl_less
+
 FAST = SearchConfig(restarts=8, max_iters=500)
-
-
-def weyl_less(d, dprime):
-    """Weyl(d, d') without its last member.  Every member lives on B levels
-    0 to d - 1, so the product block of the complement, C^d (x) levels d to
-    d' - 1, is too small for a witness at (3,5): certify searches."""
-    amplitudes = build_weyl_umeb(d, dprime).amplitudes[:-1]
-    return BasisSet(d, dprime, amplitudes, [True] * len(amplitudes))
 
 
 def search_only(monkeypatch):
@@ -873,11 +867,6 @@ def test_no_unextendible_sweep_shape_reaches_the_product_block(monkeypatch):
     assert reached == EXTENDIBLE_SHAPES
 
 
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_complement_without_a_product_block_falls_through_to_the_search(seed):
     rng = np.random.default_rng(seed)
@@ -946,15 +935,17 @@ def test_certify_of_a_large_shape_decomposes_nothing_past_its_frame_and_marginal
     assert asked == {"svd": [], "eigh": [(22, 22), (46, 46)], "qr": [(1012, 484)]}
 
 
-def test_a_complement_of_fewer_than_d_squared_dimensions_takes_no_eigh(monkeypatch):
+def test_a_complement_of_fewer_than_d_squared_dimensions_adds_no_eigh(monkeypatch):
     # Weyl(3,5) without its last member: a complement of 15 - 8 = 7 < 9
-    # dimensions holds no C^3 (x) W with dim W >= 3, so the product-block
-    # test returns before it eigendecomposes the 5 x 5 B marginal; certify
-    # eigendecomposes it once, for the support ranks, and no more
+    # dimensions holds no C^3 (x) W with dim W >= 3.  The eigenvalues of the
+    # 5 x 5 B marginal are at most 3 and sum to 7, so the third is at most
+    # 3 - 1/3 and the product-block test rejects; it reads the eigh the
+    # support ranks read, so certify eigendecomposes the marginal once
     basis = weyl_less(3, 5)
     asked = record_decompositions(monkeypatch)
-    assert _product_block_witness(_complement(basis)) is None
-    assert asked["eigh"] == []
+    complement = _complement(basis)
+    assert _product_block_witness(complement) is None
+    assert complement.spectra[1][0][-3] <= 3 - 1 / 3 + 1e-12
     assert certify(basis, SearchConfig(seed=1)).method == "numeric-search"
     assert asked["eigh"].count((5, 5)) == 1
 

@@ -12,16 +12,13 @@ from umebkit.states import (
     weyl_operator,
 )
 
+from helpers import random_unitary
+
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ]
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def basis_state(d, dprime, i, j):
