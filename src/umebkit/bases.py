@@ -192,9 +192,11 @@ class CertificateReport:
 
 def _turned(ops: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Rows ``(U (x) I)|base>`` for each U of the ``(k, d, d)`` stack ``ops``,
-    ``base`` a d x d' amplitude matrix: one stacked product ``U base I^T``, the
-    product ``apply_local`` makes member by member, bit for bit."""
-    return (ops @ base @ np.eye(base.shape[1], dtype=complex).T).reshape(len(ops), -1)
+    ``base`` a d x d' amplitude matrix: one 2-D product ``U base I^T`` of the
+    k*d stacked operator rows, bit for bit what ``apply_local`` makes member by
+    member; ``I^T`` sets the signed zeros the written files carry."""
+    rows = ops.reshape(-1, base.shape[0]) @ base @ np.eye(base.shape[1], dtype=complex).T
+    return rows.reshape(len(ops), -1)
 
 
 def build_weyl_umeb(d: int, dprime: int) -> BasisSet:
@@ -203,10 +205,12 @@ def build_weyl_umeb(d: int, dprime: int) -> BasisSet:
     Members are ordered by (n, m) lexicographic and labelled ``"nm"``.  For
     d'/2 < d < d' this set is unextendible; for d <= d'/2 it is constructed
     all the same but its complement does contain maximally entangled states.
+    ``Phi`` is ``eye(d, d') / sqrt(d)``, the amplitudes of :func:`standard_mes`
+    without its checks of a constant, and ``U_nm`` the kept shift-phase stack.
     """
     if not 2 <= d < dprime:
         raise ContractViolationError(f"need 2 <= d < dprime, got ({d}, {dprime})")
-    phi = standard_mes(d, dprime).amplitudes.reshape(d, dprime)
+    phi = np.eye(d, dprime, dtype=complex) / np.sqrt(d)
     labels = [f"{n}{m}" for n in range(d) for m in range(d)]
     return BasisSet(d, dprime, _turned(_weyl_operators(d), phi), [True] * (d * d), labels)
 

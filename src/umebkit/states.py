@@ -10,6 +10,7 @@ singular values of the amplitudes reshaped to a d x dprime matrix
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,14 +102,18 @@ def is_maximally_entangled(
     return deviation <= tol, deviation
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def _weyl_operators(d: int) -> np.ndarray:
     """The ``(d*d, d, d)`` stack of every :func:`weyl_operator`, ``U_nm`` at
-    index ``n*d + m``: the one construction of the shift-phase family."""
+    index ``n*d + m``: the one construction of the shift-phase family.  The
+    stack of the last d asked for is kept, read-only, for the next builds at
+    that d; at most one is held, d^4 * 16 bytes (16.8 MB at d = 32)."""
     k = np.arange(d)
     m = k[:, None]
     ops = np.zeros((d, d, d, d), dtype=complex)
     # ops[n, m, k + m, k] = zeta^{n k}
     ops[:, m, (k + m) % d, k] = (np.exp(2j * np.pi / d) ** np.outer(k, k))[:, None, :]
+    ops.flags.writeable = False
     return ops.reshape(d * d, d, d)
 
 
@@ -117,8 +122,8 @@ def weyl_operator(d: int, n: int, m: int) -> np.ndarray:
 
     ``zeta = exp(2 pi i / d)``.  The d^2 operators obtained for
     ``0 <= n, m < d`` form a trace-orthogonal basis of the operator space and
-    generalize the Pauli matrices (up to phases at d = 2).  Returns a copy of
-    entry ``n*d + m`` of the whole family's stack.
+    generalize the Pauli matrices (up to phases at d = 2).  Returns a
+    writable copy of entry ``n*d + m`` of the family's kept, read-only stack.
     """
     if not (0 <= n < d and 0 <= m < d):
         raise ContractViolationError(f"indices (n, m) = ({n}, {m}) out of range for d = {d}")

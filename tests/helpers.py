@@ -1,9 +1,13 @@
-"""Helpers shared by the test modules: seeded random draws and the Weyl
-basis without its last member."""
+"""Helpers shared by the test modules: the certify-sweep shapes, seeded
+random draws and the Weyl basis without its last member."""
 
 import numpy as np
 
 from umebkit.bases import BasisSet, build_weyl_umeb
+
+#: Every (d, d') with 2 <= d < d' and d * d' <= 49, in the order of the
+#: certify-sweep benchmark workload's ``sweep_shapes()``.
+SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
 
 
 def random_complex(rng, shape):

@@ -25,7 +25,7 @@ from umebkit.states import (
     weyl_operator,
 )
 
-from helpers import random_unitary
+from helpers import SWEEP_SHAPES, random_unitary
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -280,13 +280,11 @@ def test_validate_cites_its_bound_as_every_refusal_does():
     assert str(refusal.value) == "basis is not orthonormal: Gram deviation 1.000e+00 > 1e-9"
 
 
-SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
-
-
-@pytest.mark.parametrize("d, dprime", SWEEP_SHAPES + [(2, 3)])
+@pytest.mark.parametrize("d, dprime", SWEEP_SHAPES + [(2, 3), (8, 9), (5, 20), (2, 512), (31, 33)])
 def test_weyl_family_matches_member_by_member_reference(d, dprime):
-    # the stacked build must reproduce apply_local bit for bit, signed zeros
-    # included, since they reach the written files
+    # the one 2-D product must reproduce apply_local bit for bit, signed zeros
+    # included, since they reach the written files; the last shapes stack up
+    # to 31 * 31 * 31 = 29 791 operator rows
     phi = standard_mes(d, dprime)
     eye = np.eye(dprime)
     reference = [apply_local(phi, weyl_operator(d, n, m), eye).amplitudes

@@ -18,9 +18,7 @@ from umebkit.channel import analyze
 from umebkit.search import certify
 from umebkit.states import _weyl_operators
 
-from helpers import random_unitary
-
-SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
+from helpers import SWEEP_SHAPES, random_unitary
 
 
 def test_complement_state_23():

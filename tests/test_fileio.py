@@ -24,6 +24,8 @@ from umebkit.fileio import (
 from umebkit.states import BipartiteState, _norm_errors, standard_mes
 from umebkit.tolerances import ADMIT_TOL, ME_TOL, NORM_TOL, cite
 
+from helpers import SWEEP_SHAPES
+
 
 def test_state_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(61)
@@ -195,7 +197,6 @@ def test_loaded_basis_is_the_public_constructors_bit_for_bit(tmp_path, edit):
     assert not a.flags.writeable
 
 
-SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
 BUILDERS = {f"weyl({d},{dp})": (lambda d=d, dp=dp: build_weyl_umeb(d, dp)) for d, dp in SWEEP_SHAPES}
 BUILDERS.update({"c23-first": build_c23_first, "c23-second": build_c23_second})
 

@@ -22,7 +22,7 @@ from umebkit.search import (
 )
 from umebkit.states import BipartiteState, is_maximally_entangled, standard_mes
 
-from helpers import random_unitary, weyl_less
+from helpers import SWEEP_SHAPES, random_unitary, weyl_less
 
 FAST = SearchConfig(restarts=8, max_iters=500)
 
@@ -793,9 +793,6 @@ def test_every_restart_collapsed_only_when_every_stage_has(monkeypatch, stages_c
         result = _search(P, 2, 4, config)
         assert result.verdict == "found_me" and result.restarts_used == 8
         assert stack_sizes == [8, 16, 8]
-
-
-SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
 
 
 @pytest.mark.parametrize("seed", [1, 42])

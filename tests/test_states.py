@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from umebkit import ContractViolationError
+from umebkit.bases import build_weyl_umeb
 from umebkit.linalg import _schmidt_coefficients
 from umebkit.states import (
     BipartiteState,
+    _weyl_operators,
     apply_local,
     is_maximally_entangled,
     schmidt_rank,
@@ -12,7 +14,7 @@ from umebkit.states import (
     weyl_operator,
 )
 
-from helpers import random_unitary
+from helpers import SWEEP_SHAPES, random_unitary
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -141,6 +143,40 @@ def test_weyl_operator_range_check():
         weyl_operator(2, 2, 0)
     with pytest.raises(ContractViolationError):
         weyl_operator(2, 0, -1)
+
+
+def test_kept_shift_phase_table_is_read_only():
+    table = _weyl_operators(3)
+    with pytest.raises(ValueError):
+        table[4, 0, 1] = 0.0
+    with pytest.raises(ValueError):
+        table *= 2
+    assert _weyl_operators(3) is table and np.array_equal(table[5], weyl_operator(3, 1, 2))
+
+
+def test_weyl_operator_is_a_writable_copy_of_one_slice():
+    table = _weyl_operators(4)
+    expect = table[2 * 4 + 3].copy()
+    U = weyl_operator(4, 2, 3)
+    assert U.flags.writeable and not np.shares_memory(U, table)
+    U[:] = 0.0
+    assert np.array_equal(weyl_operator(4, 2, 3), expect)
+    assert np.array_equal(_weyl_operators(4)[2 * 4 + 3], expect)
+
+
+def test_one_shift_phase_table_is_kept_and_the_sweep_builds_one_per_d():
+    assert _weyl_operators.cache_info().maxsize == 1
+    _weyl_operators.cache_clear()
+    for d, dprime in SWEEP_SHAPES:
+        build_weyl_umeb(d, dprime)
+    info = _weyl_operators.cache_info()
+    assert len(SWEEP_SHAPES) == 49 and (info.misses, info.hits) == (5, 44)
+
+
+def test_weyl_operator_of_a_float_dimension_is_refused_after_the_int_one():
+    weyl_operator(3, 1, 1)
+    with pytest.raises(TypeError):
+        weyl_operator(3.0, 1, 1)
 
 
 def test_standard_mes():
