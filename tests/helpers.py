@@ -1,5 +1,9 @@
 """Helpers shared by the test modules: the certify-sweep shapes, seeded
-random draws and the Weyl basis without its last member."""
+random draws, the Weyl basis without its last member and a recorder of
+``numpy.linalg`` calls."""
+
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,3 +32,38 @@ def weyl_less(d, dprime):
     d' - 1, is too small for a witness at (3,5): certify searches."""
     amplitudes = build_weyl_umeb(d, dprime).amplitudes[:-1]
     return BasisSet(d, dprime, amplitudes, [True] * len(amplitudes))
+
+
+class LinalgCall(NamedTuple):
+    """One recorded ``numpy.linalg`` call: the function's name, the shape of
+    its first argument, its keyword arguments, and the module and function
+    that called it."""
+    name: str
+    shape: tuple
+    kwargs: dict
+    module: str
+    function: str
+
+
+def record_linalg(monkeypatch, *names) -> list:
+    """Wrap each named ``numpy.linalg`` function so that every call appends
+    a :class:`LinalgCall` to the returned list before it runs: a call that
+    raises is recorded too.  The caller is the first frame past any
+    ``<genexpr>``, ``<listcomp>`` and the like.  Names this numpy lacks are
+    skipped (``svdvals`` is new in numpy 2.0)."""
+    calls = []
+    for name in names:
+        real = getattr(np.linalg, name, None)
+        if real is None:
+            continue
+
+        def recording(a, *args, real=real, name=name, **kwargs):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):
+                caller = caller.f_back
+            calls.append(LinalgCall(name, np.shape(a), kwargs,
+                                    caller.f_globals["__name__"], caller.f_code.co_name))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls

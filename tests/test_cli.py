@@ -1,8 +1,6 @@
 import contextlib
 import io
 import json
-import subprocess
-import sys
 from dataclasses import fields
 
 import numpy as np
@@ -21,7 +19,7 @@ from umebkit.mub import OverlapReport, overlap_matrix
 from umebkit.search import SearchConfig, SearchResult, certify, max_entanglement_in_subspace
 from umebkit.states import is_maximally_entangled, standard_mes, weyl_operator
 
-from helpers import random_unitary, weyl_less
+from helpers import random_unitary, record_linalg, weyl_less
 
 
 def test_construct_verify_roundtrip(tmp_path, capsys):
@@ -34,6 +32,7 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "gram deviation" in text
     assert "result: pass" in text
+    assert text.splitlines()[-1] == "result: pass"  # the report ends on its result
 
 
 def test_construct_to_stdout_is_valid_json(tmp_path, capsys):
@@ -158,17 +157,11 @@ def test_search_searches_the_complement_frame_it_builds(tmp_path, capsys, monkey
     if all_members:  # two members, unflagged: only --all-members subtracts them
         basis = BasisSet(d, dprime, basis.amplitudes[:2], [False, False])
     save_basis(path, basis)
-    eigh, frames = np.linalg.eigh, []
-
-    def counting_eigh(a, *args, **kwargs):
-        frames.append(np.ndim(a) == 2)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    eighs = record_linalg(monkeypatch, "eigh")
     flags = ["--all-members"] if all_members else []
     code = main(["search", str(path), "--seed", "1", "--json", *flags])
     doc = json.loads(capsys.readouterr().out)
-    assert not any(frames)  # no eigendecomposition of the projector
+    assert not any(len(c.shape) == 2 for c in eighs)  # no eigendecomposition of the projector
     Q = _complement(load_basis(path), me_only=not all_members).Q
     result = _search(Q @ Q.conj().T, d, dprime, SearchConfig(seed=1))
     assert doc["verdict"] == result.verdict and doc["best_F"] == result.best_F
@@ -208,7 +201,9 @@ def test_mub_exit_codes(tmp_path, capsys):
     assert main(["construct", "--kind", "c23-first", "-o", str(a)]) == 0
     assert main(["construct", "--kind", "c23-second", "-o", str(b)]) == 0
     assert main(["mub", str(a), str(b)]) == 0
+    capsys.readouterr()
     assert main(["mub", str(a), str(a)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "mutually unbiased: no"
 
     w24 = tmp_path / "w24.json"
     save_basis(w24, build_weyl_umeb(2, 4))
@@ -276,24 +271,6 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
 
-def test_cli_runs_as_module(tmp_path):
-    out = tmp_path / "w23.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "umebkit", "construct", "--kind", "weyl",
-         "--d", "2", "--dprime", "3", "-o", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.exists()
-    proc = subprocess.run(
-        [sys.executable, "-m", "umebkit", "verify", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
 @pytest.mark.parametrize("command", ["search", "certify"])
 @pytest.mark.parametrize("seed", [2**63, 2**64])
 def test_seeds_beyond_philox_keys_exit_2(tmp_path, capsys, command, seed):
@@ -346,6 +323,14 @@ def test_reports_count_the_restarts_that_ran_and_were_polished(tmp_path, capsys)
     assert (doc["restarts_used"], doc["seed"], doc["restarts"]) == (8, 1, 64)
     assert main(["certify", str(less), "--seed", "1"]) == 1
     assert "seed: 1, restarts: 64\nrestarts used: 8\n" in capsys.readouterr().out
+    # --restarts 1 runs its one restart; --restarts 9 stops after its first
+    # stage of 8, which finds the witness
+    for restarts, used in ((1, 1), (9, 8)):
+        argv = ["certify", str(less), "--json", "--seed", "1", "--restarts", str(restarts)]
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["witness"] is not None and 1.0 - doc["search_best_F"] <= 1e-6, doc
+        assert doc["restarts_used"] == used, doc
     # the product block decides Weyl(2,4): a witness, and no search ran
     assert main(["certify", str(w24), "--json", "--seed", "1"]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -369,6 +354,11 @@ def test_reports_count_the_restarts_that_ran_and_were_polished(tmp_path, capsys)
     assert main(["search", str(w24), "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "seed: 1, restarts: 64\nrestarts used: 8\nrestarts polished: 8\n" in out
+    # a search of Weyl(3,4)'s complement finds nothing in any of its 64 restarts
+    assert main(["search", str(w34), "--json", "--seed", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "none_found"
+    assert (doc["restarts_used"], doc["restarts_polished"]) == (64, 0)
 
 
 def _json_fields(report_type) -> list:
@@ -450,7 +440,12 @@ def test_verify_json_keeps_its_hand_written_bytes(tmp_path, capsys):
         passed = gram_dev <= 1e-9 and all(row["consistent"] for row in rows)
         assert main(["verify", str(path), "--json"]) == (0 if passed else 1)
         expected = {"gram_deviation": gram_dev, "tol": 1e-9, "states": rows, "passed": passed}
-        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+        out = capsys.readouterr().out
+        assert out == json.dumps(expected, indent=2) + "\n"
+        if basis is cases[0]:  # Weyl(3,4) passes: every member within 1e-8 of maximal
+            doc = json.loads(out)
+            assert doc["passed"] and all(
+                m["consistent"] and m["me_deviation"] <= 1e-8 for m in doc["states"]), doc
 
 
 LAPACK_FAILURES = [

@@ -4,7 +4,6 @@ fresh basis and on a reused one, a basis that cannot change under its kept
 frame, and read-only shared arrays."""
 
 import math
-import sys
 from dataclasses import fields
 
 import numpy as np
@@ -22,6 +21,8 @@ from umebkit.bases import (
 from umebkit.channel import analyze
 from umebkit.search import SearchConfig, certify
 
+from helpers import record_linalg
+
 CONFIG = SearchConfig(restarts=8, seed=1)
 BUILDERS = {"weyl24": lambda: build_weyl_umeb(2, 4), "weyl34": lambda: build_weyl_umeb(3, 4),
             "weyl36": lambda: build_weyl_umeb(3, 6), "c23": build_c23_first}
@@ -29,27 +30,14 @@ BUILDERS = {"weyl24": lambda: build_weyl_umeb(2, 4), "weyl34": lambda: build_wey
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """The ``np.linalg`` ``qr``, ``eigh`` and ``svd`` calls made from
-    ``umebkit.bases``, as ``(name, calling function)``."""
-    calls = []
-    for name in ("qr", "eigh", "svd"):
-        real = getattr(np.linalg, name)
-
-        def counting(*args, real=real, name=name, **kwargs):
-            caller = sys._getframe(1)
-            while caller.f_code.co_name.startswith("<"):  # a generator expression's caller
-                caller = caller.f_back
-            if caller.f_globals["__name__"] == "umebkit.bases":
-                calls.append((name, caller.f_code.co_name))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
+    """The ``np.linalg`` ``qr``, ``eigh`` and ``svd`` calls, as they are made."""
+    return record_linalg(monkeypatch, "qr", "eigh", "svd")
 
 
-def frame_and_spectra(calls):
+def frame_and_spectra(recorded):
     """The frame QRs and the marginals' eigendecompositions; any other
     decomposition ``umebkit.bases`` made fails the count."""
+    calls = [(c.name, c.function) for c in recorded if c.module == "umebkit.bases"]
     frames, spectra = calls.count(("qr", "_complement")), calls.count(("eigh", "spectra"))
     assert frames + spectra == len(calls), calls
     return frames, spectra
@@ -82,22 +70,12 @@ def test_past_the_member_checks_certify_and_analyze_take_one_qr_and_two_eighs(mo
     # one eigh of each marginal, read by the rank cut, the product block
     # (Weyl(2,4) and (3,6), extendible) and the entropies, and nothing more
     d, dprime = shape
-    basis, calls = build_weyl_umeb(d, dprime), []
-    for name in LINALG:
-        real = getattr(np.linalg, name, None)
-        if real is None:  # svdvals is new in numpy 2.0
-            continue
-
-        def recording(a, *args, real=real, name=name, **kwargs):
-            calls.append((name, np.shape(a)))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
+    basis, calls = build_weyl_umeb(d, dprime), record_linalg(monkeypatch, *LINALG)
     certify(basis, CONFIG)
     analyze(basis)
     k, n = d * d, d * dprime
-    assert calls == [("qr", (n, k)), ("svd", (k, d, dprime)),
-                     ("eigh", (d, d)), ("eigh", (dprime, dprime))]
+    assert [(c.name, c.shape) for c in calls] == [("qr", (n, k)), ("svd", (k, d, dprime)),
+                                                  ("eigh", (d, d)), ("eigh", (dprime, dprime))]
 
 
 def report_bytes(report) -> bytes:

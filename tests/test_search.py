@@ -22,7 +22,7 @@ from umebkit.search import (
 )
 from umebkit.states import BipartiteState, is_maximally_entangled, standard_mes
 
-from helpers import SWEEP_SHAPES, random_unitary, weyl_less
+from helpers import SWEEP_SHAPES, random_unitary, record_linalg, weyl_less
 
 FAST = SearchConfig(restarts=8, max_iters=500)
 
@@ -99,23 +99,18 @@ def count_work(monkeypatch):
     row parks), and its solves, one Gauss-Newton step of one row each."""
     import umebkit.search as search
 
-    runs, solved, solve = record_runs(monkeypatch), [], np.linalg.solve
-
-    def counting_solve(a, b):  # counted before it runs: a singular solve too
-        assert np.ndim(a) == 2  # one row's normal matrix: one step
-        solved.append(1)
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    runs, solves = record_runs(monkeypatch), record_linalg(monkeypatch, "solve")
 
     def counts():
+        # a solve is recorded before it runs: a singular one counts too
+        assert all(len(c.shape) == 2 for c in solves)  # one row's normal matrix: one step
         # F never falls within a run, so a row meets the tolerance at every
         # evaluation from the one it parked at, and with its last F; a row
         # parks at its second evaluation at the earliest
         met = sum(int(np.sum(1.0 - F <= search.PARK_STEP)) for _, out in runs for F in out[5][1:])
         rows = sum(int(np.sum((1.0 - out[1] <= search.PARK_STEP) & (out[2] > 1)))
                    for _, out in runs)
-        return sum(int(out[2].sum()) for _, out in runs), met - rows, sum(solved)
+        return sum(int(out[2].sum()) for _, out in runs), met - rows, len(solves)
 
     return counts
 
@@ -172,17 +167,9 @@ def with_singular_values(rng, dprime, s):
     return (left * (np.asarray(s) / np.linalg.norm(s))) @ right.conj().T
 
 
-def count_stacked(monkeypatch, name):
-    """Record the shapes of the stacked (3-d) calls of ``np.linalg.<name>``."""
-    real, shapes = getattr(np.linalg, name), []
-
-    def counting(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            shapes.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counting)
-    return shapes
+def stacked(calls):
+    """The shapes of the stacked (3-d) calls among recorded ``np.linalg`` calls."""
+    return [c.shape for c in calls if len(c.shape) == 3]
 
 
 @pytest.mark.parametrize("d, dprime", [(2, 3), (3, 5), (7, 7)])
@@ -199,9 +186,9 @@ def test_gram_polar_factor_matches_svd_down_to_the_cutoff(monkeypatch, d, dprime
         for middle in (rng.uniform(size=d - 2), np.zeros(d - 2), np.ones(d - 2)):
             x.append(with_singular_values(rng, dprime, ratio ** np.r_[0.0, middle, 1.0]))
     x = np.array(x)
-    svds = count_stacked(monkeypatch, "svd")
+    svds = record_linalg(monkeypatch, "svd")
     m, w = search._nearest_me_amplitudes(x)
-    assert svds == []  # every row took the Gram route
+    assert stacked(svds) == []  # every row took the Gram route
     reference, w_ref = svd_polar(x)
     assert np.abs(m - reference).max() <= 1e-11
     assert np.abs(w - w_ref).max() <= 1e-12
@@ -250,9 +237,9 @@ def test_each_row_is_the_same_alone_and_in_a_mixed_stack(monkeypatch, d, dprime)
     good /= np.linalg.norm(good, axis=(1, 2), keepdims=True)
     bad = ill_conditioned_rows(rng, d, dprime)
     mixed = np.concatenate([good[:1], bad[:2], good[1:], bad[2:]])
-    svds = count_stacked(monkeypatch, "svd")
+    svds = record_linalg(monkeypatch, "svd")
     m, w = search._nearest_me_amplitudes(mixed)
-    assert svds == [(4, d, dprime)]  # one stacked SVD, of the four bad rows
+    assert stacked(svds) == [(4, d, dprime)]  # one stacked SVD, of the four bad rows
     for row, m_row, w_row in zip(mixed, m, w):
         alone, w_alone = search._nearest_me_amplitudes(row)
         assert alone.tobytes() == m_row.tobytes() and w_alone.tobytes() == w_row.tobytes()
@@ -531,16 +518,15 @@ def test_best_state_owns_its_amplitudes():
 
 
 def test_search_takes_one_stacked_eigh_per_iteration(monkeypatch):
-    eighs = count_stacked(monkeypatch, "eigh")
-    svds = count_stacked(monkeypatch, "svd")
+    eighs, svds = record_linalg(monkeypatch, "eigh"), record_linalg(monkeypatch, "svd")
     runs = record_runs(monkeypatch)
     P = random_subspace_projector(np.random.default_rng(35), 24, 16)
     max_entanglement_in_subspace(P, 4, 6, SearchConfig(restarts=16, seed=3))
     iterations = runs[0][1][2]
-    assert len(eighs) <= iterations.max() + 1 < iterations.sum()
+    assert len(stacked(eighs)) <= iterations.max() + 1 < iterations.sum()
     # every state of this search is well conditioned: the one SVD is the
     # best state's Schmidt coefficients, without singular vectors
-    assert svds == [(1, 4, 6)]
+    assert stacked(svds) == [(1, 4, 6)]
 
 
 def subspace_projector(seed, d, dprime, k, j=0):
@@ -903,19 +889,14 @@ def test_an_unflagged_basis_has_the_whole_space_as_its_product_block():
     np.testing.assert_allclose(report.witness.amplitudes, expected.reshape(-1), rtol=0, atol=1e-15)
 
 
-def record_decompositions(monkeypatch):
+def decompositions_asked(calls):
     """The shapes handed to ``np.linalg.svd`` (with ``compute_uv``), to
-    ``np.linalg.eigh`` and to ``np.linalg.qr``, by name, as they are called."""
+    ``np.linalg.eigh`` and to ``np.linalg.qr``, by name, in the order of
+    the recorded calls."""
     asked = {"svd": [], "eigh": [], "qr": []}
-    for name in asked:
-        real = getattr(np.linalg, name)
-
-        def recording(a, *args, real=real, name=name, **kwargs):
-            if kwargs.get("compute_uv", True):
-                asked[name].append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
+    for c in calls:
+        if c.kwargs.get("compute_uv", True):
+            asked[c.name].append(c.shape)
     return asked
 
 
@@ -926,10 +907,11 @@ def test_certify_of_a_large_shape_decomposes_nothing_past_its_frame_and_marginal
     # members' d x d' matrices (10648 x 46, whose full U alone would take
     # 1.8 GB) is decomposed, and the witness takes no eigh of its own
     basis = build_weyl_umeb(22, 46)
-    asked = record_decompositions(monkeypatch)
+    calls = record_linalg(monkeypatch, "svd", "eigh", "qr")
     report = certify(basis, SearchConfig(seed=1))
     assert (report.method, report.verdict) == ("product-block", "extendible")
-    assert asked == {"svd": [], "eigh": [(22, 22), (46, 46)], "qr": [(1012, 484)]}
+    assert decompositions_asked(calls) == {
+        "svd": [], "eigh": [(22, 22), (46, 46)], "qr": [(1012, 484)]}
 
 
 def test_a_complement_of_fewer_than_d_squared_dimensions_adds_no_eigh(monkeypatch):
@@ -939,12 +921,12 @@ def test_a_complement_of_fewer_than_d_squared_dimensions_adds_no_eigh(monkeypatc
     # 3 - 1/3 and the product-block test rejects; it reads the eigh the
     # support ranks read, so certify eigendecomposes the marginal once
     basis = weyl_less(3, 5)
-    asked = record_decompositions(monkeypatch)
+    calls = record_linalg(monkeypatch, "svd", "eigh", "qr")
     complement = _complement(basis)
     assert _product_block_witness(complement) is None
     assert complement.spectra[1][0][-3] <= 3 - 1 / 3 + 1e-12
     assert certify(basis, SearchConfig(seed=1)).method == "numeric-search"
-    assert asked["eigh"].count((5, 5)) == 1
+    assert decompositions_asked(calls)["eigh"].count((5, 5)) == 1
 
 
 def product_block_frame(rng, d, dprime, r):
@@ -1299,31 +1281,25 @@ def test_no_search_path_eigendecomposes_the_projector(monkeypatch, tmp_path, cap
     from umebkit.cli import main
     from umebkit.fileio import save_basis
 
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-
-        def counting(a, *args, real=real, **kwargs):
-            shapes.append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    calls = record_linalg(monkeypatch, "eigh", "eigvalsh")
     for case, polished in (("weyl(2,4)", False), ("(3,5) k=10", True)):
         P, d, dprime = STOP_CASES[case]()
-        shapes.clear()
+        calls.clear()
         result = max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
         assert result.verdict == "found_me" and (result.polish_steps > 0) == polished
+        shapes = [c.shape for c in calls]
         assert shapes and all(shape[-2:] == (d, d) for shape in shapes), case
     for dprime, seed in ((4, 1), (17, 42)):
         basis, path = build_weyl_umeb(2, dprime), tmp_path / f"w2{dprime}.json"
         save_basis(path, basis)
-        shapes.clear()
+        calls.clear()
         report = certify(basis, SearchConfig(seed=seed))
         assert report.verdict == "extendible"
-        assert shapes == [(2, 2), (dprime, dprime)]
-        shapes.clear()
+        assert [c.shape for c in calls] == [(2, 2), (dprime, dprime)]
+        calls.clear()
         assert main(["search", str(path), "--seed", str(seed), "--json"]) == 0
         capsys.readouterr()
+        shapes = [c.shape for c in calls]
         assert shapes and all(shape[-2:] == (2, 2) for shape in shapes), dprime
         assert (2, 2) not in shapes  # only a polished row's is 2-D
 
@@ -1345,6 +1321,7 @@ def test_each_search_hard_search_ends_at_its_first_polished_row():
                 assert result.verdict == "found_me" and result.restarts_polished == 1, case
                 assert result.restarts_used == 8 and result.evaluations == 16, case
                 assert 0 < result.polish_steps <= 4, case
+                assert result.evaluations_after_park == 0, case  # no row ascends past its park
 
 
 def test_no_row_is_polished_before_its_second_evaluation(monkeypatch):
