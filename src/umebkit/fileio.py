@@ -7,13 +7,14 @@ Two formats, both UTF-8 JSON with an explicit tag:
 - ``umeb-basis/1``: an ordered list of such amplitude lists plus optional
   labels and per-state entanglement flags (recomputed when absent).
 
-A file is the text of ``json.dumps(doc, indent=2)`` plus a newline, which
-:func:`_dumps` writes; floats are Python's shortest round-trip decimals, so
-a save/load cycle reproduces every double bit-for-bit.  On load, a state
-whose norm is off by more than 1e-6 is rejected; one off by more than 1e-9
-is renormalized with a warning.  Files with ``d*dprime`` above 1024 are
-refused: the package is dense and desk-scale, and later stages build
-``d*dprime x d*dprime`` matrices.
+A document holds its amplitudes as numpy arrays.  Its file is the
+:func:`_dumps` text plus a newline: ``json.dumps(doc, indent=2)`` of the
+document with each array in its list form.  Floats are Python's shortest
+round-trip decimals, so a save/load cycle reproduces every double
+bit-for-bit.  On load, a state whose norm is off by more than 1e-6 is
+rejected; one off by more than 1e-9 is renormalized with a warning.  Files
+with ``d*dprime`` above 1024 are refused: the package is dense and
+desk-scale, and later stages build ``d*dprime x d*dprime`` matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import warnings
 from dataclasses import fields, is_dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from math import inf, isfinite
+from math import inf
 
 import numpy as np
 
@@ -48,34 +49,22 @@ STATE_FORMAT = "umeb-state/1"
 BASIS_FORMAT = "umeb-basis/1"
 
 
-def _array_body(items: list, nl: str) -> str | None:
-    """The body of ``items`` if it is a regular nested list of finite floats.
+def _array_body(a: np.ndarray, nl: str) -> str:
+    """The body of a non-empty float64 array ``a`` with ``ndim >= 1`` and
+    finite entries.
 
-    ``None`` for any other list.  The body is what :func:`_encode` puts
-    between the brackets: the items' texts, each after the newline-indent
-    ``nl``.  It is built bottom-up at C level, with ``float.__repr__`` over
-    the entries and one ``str.join`` per list: the brackets and indents of
-    the lists inside move into the separators that join them.  A non-finite
-    entry makes the sum non-finite and sends the list down the general
-    path, which writes ``NaN`` and ``Infinity`` as json does.
+    The body is what :func:`_encode` puts between the brackets: the items'
+    texts, each after the newline-indent ``nl``.  It is built bottom-up at C
+    level, from ``a.shape`` and ``float.__repr__`` over the entries, with one
+    ``str.join`` per list: the brackets and indents of the lists inside move
+    into the separators that join them.
     """
-    shape, first = [], items
-    while type(first) is list and first:
-        shape.append(len(first))
-        first = first[0]
-    if type(first) is not float:
-        return None
-    flat = items
-    for width in shape[1:]:
-        if set(map(type, flat)) != {list} or set(map(len, flat)) != {width}:
-            return None
-        flat = list(chain.from_iterable(flat))
-    if set(map(type, flat)) != {float} or not isfinite(sum(flat)):
-        return None
+    shape = a.shape
     # (open, close, sep) of the lists at each depth, deepest first: a list's
     # text is "[" + open + sep.join(its items) + close + "]"
     indents = [nl + "  " * depth for depth in range(len(shape))]
-    texts, open_, close, sep = map(float.__repr__, flat), "", "", "," + indents[-1]
+    texts = map(float.__repr__, a.ravel().tolist())
+    open_, close, sep = "", "", "," + indents[-1]
     for depth in range(len(shape) - 1, 0, -1):
         texts = map(sep.join, zip(*[texts] * shape[depth]))
         outer, inner = indents[depth - 1], indents[depth]
@@ -105,10 +94,7 @@ def _encode(o, nl: str) -> str:
         if not o:
             return "[]"
         inner = nl + "  "
-        body = _array_body(o, inner)
-        if body is None:
-            body = ("," + inner).join([_encode(x, inner) for x in o])
-        return "[" + inner + body + nl + "]"
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -119,13 +105,18 @@ def _encode(o, nl: str) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             members.append(_quote(key) + ": " + _encode(value, inner))
         return "{" + inner + ("," + inner).join(members) + nl + "}"
-    # the objects reports hold, after plain JSON so that a file costs no extra check
+    if isinstance(o, np.ndarray):  # the arrays documents and reports hold
+        if np.iscomplexobj(o):
+            o = np.stack([o.real, o.imag], -1)
+        if o.dtype == np.float64 and o.ndim and o.size and np.isfinite(o).all():
+            return "[" + nl + "  " + _array_body(o, nl + "  ") + nl + "]"
+        return _encode(o.tolist(), nl)  # NaN, ±inf, empty, 0-d, int and bool arrays
+    # the other objects reports hold, after what files hold so that a file
+    # costs no extra check
     if isinstance(o, BipartiteState):  # a dataclass too, written as its document
         return _encode(state_to_obj(o), nl)
     if is_dataclass(type(o)):
         return _encode(_report_fields(o), nl)
-    if isinstance(o, np.ndarray):
-        return _encode(_amplitudes_to_pairs(o) if np.iscomplexobj(o) else o.tolist(), nl)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -135,15 +126,18 @@ def _dumps(obj) -> str:
     The text of every file and ``--json`` report, in one walk.  It takes
     dicts with str keys, lists, str, int, bool, None and floats (subclasses
     such as ``np.float64`` through ``float.__repr__``; NaN and ±inf as
-    ``NaN`` and ``Infinity``), and the objects reports hold: a
-    ``BipartiteState`` as its ``umeb-state/1`` document, any other dataclass
-    as the dict of :func:`_report_fields`, a complex array as nested
-    ``[re, im]`` pairs and a real array as its ``tolist()``.  It raises
+    ``NaN`` and ``Infinity``), and the objects documents and reports hold:
+    numpy arrays, a ``BipartiteState`` as its ``umeb-state/1`` document and
+    any other dataclass as the dict of :func:`_report_fields`.  An array is
+    written as ``json.dumps`` writes its list form: a complex array as
+    nested ``[re, im]`` pairs, a real one as its ``tolist()``.  It raises
     ``TypeError`` on anything else (numpy scalars other than floats, tuples,
     sets, bytes).  The stdlib writes indented text with its pure-Python
-    encoder, one generator step per token; this writer formats each regular
-    array of floats, such as a basis's ``[re, im]`` pairs, at C level
-    (:func:`_array_body`), about five times faster on a basis.
+    encoder, one generator step per token; this writer formats a finite
+    float array straight from its buffer at C level (:func:`_array_body`),
+    with no nested lists.  On a document of Weyl(31,33) it takes 0.6 s where
+    ``json.dumps`` of the list form takes 2.6 s, and 0.5 ms against 2.6 ms
+    on Weyl(5,9).
     """
     return _encode(obj, "\n")
 
@@ -153,11 +147,6 @@ def _report_fields(report) -> dict:
     those marked ``metadata={"json": False}``."""
     return {f.name: getattr(report, f.name)
             for f in fields(report) if f.metadata.get("json", True)}
-
-
-def _amplitudes_to_pairs(amp: np.ndarray) -> list:
-    """``[real, imag]`` float pairs, nested like ``amp`` (any shape)."""
-    return np.stack([amp.real, amp.imag], -1).tolist()
 
 
 def _pairs_to_amplitudes(pairs, expected_len: int, what: str) -> np.ndarray:
@@ -258,20 +247,30 @@ def _check_dims(doc: dict, path) -> tuple[int, int]:
 
 
 def state_to_obj(psi: BipartiteState) -> dict:
-    """JSON-ready dict for a single state (the ``umeb-state/1`` document)."""
+    """The ``umeb-state/1`` document of a state.  ``"amplitudes"`` is the
+    state's complex array, which :func:`_dumps` writes as ``[real, imag]``
+    pairs."""
     return {
         "format": STATE_FORMAT,
         "d": psi.d,
         "dprime": psi.dprime,
-        "amplitudes": _amplitudes_to_pairs(psi.amplitudes),
+        "amplitudes": psi.amplitudes,
     }
+
+
+def _write(path, doc: dict) -> None:
+    """Write the :func:`_dumps` text of ``doc``, then a newline, to ``path``.
+    The text is made before the file is opened and truncated, so a document
+    the writer refuses leaves the old file as it was."""
+    text = _dumps(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def save_state(path, psi: BipartiteState) -> None:
     """Write one state as an ``umeb-state/1`` JSON file."""
-    text = _dumps(state_to_obj(psi)) + "\n"  # before the file is opened and truncated
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(path, state_to_obj(psi))
 
 
 def load_state(path) -> BipartiteState:
@@ -286,12 +285,14 @@ def load_state(path) -> BipartiteState:
 
 
 def basis_to_obj(basis: BasisSet) -> dict:
-    """JSON-ready dict for a basis (the ``umeb-basis/1`` document)."""
+    """The ``umeb-basis/1`` document of a basis.  ``"states"`` is the
+    basis's ``(k, d*dprime)`` complex array, which :func:`_dumps` writes as
+    one list of ``[real, imag]`` pairs per member."""
     obj = {
         "format": BASIS_FORMAT,
         "d": basis.d,
         "dprime": basis.dprime,
-        "states": _amplitudes_to_pairs(basis.amplitudes),
+        "states": basis.amplitudes,
         "me_flags": list(basis.me_flags),
     }
     if basis.labels is not None:
@@ -301,9 +302,7 @@ def basis_to_obj(basis: BasisSet) -> dict:
 
 def save_basis(path, basis: BasisSet) -> None:
     """Write a basis as an ``umeb-basis/1`` JSON file."""
-    text = _dumps(basis_to_obj(basis)) + "\n"  # before the file is opened and truncated
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(path, basis_to_obj(basis))
 
 
 def load_basis(path, check_orthonormal: bool = True) -> BasisSet:

@@ -1,6 +1,6 @@
 """Helpers shared by the test modules: the certify-sweep shapes, seeded
-random draws, the Weyl basis without its last member and a recorder of
-``numpy.linalg`` calls."""
+random draws, the Weyl basis without its last member, the list form of a
+file document and a recorder of ``numpy.linalg`` calls."""
 
 import sys
 from typing import NamedTuple
@@ -32,6 +32,15 @@ def weyl_less(d, dprime):
     d' - 1, is too small for a witness at (3,5): certify searches."""
     amplitudes = build_weyl_umeb(d, dprime).amplitudes[:-1]
     return BasisSet(d, dprime, amplitudes, [True] * len(amplitudes))
+
+
+def listed(doc: dict) -> dict:
+    """``doc`` with each array in it turned into the list form its file
+    holds: nested ``[real, imag]`` pairs.  It uses numpy and the stdlib
+    only, never the package's writer, so ``json.dumps(listed(doc))`` is an
+    independent reference for the writer's text."""
+    return {key: np.stack([value.real, value.imag], -1).tolist()
+            if isinstance(value, np.ndarray) else value for key, value in doc.items()}
 
 
 class LinalgCall(NamedTuple):

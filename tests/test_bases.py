@@ -25,7 +25,7 @@ from umebkit.states import (
     weyl_operator,
 )
 
-from helpers import SWEEP_SHAPES, random_unitary
+from helpers import SWEEP_SHAPES, listed, random_unitary
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -294,7 +294,7 @@ def test_weyl_family_matches_member_by_member_reference(d, dprime):
                          labels=[f"{n}{m}" for n in range(d) for m in range(d)])
     basis = build_weyl_umeb(d, dprime)
     assert basis.amplitudes.tobytes() == np.array(reference).tobytes()
-    assert json.dumps(basis_to_obj(basis)) == json.dumps(basis_to_obj(ref_basis))
+    assert json.dumps(listed(basis_to_obj(basis))) == json.dumps(listed(basis_to_obj(ref_basis)))
 
 
 def test_basisset_array_way_in_checks_every_row():

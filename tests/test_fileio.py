@@ -24,7 +24,7 @@ from umebkit.fileio import (
 from umebkit.states import BipartiteState, _norm_errors, standard_mes
 from umebkit.tolerances import ADMIT_TOL, ME_TOL, NORM_TOL, cite
 
-from helpers import SWEEP_SHAPES
+from helpers import SWEEP_SHAPES, listed
 
 
 def test_state_roundtrip_bitwise(tmp_path):
@@ -33,7 +33,7 @@ def test_state_roundtrip_bitwise(tmp_path):
     psi = BipartiteState(3, 4, amp / np.linalg.norm(amp))
     path = tmp_path / "state.json"
     save_state(path, psi)
-    assert path.read_bytes() == (json.dumps(state_to_obj(psi), indent=2) + "\n").encode()
+    assert path.read_bytes() == (json.dumps(listed(state_to_obj(psi)), indent=2) + "\n").encode()
     back = load_state(path)
     assert back.d == 3 and back.dprime == 4
     assert np.array_equal(back.amplitudes, psi.amplitudes)
@@ -172,7 +172,8 @@ def test_basis_load_builds_no_member_states(tmp_path, monkeypatch):
 def test_loaded_basis_is_the_public_constructors_bit_for_bit(tmp_path, edit):
     # the loader builds its basis with the public constructor, setting missing
     # flags by the rule validate() holds them to
-    doc = basis_to_obj(BasisSet(2, 2, [], me_flags=[]) if edit == "empty" else build_c23_second())
+    doc = listed(basis_to_obj(BasisSet(2, 2, [], me_flags=[]) if edit == "empty"
+                              else build_c23_second()))
     if edit == "no flags or labels":
         del doc["me_flags"], doc["labels"]
     elif edit == "rows renormalised":
@@ -206,7 +207,7 @@ def test_saved_basis_is_the_stdlib_indent_2_text(tmp_path, name):
     basis = BUILDERS[name]()
     p = tmp_path / "b.json"
     save_basis(p, basis)
-    assert p.read_bytes() == (json.dumps(basis_to_obj(basis), indent=2) + "\n").encode()
+    assert p.read_bytes() == (json.dumps(listed(basis_to_obj(basis)), indent=2) + "\n").encode()
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1e308, -1e308,
@@ -266,7 +267,14 @@ def test_writer_refuses_what_it_does_not_write(value):
 ARRAYS = [np.array([1.0]), np.array([]), np.array(2.5), np.array([[0.0, -0.0], [5e-324, 1e308]]),
           np.array([np.nan, np.inf, -np.inf]), np.arange(6).reshape(2, 3), np.array([True, False]),
           np.array([1 + 2j, -0.0 - 0.0j]), np.array([[0.1j, -1.0], [np.nan + 0j, 1e16]]),
-          np.zeros((2, 0), dtype=complex)]
+          np.zeros((2, 0), dtype=complex),
+          # arrays written from their buffers: a strided slice, a transposed
+          # (Fortran-order) matrix, a read-only basis array, a 3-D complex
+          # array and a 2-D array with one NaN, which goes the general way
+          np.linspace(-1.0, 1.0, 13)[1::4], (np.arange(6.0).reshape(2, 3) / 7).T,
+          build_weyl_umeb(2, 3).amplitudes,
+          (np.arange(12) / 3 - 1j * np.arange(12)[::-1] / 7).reshape(2, 3, 2),
+          np.array([[0.5, -0.0], [np.nan, 1e-7]])]
 
 
 @pytest.mark.parametrize("a", ARRAYS)
@@ -283,7 +291,7 @@ def test_writer_writes_a_report_as_its_json_fields():
     witness = standard_mes(2, 3)
     report = CertificateReport("numeric-search", 2, 2, 3, 2, "extendible", witness, 1.0, 8)
     expected = {f.name: getattr(report, f.name) for f in fields(report)}
-    expected["witness"] = state_to_obj(witness)
+    expected["witness"] = listed(state_to_obj(witness))
     assert _dumps(report) == json.dumps(expected, indent=2)
     # a field marked metadata={"json": False} is left out
     channel = analyze(build_weyl_umeb(2, 3))
@@ -308,6 +316,35 @@ def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         save_state(s, psi)
     assert s.read_bytes() == before
+
+
+#: The most that saving Weyl(31,33), the largest basis the loader admits
+#: (15.7 MB of amplitudes, a 42 MB file), may raise the peak RSS by, in MB.
+#: Written from the amplitude buffer the save measured +100 MB; through
+#: nested float lists it measured +274 MB.
+SAVE_RSS_BUDGET_MB = 150
+
+ENVELOPE_CHILD = """
+import resource, sys
+from umebkit.bases import build_weyl_umeb
+from umebkit.fileio import save_basis
+basis = build_weyl_umeb(31, 33)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+save_basis(sys.argv[1], basis)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_saving_the_largest_basis_stays_in_its_memory_budget(tmp_path):
+    # a fresh process, so the peak is this save's and not an earlier test's;
+    # the child reads only its own usage
+    path = tmp_path / "w31-33.json"
+    proc = subprocess.run([sys.executable, "-c", ENVELOPE_CHILD, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert path.stat().st_size == 42_268_490
+    assert int(proc.stdout) / 1024 < SAVE_RSS_BUDGET_MB
 
 
 def _reference_read_states(raw_states, n: int, path) -> np.ndarray:
@@ -365,7 +402,7 @@ BAD_AMPLITUDES = {
 
 @pytest.mark.parametrize("kind", list(BAD_AMPLITUDES))
 def test_loader_names_the_first_bad_amplitude_as_the_pair_loop(tmp_path, kind):
-    states = basis_to_obj(build_weyl_umeb(3, 4))["states"]
+    states = listed(basis_to_obj(build_weyl_umeb(3, 4)))["states"]
     for i, j in [(0, 0), (0, 7), (5, 0), (8, 11)]:
         raw = json.loads(json.dumps(states))
         raw[i][j] = BAD_AMPLITUDES[kind]
@@ -380,7 +417,7 @@ def test_loader_names_the_first_bad_amplitude_as_the_pair_loop(tmp_path, kind):
 
 
 def test_loader_meets_faults_in_state_order():
-    states = basis_to_obj(build_weyl_umeb(3, 4))["states"]
+    states = listed(basis_to_obj(build_weyl_umeb(3, 4)))["states"]
     cases = []
     for scale in (1 + 1e-7, 1.01):  # renormalised, refused
         raw = json.loads(json.dumps(states))
@@ -398,7 +435,7 @@ def test_loader_meets_faults_in_state_order():
 
 
 def test_norm_edge_states_warn_once_per_row_in_order(tmp_path):
-    states = basis_to_obj(build_weyl_umeb(3, 5))["states"]
+    states = listed(basis_to_obj(build_weyl_umeb(3, 5)))["states"]
     for i, scale in [(7, 1 - 3e-8), (1, 1 + 2e-7), (4, 1 + 5e-10), (8, 1 + 9e-7)]:
         states[i] = [[x * scale for x in p] for p in states[i]]
     rows, seen = _outcome(_read_states, states, 15)
@@ -421,7 +458,8 @@ JUNK = st.one_of(
 )
 
 
-VALID_DOCS = [json.dumps(basis_to_obj(b)) for b in (build_weyl_umeb(2, 3), build_c23_first())]
+VALID_DOCS = [json.dumps(listed(basis_to_obj(b)))
+              for b in (build_weyl_umeb(2, 3), build_c23_first())]
 
 
 @st.composite
@@ -490,7 +528,7 @@ def test_malformed_basis_files_end_in_exit_2(tmp_path, doc):
 
 
 def test_out_of_range_number_exits_2_without_traceback(tmp_path):
-    doc = basis_to_obj(build_weyl_umeb(2, 3))
+    doc = listed(basis_to_obj(build_weyl_umeb(2, 3)))
     doc["states"][1][2][0] = 10**400  # valid JSON, but no double holds it
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))
