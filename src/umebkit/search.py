@@ -20,6 +20,7 @@ block of the complement decides.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,7 +59,8 @@ CONVERGENCE_TOL = 1e-12
 #: and seed pairs tried, seeds 1-10), with no Gauss-Newton step; so is one on
 #: each of the 60 search-hard subspaces (seeds 1, 7 and 42), after at most 4
 #: steps.  8 rows cost about half of what 64 do to draw and ascend; 8 keeps a
-#: margin for bad starts.
+#: margin for bad starts.  Their draw is kept for the next search at the same
+#: seed and dimension (:func:`_first_stage_draws`).
 FIRST_STAGE = 8
 
 #: F evaluations the first :data:`FIRST_STAGE` restarts get when more are
@@ -392,7 +394,10 @@ def _restart_starts(seed: int, rows: range, n: int) -> np.ndarray:
     So one bit generator, re-keyed per restart (counter, buffer and cached
     word cleared, as a fresh ``Philox(key=[seed, r])`` has them), reproduces
     every restart's stream bit for bit, without building a generator and a
-    throwaway entropy-seeded ``SeedSequence`` per restart.
+    throwaway entropy-seeded ``SeedSequence`` per restart.  It keeps
+    nothing: :func:`_first_stage_draws` keeps the first stage's rows, and
+    the second run's, up to ``restarts`` rows of ``n * 16`` bytes, are drawn
+    again at every search.
     """
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
@@ -411,6 +416,19 @@ def _restart_starts(seed: int, rows: range, n: int) -> np.ndarray:
         bitgen.state = state
         rng.standard_normal(out=draws[i])
     return draws[:, :n] + 1j * draws[:, n:]
+
+
+@functools.lru_cache(maxsize=1)
+def _first_stage_draws(seed: int, n: int) -> np.ndarray:
+    """The starts of restarts 0 to :data:`FIRST_STAGE` - 1 at ``(seed, n)``:
+    ``_restart_starts(seed, range(FIRST_STAGE), n)``, read-only.  The draw
+    of the last ``(seed, n)`` asked for is kept for the next searches there;
+    at most one is held, ``FIRST_STAGE * n * 16`` bytes (128 KiB at n =
+    1024).  A search with fewer restarts reads the leading rows: restart r's
+    start depends on ``(seed, r, n)`` alone."""
+    draws = _restart_starts(seed, range(FIRST_STAGE), n)
+    draws.flags.writeable = False
+    return draws
 
 
 def max_entanglement_in_subspace(
@@ -443,10 +461,11 @@ def max_entanglement_in_subspace(
 def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult:
     """The restarted search of both callers, ended by the first accepted row.
 
-    Restarts below :data:`FIRST_STAGE` run first, for at most
-    :data:`FIRST_RUN_EVALS` F evaluations when more are asked for; only if
-    none of them is accepted do all restarts run again from their starts,
-    with the full ``max_iters``.  Each run parks and finishes rows as
+    Restarts below :data:`FIRST_STAGE` run first, from the kept draw of
+    :func:`_first_stage_draws`, for at most :data:`FIRST_RUN_EVALS` F
+    evaluations when more are asked for; only if none of them is accepted do
+    all restarts run again from their starts, the rest drawn anew, with the
+    full ``max_iters``.  Each run parks and finishes rows as
     :func:`_ascend_batch` describes and stops in the first iteration that
     accepts a row: the rows the exact test passes there, or else the first
     parked row the polish accepts, best F first.  The result is the accepted
@@ -462,17 +481,18 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult
         config = SearchConfig()
     n, R = d * dprime, config.restarts
 
-    def starts(rows: range) -> np.ndarray:  # projected; collapsed starts dropped
-        pg = _project(_restart_starts(config.seed, rows, n), P)
+    def starts(draws: np.ndarray) -> np.ndarray:  # projected; collapsed starts dropped
+        pg = _project(draws, P)
         norm_pg = np.linalg.norm(pg, axis=1)
         kept = norm_pg >= COLLAPSE_FLOOR
         return pg[kept] / norm_pg[kept, None]
 
-    first = starts(range(min(FIRST_STAGE, R)))
+    first = starts(_first_stage_draws(config.seed, n)[:R])
     cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
     runs = [_ascend_batch(P, first, d, dprime, cap, park=True)]
     if R > FIRST_STAGE and not runs[0][6].any():
-        runs.append(_ascend_batch(P, np.concatenate([first, starts(range(FIRST_STAGE, R))]),
+        rest = starts(_restart_starts(config.seed, range(FIRST_STAGE, R), n))
+        runs.append(_ascend_batch(P, np.concatenate([first, rest]),
                                   d, dprime, config.max_iters, park=True))
     psi, F, iterations, converged, collapsed, _, accepted = runs[-1][:7]
     if collapsed.all():

@@ -286,14 +286,22 @@ def test_a_search_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, c
 
     # what numpy raises for --restarts 1000000000000 on Weyl(3,4), whose
     # second run draws every start at once; exit 1 would read as none_found
-    def refuse(*args):
+    def refuse(seed, rows, n):
+        refused.append(rows)
         raise MemoryError("Unable to allocate 175. TiB for an array")
 
+    # Weyl(5,6) without its last member: certify searches it too, and at the
+    # default seed 42 no row of the first run is accepted.  An unpatched
+    # search first keeps the first stage's draw at (42, 30), so the draw
+    # refused is the second run's, which is never kept
+    less, refused = tmp_path / "s5_6-less.json", []
+    save_basis(less, weyl_less(5, 6))
+    search._first_stage_draws.cache_clear()
+    assert main([command, str(less), "--json"]) == {"search": 0, "certify": 1}[command]
+    capsys.readouterr()
     monkeypatch.setattr(search, "_restart_starts", refuse)
-    # Weyl(3,5) without its last member: certify searches it too
-    less = tmp_path / "s3_5-less.json"
-    save_basis(less, weyl_less(3, 5))
     assert main([command, str(less), "--json"]) == 2
+    assert refused == [range(8, 64)]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Unable to allocate 175. TiB for an array\n"

@@ -323,7 +323,17 @@ def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
 #: Written from the amplitude buffer the save measured +100 MB; through
 #: nested float lists it measured +274 MB.
 SAVE_RSS_BUDGET_MB = 150
+#: The most that loading that file may raise the peak RSS by, in MB: about
+#: twice the +183 MB measured (the stdlib parser's nested lists of floats).
+LOAD_RSS_BUDGET_MB = 370
+#: The most that ``umeb pauli --d 32 --json`` (a 62 MB report of 1024
+#: operators) may raise the peak RSS by, in MB.  With every piece of the
+#: text appended to one list and joined once it measured +137 MB; joining
+#: each container's text from its items' texts measured +196 MB.
+PAULI_RSS_BUDGET_MB = 165
 
+#: Each child prints the rise of its own peak RSS, in KiB, over what it held
+#: before the measured call.
 ENVELOPE_CHILD = """
 import resource, sys
 from umebkit.bases import build_weyl_umeb
@@ -334,17 +344,61 @@ save_basis(sys.argv[1], basis)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
+LOAD_CHILD = """
+import resource, sys
+from umebkit.bases import build_weyl_umeb
+from umebkit.fileio import load_basis
+basis = build_weyl_umeb(31, 33)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+loaded = load_basis(sys.argv[1])
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+assert loaded.amplitudes.tobytes() == basis.amplitudes.tobytes()
+assert (loaded.me_flags, loaded.labels) == (basis.me_flags, basis.labels)
+print(rise)
+"""
+
+PAULI_CHILD = """
+import contextlib, os, resource
+from umebkit.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    assert main(["pauli", "--d", "32", "--json"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def rss_rise_mb(child: str, *args) -> float:
+    """The peak-RSS rise, in MB, that ``child`` measures in a fresh process,
+    so that the peak is its call's and not an earlier test's."""
+    proc = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024
+
+
+@pytest.fixture(scope="module")
+def largest_basis_file(tmp_path_factory):
+    """The Weyl(31,33) file a spawned child saves, and the child's rise."""
+    path = tmp_path_factory.mktemp("envelope") / "w31-33.json"
+    return path, rss_rise_mb(ENVELOPE_CHILD, str(path))
+
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_saving_the_largest_basis_stays_in_its_memory_budget(tmp_path):
-    # a fresh process, so the peak is this save's and not an earlier test's;
-    # the child reads only its own usage
-    path = tmp_path / "w31-33.json"
-    proc = subprocess.run([sys.executable, "-c", ENVELOPE_CHILD, str(path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_saving_the_largest_basis_stays_in_its_memory_budget(largest_basis_file):
+    path, rise = largest_basis_file
     assert path.stat().st_size == 42_268_490
-    assert int(proc.stdout) / 1024 < SAVE_RSS_BUDGET_MB
+    assert rise < SAVE_RSS_BUDGET_MB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_loading_the_largest_basis_stays_in_its_memory_budget(largest_basis_file):
+    # the child asserts that the loaded basis is the built one bit for bit
+    path, _ = largest_basis_file
+    assert rss_rise_mb(LOAD_CHILD, str(path)) < LOAD_RSS_BUDGET_MB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_the_largest_pauli_report_stays_in_its_memory_budget():
+    assert rss_rise_mb(PAULI_CHILD) < PAULI_RSS_BUDGET_MB
 
 
 def _reference_read_states(raw_states, n: int, path) -> np.ndarray:

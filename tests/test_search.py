@@ -13,6 +13,7 @@ from umebkit.search import (
     _ascend,
     _ascend_batch,
     _certify_complement,
+    _first_stage_draws,
     _nearest_me_amplitudes,
     _product_block_witness,
     _restart_starts,
@@ -673,6 +674,21 @@ def test_restart_starts_over_a_range_are_that_slice_of_the_full_draw(seed, n):
         assert part.tobytes() == full[rows.start:rows.stop].tobytes()
 
 
+def test_the_first_stage_draw_is_kept_read_only_and_alone():
+    import umebkit.search as search
+
+    assert _first_stage_draws.cache_info().maxsize == 1
+    kept = _first_stage_draws(5, 15)
+    assert not kept.flags.writeable and kept.shape == (search.FIRST_STAGE, 15)
+    assert kept.tobytes() == _restart_starts(5, range(search.FIRST_STAGE), 15).tobytes()
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0
+    assert _first_stage_draws(5, 15) is kept
+    _first_stage_draws(5, 16)
+    assert _first_stage_draws.cache_info().currsize == 1
+    assert _first_stage_draws(5, 15) is not kept
+
+
 # (3,5) k=5 at seed 3: every row of the first run parks in its 32 F
 # evaluations and the polish rejects each, and the second run accepts one at
 # its 47th (at seed 1 the first run accepts one at its fifth); (3,5) k=4 at
@@ -1322,6 +1338,37 @@ def test_each_search_hard_search_ends_at_its_first_polished_row():
                 assert result.restarts_used == 8 and result.evaluations == 16, case
                 assert 0 < result.polish_steps <= 4, case
                 assert result.evaluations_after_park == 0, case  # no row ascends past its park
+
+
+def test_search_hard_searches_draw_the_first_stage_once_per_shape():
+    # in workload order the 4 searches at each (d, d') share one draw
+    _first_stage_draws.cache_clear()
+    for (d, dprime), k in SEARCH_HARD:
+        for j in range(4):
+            P = subspace_projector(1, d, dprime, k, j)
+            max_entanglement_in_subspace(P, d, dprime, SearchConfig(seed=1))
+    info = _first_stage_draws.cache_info()
+    assert (info.misses, info.hits) == (5, 15)
+
+
+def test_the_second_run_draws_its_restarts_anew_and_keeps_none(monkeypatch):
+    import umebkit.search as search
+
+    # (3,5) k=5 at seed 3 reaches the second run (see the staged test above)
+    real, drawn = search._restart_starts, []
+
+    def recording(seed, rows, n):
+        drawn.append((seed, rows, n))
+        return real(seed, rows, n)
+
+    monkeypatch.setattr(search, "_restart_starts", recording)
+    _first_stage_draws.cache_clear()
+    P, config = subspace_projector(1, 3, 5, 5), SearchConfig(restarts=24, max_iters=2000, seed=3)
+    for _ in range(2):
+        assert _search(P, 3, 5, config).verdict == "found_me"
+    assert drawn == [(3, range(0, 8), 15), (3, range(8, 24), 15), (3, range(8, 24), 15)]
+    info = _first_stage_draws.cache_info()
+    assert info.currsize == 1 and _first_stage_draws(3, 15).shape == (8, 15)
 
 
 def test_no_row_is_polished_before_its_second_evaluation(monkeypatch):
