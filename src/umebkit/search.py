@@ -20,6 +20,7 @@ block of the complement decides.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, field, replace
 
@@ -213,15 +214,18 @@ def _nearest_me_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m.reshape(*x.shape[:-2], -1), w.reshape(*x.shape[:-2], d)
 
 
-def _project(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``rows @ P.T``, each row rounded alike in a stack of any size.
+def _project(rows: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit vectors along ``rows @ P.T`` of the rows whose projection
+    does not vanish (norm :data:`COLLAPSE_FLOOR` or more), and the mask of
+    those rows; each row is rounded alike in a stack of any size.
 
     numpy multiplies a one-row stack through gemv, which rounds differently
     from the gemm that every larger stack takes, whatever its other rows; so
     a lone row is multiplied beside a zero row."""
-    if len(rows) == 1:
-        return (np.concatenate([rows, np.zeros_like(rows)]) @ P.T)[:1]
-    return rows @ P.T
+    pm = (np.concatenate([rows, np.zeros_like(rows)]) @ P.T)[:1] if len(rows) == 1 else rows @ P.T
+    norm = np.linalg.norm(pm, axis=1)
+    kept = norm >= COLLAPSE_FLOOR
+    return pm[kept] / norm[kept, None], kept
 
 
 def _polish(P, x, F, w, d, dprime):
@@ -315,6 +319,16 @@ def _gauss_newton(P, x, d, dprime):
         c = c + step[:k] + 1j * step[k:]
 
 
+#: One :func:`_ascend_batch` run: the states ``psi``, their last ``F``, per-row
+#: F evaluation counts ``iterations``, ``converged`` and ``collapsed`` flags,
+#: per iteration the array of F evaluated on the rows then advancing
+#: (``history``), the ``accepted`` rows' flags (they count as converged, and
+#: hold their polished states and F), the ``evaluations_after_park`` of rows
+#: after the one they first parked at, and the Gauss-Newton ``polish_steps``.
+_Run = collections.namedtuple("_Run", "psi F iterations converged collapsed history accepted "
+                                      "evaluations_after_park polish_steps")
+
+
 def _ascend_batch(P, psi0, d, dprime, max_iters, park=False):
     """Advance the rows of ``psi0`` (unit vectors in range(P)) together.
 
@@ -331,12 +345,7 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, park=False):
     first iteration in which a row is accepted ends the whole batch, without
     projecting again, so :func:`_polish` stops at the first row it accepts;
     a row not accepted ascends on as if it had never parked, until it meets
-    its tightened threshold.
-    Returns the states, their last F, per-row F evaluation counts, converged
-    and collapsed flags, per iteration the array of F evaluated on the rows
-    then advancing, the flags of the accepted rows (which count as
-    converged, and hold their polished states and F), the F evaluations of
-    rows after the one they first parked at, and the Gauss-Newton steps.
+    its tightened threshold.  Returns the batch's :class:`_Run`.
     """
     R = psi0.shape[0]
     psi, F_last, iterations = psi0.copy(), np.full(R, -np.inf), np.zeros(R, dtype=int)
@@ -365,14 +374,12 @@ def _ascend_batch(P, psi0, d, dprime, max_iters, park=False):
                 converged |= accepted
                 break
         stop = done | (len(history) >= max_iters)  # every active row has len(history) evals
-        active, pm = active[~stop], _project(m[~stop], P)
-        norm_pm = np.linalg.norm(pm, axis=1)
-        kept = norm_pm >= COLLAPSE_FLOOR
-        collapsed[active[~kept]] = True
-        active, pm = active[kept], pm[kept] / norm_pm[kept, None]
+        pm, kept = _project(m[~stop], P)
+        collapsed[active[~stop][~kept]] = True
+        active = active[~stop][kept]
         psi[active] = pm
-    return (psi, F_last, iterations, converged, collapsed, history, accepted,
-            int(iterations[parked].sum()) - park_evals, polish_steps)
+    return _Run(psi, F_last, iterations, converged, collapsed, history, accepted,
+                int(iterations[parked].sum()) - park_evals, polish_steps)
 
 
 def _ascend(P, psi0, d, dprime, max_iters):
@@ -380,9 +387,9 @@ def _ascend(P, psi0, d, dprime, max_iters):
     that row of any batch that accepts no row.
 
     Returns ``(psi, F_history, converged)``, or None when the row collapses."""
-    psi, _, _, converged, collapsed, history = _ascend_batch(
-        P, psi0[None], d, dprime, max_iters)[:6]
-    return None if collapsed[0] else (psi[0], [F[0] for F in history], bool(converged[0]))
+    run = _ascend_batch(P, psi0[None], d, dprime, max_iters)
+    return None if run.collapsed[0] else (run.psi[0], [F[0] for F in run.history],
+                                          bool(run.converged[0]))
 
 
 def _restart_starts(seed: int, rows: range, n: int) -> np.ndarray:
@@ -468,9 +475,9 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult
     full ``max_iters``.  Each run parks and finishes rows as
     :func:`_ascend_batch` describes and stops in the first iteration that
     accepts a row: the rows the exact test passes there, or else the first
-    parked row the polish accepts, best F first.  The result is the accepted
-    row with the highest F (ties go to the earliest), verdict ``found_me``;
-    without one, the best row of all, ``none_found``.
+    parked row the polish accepts, best F first.  The result is the last
+    run's ``accepted`` row with the highest ``F`` (ties go to the earliest),
+    verdict ``found_me``; without one, its best row of all, ``none_found``.
     P is a complex Hermitian projector, unchecked (the caller checked it or
     built it so), whose columns the polish steps on; one of rank 0 (trace
     below 1/2) is refused.
@@ -480,38 +487,31 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult
     if config is None:
         config = SearchConfig()
     n, R = d * dprime, config.restarts
-
-    def starts(draws: np.ndarray) -> np.ndarray:  # projected; collapsed starts dropped
-        pg = _project(draws, P)
-        norm_pg = np.linalg.norm(pg, axis=1)
-        kept = norm_pg >= COLLAPSE_FLOOR
-        return pg[kept] / norm_pg[kept, None]
-
-    first = starts(_first_stage_draws(config.seed, n)[:R])
+    first, _ = _project(_first_stage_draws(config.seed, n)[:R], P)
     cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
     runs = [_ascend_batch(P, first, d, dprime, cap, park=True)]
-    if R > FIRST_STAGE and not runs[0][6].any():
-        rest = starts(_restart_starts(config.seed, range(FIRST_STAGE, R), n))
+    if R > FIRST_STAGE and not runs[0].accepted.any():
+        rest, _ = _project(_restart_starts(config.seed, range(FIRST_STAGE, R), n), P)
         runs.append(_ascend_batch(P, np.concatenate([first, rest]),
                                   d, dprime, config.max_iters, park=True))
-    psi, F, iterations, converged, collapsed, _, accepted = runs[-1][:7]
-    if collapsed.all():
+    last = runs[-1]
+    if last.collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")
-
-    b = int(np.argmax(np.where(accepted if accepted.any() else ~collapsed, F, -np.inf)))
-    best = psi[b].copy()  # a view would keep the whole batch alive
+    candidates = last.accepted if last.accepted.any() else ~last.collapsed
+    b = int(np.argmax(np.where(candidates, last.F, -np.inf)))
+    best = last.psi[b].copy()  # a view would keep the whole batch alive
     return SearchResult(
         best_state=BipartiteState(d, dprime, best),
-        best_F=float(F[b]),
+        best_F=float(last.F[b]),
         best_min_coeff_scaled=float(np.sqrt(d) * _schmidt_coefficients(best, d, dprime)[0, -1]),
-        iterations_used=int(iterations[b]),
-        restarts_used=int((~collapsed).sum()),
-        restarts_polished=int(accepted.sum()),
-        converged=bool(converged[b]),
-        verdict="found_me" if accepted[b] else "none_found",
-        evaluations=sum(int(run[2].sum()) for run in runs),
-        evaluations_after_park=sum(run[7] for run in runs),
-        polish_steps=sum(run[8] for run in runs),
+        iterations_used=int(last.iterations[b]),
+        restarts_used=int((~last.collapsed).sum()),
+        restarts_polished=int(last.accepted.sum()),
+        converged=bool(last.converged[b]),
+        verdict="found_me" if last.accepted[b] else "none_found",
+        evaluations=sum(int(run.iterations.sum()) for run in runs),
+        evaluations_after_park=sum(run.evaluations_after_park for run in runs),
+        polish_steps=sum(run.polish_steps for run in runs),
     )
 
 

@@ -1,7 +1,9 @@
 """Helpers shared by the test modules: the certify-sweep shapes, seeded
 random draws, the Weyl basis without its last member, the list form of a
-file document and a recorder of ``numpy.linalg`` calls."""
+file document, a recorder of ``numpy.linalg`` calls and the peak-RSS rise
+of a spawned child."""
 
+import subprocess
 import sys
 from typing import NamedTuple
 
@@ -76,3 +78,11 @@ def record_linalg(monkeypatch, *names) -> list:
 
         monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+def rss_rise_mb(child: str, *args) -> float:
+    """The peak-RSS rise, in MB, that ``child`` measures in a fresh process,
+    so that the peak is its call's and not an earlier test's."""
+    proc = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024

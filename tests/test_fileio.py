@@ -24,7 +24,7 @@ from umebkit.fileio import (
 from umebkit.states import BipartiteState, _norm_errors, standard_mes
 from umebkit.tolerances import ADMIT_TOL, ME_TOL, NORM_TOL, cite
 
-from helpers import SWEEP_SHAPES, listed
+from helpers import SWEEP_SHAPES, listed, rss_rise_mb
 
 
 def test_state_roundtrip_bitwise(tmp_path):
@@ -365,14 +365,6 @@ with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
     assert main(["pauli", "--d", "32", "--json"]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
-
-
-def rss_rise_mb(child: str, *args) -> float:
-    """The peak-RSS rise, in MB, that ``child`` measures in a fresh process,
-    so that the peak is its call's and not an earlier test's."""
-    proc = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout) / 1024
 
 
 @pytest.fixture(scope="module")

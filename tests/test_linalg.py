@@ -5,6 +5,7 @@ import pytest
 
 from umebkit import ContractViolationError
 from umebkit.linalg import _entropy, _gram_deviation, _schmidt_coefficients
+from umebkit.states import weyl_operator
 
 from helpers import random_complex, random_unitary
 
@@ -67,7 +68,9 @@ def test_gram_deviation_is_each_inline_form_bit_for_bit():
 
 
 def test_kron_block_swap():
-    sx = np.array([[0, 1], [1, 0]])
+    # the (n=0, m=1) shift-phase operator at d=2 is the shift [[0, 1], [1, 0]];
+    # on A of the A-major index i * d' + j it swaps the two blocks of d'
+    sx = weyl_operator(2, 0, 1)
     v = np.arange(4.0)
     out = np.kron(sx, np.eye(2)) @ v
     assert np.allclose(out, [2, 3, 0, 1])
@@ -75,7 +78,7 @@ def test_kron_block_swap():
 
 def test_kron_weyl_diag():
     # the (n=1, m=0) shift-phase operator at d=2 is diag(1, -1)
-    U = np.diag([1.0, -1.0])
+    U = weyl_operator(2, 1, 0)
     assert np.allclose(np.kron(U, np.eye(3)), np.diag([1, 1, 1, -1, -1, -1]))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from umebkit.search import (
 )
 from umebkit.states import BipartiteState, is_maximally_entangled, standard_mes
 
-from helpers import SWEEP_SHAPES, random_unitary, record_linalg, weyl_less
+from helpers import SWEEP_SHAPES, random_unitary, record_linalg, rss_rise_mb, weyl_less
 
 FAST = SearchConfig(restarts=8, max_iters=500)
 
@@ -43,15 +44,16 @@ def random_subspace_projector(rng, n, rank):
 
 
 def record_runs(monkeypatch):
-    """Record each ``_ascend_batch`` run of the search as (arguments, outputs)."""
+    """Record each ``_ascend_batch`` run of the search as (arguments, its
+    ``_Run`` record)."""
     import umebkit.search as search
 
     real_batch, runs = search._ascend_batch, []
 
     def recording_batch(*args, **kwargs):
-        out = real_batch(*args, **kwargs)
-        runs.append((args, out))
-        return out
+        run = real_batch(*args, **kwargs)
+        runs.append((args, run))
+        return run
 
     monkeypatch.setattr(search, "_ascend_batch", recording_batch)
     return runs
@@ -73,8 +75,8 @@ def record_polish(monkeypatch, runs=()):
     return calls
 
 
-def ladder_parks(out):
-    """The parks of an ``_ascend_batch`` output ``out`` whose polish accepted
+def ladder_parks(run):
+    """The parks of an ``_ascend_batch`` run whose polish accepted
     no row, read from its F history: ``(i, rows, F)`` per iteration i at
     which some rows have ``1 - F`` at most their threshold, which starts at
     ``PARK_STEP`` and tightens by ``PARK_STEP`` at each park.  The rows
@@ -82,10 +84,9 @@ def ladder_parks(out):
     parks at its first, iteration 0."""
     import umebkit.search as search
 
-    iterations, history = out[2], out[5]
-    threshold, parks = np.full(len(iterations), search.PARK_STEP), []
-    for i, F in enumerate(history[1:], start=1):
-        live = np.flatnonzero(iterations > i)
+    threshold, parks = np.full(len(run.iterations), search.PARK_STEP), []
+    for i, F in enumerate(run.history[1:], start=1):
+        live = np.flatnonzero(run.iterations > i)
         park = 1.0 - F <= threshold[live]
         if park.any():
             parks.append((i, live[park], F[park]))
@@ -108,10 +109,11 @@ def count_work(monkeypatch):
         # F never falls within a run, so a row meets the tolerance at every
         # evaluation from the one it parked at, and with its last F; a row
         # parks at its second evaluation at the earliest
-        met = sum(int(np.sum(1.0 - F <= search.PARK_STEP)) for _, out in runs for F in out[5][1:])
-        rows = sum(int(np.sum((1.0 - out[1] <= search.PARK_STEP) & (out[2] > 1)))
-                   for _, out in runs)
-        return sum(int(out[2].sum()) for _, out in runs), met - rows, len(solves)
+        met = sum(int(np.sum(1.0 - F <= search.PARK_STEP))
+                  for _, run in runs for F in run.history[1:])
+        rows = sum(int(np.sum((1.0 - run.F <= search.PARK_STEP) & (run.iterations > 1)))
+                   for _, run in runs)
+        return sum(int(run.iterations.sum()) for _, run in runs), met - rows, len(solves)
 
     return counts
 
@@ -456,13 +458,12 @@ def test_a_search_of_one_evaluation_parks_no_row(d, dprime, seed):
     with pytest.raises(ContractViolationError, match="max_iters must be at least 2"):
         SearchConfig(max_iters=1, seed=seed)
     one = _ascend_batch(P, projected_starts(P, seed, range(8)), d, dprime, 1, park=True)
-    F, iterations, accepted, polish_steps = one[1], one[2], one[6], one[8]
-    assert iterations.tolist() == [1] * 8 and not accepted.any() and polish_steps == 0
+    assert one.iterations.tolist() == [1] * 8 and not one.accepted.any() and one.polish_steps == 0
     two = max_entanglement_in_subspace(P, d, dprime, SearchConfig(max_iters=2, seed=seed))
     assert two.verdict == "found_me" and two.evaluations == 16 and two.polish_steps == 0
     assert abs(1.0 - two.best_F) <= 1e-12
     if seed == 42:
-        assert 1.0 - F.max() <= 1e-3
+        assert 1.0 - one.F.max() <= 1e-3
 
 
 def test_restarts_used_counts_restarts_with_a_candidate(monkeypatch):
@@ -492,20 +493,20 @@ def test_batched_rows_match_single_runs(d, dprime, rank):
     P = random_subspace_projector(rng, n, rank)
     starts = (rng.normal(size=(16, n)) + 1j * rng.normal(size=(16, n))) @ P.T
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    psi, F, iterations, converged, collapsed = _ascend_batch(P, starts, d, dprime, 5000)[:5]
+    run = _ascend_batch(P, starts, d, dprime, 5000)
     for r in range(16):
         out = _ascend(P, starts[r], d, dprime, 5000)
-        assert (out is None) == collapsed[r]
+        assert (out is None) == run.collapsed[r]
         if out is not None:
             _, history, single_converged = out
-            assert abs(history[-1] - F[r]) <= 1e-10
-            assert single_converged == converged[r]
+            assert abs(history[-1] - run.F[r]) <= 1e-10
+            assert single_converged == run.converged[r]
     # the first row to converge keeps its state and F while the others advance
-    r = int(np.argmin(np.where(converged, iterations, np.iinfo(int).max)))
-    k = int(iterations[r])
-    assert k < iterations.max()
-    psi_k, F_k = _ascend_batch(P, starts, d, dprime, k)[:2]
-    assert np.array_equal(psi_k[r], psi[r]) and F_k[r] == F[r]
+    r = int(np.argmin(np.where(run.converged, run.iterations, np.iinfo(int).max)))
+    k = int(run.iterations[r])
+    assert k < run.iterations.max()
+    cut = _ascend_batch(P, starts, d, dprime, k)
+    assert np.array_equal(cut.psi[r], run.psi[r]) and cut.F[r] == run.F[r]
 
 
 def test_best_state_owns_its_amplitudes():
@@ -523,8 +524,8 @@ def test_search_takes_one_stacked_eigh_per_iteration(monkeypatch):
     runs = record_runs(monkeypatch)
     P = random_subspace_projector(np.random.default_rng(35), 24, 16)
     max_entanglement_in_subspace(P, 4, 6, SearchConfig(restarts=16, seed=3))
-    iterations = runs[0][1][2]
-    assert len(stacked(eighs)) <= iterations.max() + 1 < iterations.sum()
+    _, first = runs[0]
+    assert len(stacked(eighs)) <= first.iterations.max() + 1 < first.iterations.sum()
     # every state of this search is well conditioned: the one SVD is the
     # best state's Schmidt coefficients, without singular vectors
     assert stacked(svds) == [(1, 4, 6)]
@@ -569,7 +570,7 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(monkeypatch, case):
     full = _ascend_batch(P, starts, d, dprime, 400)
     calls = record_polish(monkeypatch)
     stopped = _ascend_batch(P, starts, d, dprime, 400, park=True)
-    full_history, history, accepted = full[5], stopped[5], stopped[6]
+    full_history, history, accepted = full.history, stopped.history, stopped.accepted
     # the polish is handed the rows the unstopped run parks, with their F,
     # and rejects them until it accepts one; the batch ends at that iteration
     parks = ladder_parks(full)[:len(calls)]
@@ -581,19 +582,20 @@ def test_witness_stop_ends_the_batch_at_the_first_witness(monkeypatch, case):
     # evaluated, except the accepted rows, which hold their finished states
     assert all(a.tobytes() == b.tobytes() for a, b in zip(history, full_history))
     cut = _ascend_batch(P, starts, d, dprime, len(history))
-    for a, b in zip(stopped[:5], cut[:5]):
+    for field in ("psi", "F", "iterations", "converged", "collapsed"):
+        a, b = getattr(stopped, field), getattr(cut, field)
         assert a[~accepted].tobytes() == b[~accepted].tobytes()
-    assert (stopped[2] == cut[2]).all() and stopped[3][accepted].all()
+    assert (stopped.iterations == cut.iterations).all() and stopped.converged[accepted].all()
     if case == "weyl(2,3)":
         assert not calls and not ladder_parks(full) and not accepted.any()
     else:
         assert calls[-1][2].any()
         assert np.flatnonzero(accepted).tolist() == parks[-1][1][calls[-1][2]].tolist()
         for r in np.flatnonzero(accepted):
-            assert 1.0 - cut[1][r] <= search.PARK_STEP
-            assert me_residual(stopped[0][r], d, dprime) <= search.POLISH_TOL
-            assert np.linalg.norm(stopped[0][r] - P @ stopped[0][r]) <= 1e-12
-            assert abs(1.0 - stopped[1][r]) <= 1e-12
+            assert 1.0 - cut.F[r] <= search.PARK_STEP
+            assert me_residual(stopped.psi[r], d, dprime) <= search.POLISH_TOL
+            assert np.linalg.norm(stopped.psi[r] - P @ stopped.psi[r]) <= 1e-12
+            assert abs(1.0 - stopped.F[r]) <= 1e-12
 
 
 def _check_witness(state, P):
@@ -619,7 +621,8 @@ def test_first_witness_search_agrees_with_full_search(d, dprime, k):
     P = subspace_projector(1, d, dprime, k)
     config = SearchConfig(restarts=8, max_iters=2000, seed=1)
     first = max_entanglement_in_subspace(P, d, dprime, config)
-    psi, F, iterations = _ascend_batch(P, projected_starts(P, 1, range(8)), d, dprime, 2000)[:3]
+    full = _ascend_batch(P, projected_starts(P, 1, range(8)), d, dprime, 2000)
+    psi, F, iterations = full.psi, full.F, full.iterations
     met = 1.0 - F <= search.PARK_STEP
     w = spectra(psi[met], d, dprime)[1]
     accepted = search._polish(P, psi[met], F[met], w, d, dprime)[2]
@@ -651,7 +654,7 @@ def test_certify_stops_at_a_witness_the_full_search_confirms(monkeypatch, d, dpr
     assert report.verdict == "extendible" and full.verdict == "found_me"
     # F is 1 to rounding after two iterations; the full search parks every
     # row there, and its exact test accepts them without a third
-    assert [len(out[5]) for _, out in runs] == [2, 2]
+    assert [len(run.history) for _, run in runs] == [2, 2]
     _check_witness(report.witness, P)
     assert np.abs(basis.amplitudes.conj() @ report.witness.amplitudes).max() <= 1e-9
     F = np.linalg.svd(report.witness.amplitudes.reshape(d, dprime), compute_uv=False).sum() ** 2 / d
@@ -710,21 +713,21 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     # the first run: restarts 0-7, capped at FIRST_RUN_EVALS F evaluations
     starts = projected_starts(P, seed, range(R))
     assert first_args[1].tobytes() == starts[:search.FIRST_STAGE].tobytes()
-    assert first_args[4] == len(first[5]) == search.FIRST_RUN_EVALS
+    assert first_args[4] == len(first.history) == search.FIRST_RUN_EVALS
     # no row of it is accepted: every row that met the threshold was handed
     # to the polish at each of its parks, and rejected
     first_calls, parks = [c for c in calls if c[0] == 0], ladder_parks(first)
-    assert not first[6].any() and not any(ok.any() for _, _, ok in first_calls)
+    assert not first.accepted.any() and not any(ok.any() for _, _, ok in first_calls)
     assert [F.tobytes() for _, F, _ in first_calls] == [F.tobytes() for _, _, F in parks]
-    met = np.flatnonzero(1.0 - first[1] <= search.PARK_STEP)
+    met = np.flatnonzero(1.0 - first.F <= search.PARK_STEP)
     assert set(met) <= {r for _, rows, _ in parks for r in rows}
     assert len(met) == search.FIRST_STAGE
     # the second: every restart from its start, with the full max_iters
     assert args[1].tobytes() == starts.tobytes() and args[4] == max_iters
-    psi, F, iterations, converged, collapsed, history, accepted = second[:7]
-    assert not collapsed.any()
-    assert min(map(len, history)) >= 2
-    assert len(history) == iterations.max()
+    psi, F, iterations, accepted = second.psi, second.F, second.iterations, second.accepted
+    assert not second.collapsed.any()
+    assert min(map(len, second.history)) >= 2
+    assert len(second.history) == iterations.max()
     # k=5: one row is polished and ends the run; k=4: the polish rejects
     # every row handed to it, of the 24 that end within PARK_STEP of F = 1
     met = 1.0 - F <= search.PARK_STEP
@@ -739,13 +742,13 @@ def test_staged_rows_are_their_restarts_ascended_alone(monkeypatch, k):
     assert result.verdict == ("found_me" if k == 5 else "none_found")
     # each row of either run is its restart ascended alone and cut where that
     # run stopped it; the accepted row holds its polished state instead
-    for out, rows in ((first, search.FIRST_STAGE), (second, R)):
-        for r in np.flatnonzero(~out[6][:rows]):
+    for run, rows in ((first, search.FIRST_STAGE), (second, R)):
+        for r in np.flatnonzero(~run.accepted[:rows]):
             alone, alone_history, alone_converged = _ascend(
-                P, starts[r], d, dprime, int(out[2][r])
+                P, starts[r], d, dprime, int(run.iterations[r])
             )
-            assert alone.tobytes() == out[0][r].tobytes() and alone_history[-1] == out[1][r]
-            assert (len(alone_history), alone_converged) == (out[2][r], out[3][r])
+            assert alone.tobytes() == run.psi[r].tobytes() and alone_history[-1] == run.F[r]
+            assert (len(alone_history), alone_converged) == (run.iterations[r], run.converged[r])
 
 
 def test_a_late_row_keeps_its_full_max_iters(monkeypatch):
@@ -757,10 +760,10 @@ def test_a_late_row_keeps_its_full_max_iters(monkeypatch):
     runs = record_runs(monkeypatch)
     config = SearchConfig(restarts=16, max_iters=max_iters, seed=1)
     result = _search(P, d, dprime, config)
-    assert [len(out[5]) for _, out in runs] == [search.FIRST_RUN_EVALS, max_iters]
-    iterations, converged = runs[1][1][2:4]
-    assert not converged.any()
-    assert iterations.tolist() == [max_iters] * 16
+    assert [len(run.history) for _, run in runs] == [search.FIRST_RUN_EVALS, max_iters]
+    _, second = runs[1]
+    assert not second.converged.any()
+    assert second.iterations.tolist() == [max_iters] * 16
     assert result.iterations_used == max_iters and result.verdict == "none_found"
 
 
@@ -827,8 +830,9 @@ def test_certify_of_an_extendible_sweep_shape_is_one_run_of_two_evaluations(monk
     for d, dprime in EXTENDIBLE_SHAPES:
         runs.clear()
         report = certify(build_weyl_umeb(d, dprime), SearchConfig(seed=seed))
-        assert [len(out[5]) for _, out in runs] == [2], (d, dprime)
-        assert runs[0][1][2].tolist() == [2] * 8 and runs[0][1][8] == 0, (d, dprime)
+        assert [len(run.history) for _, run in runs] == [2], (d, dprime)
+        _, first = runs[0]
+        assert first.iterations.tolist() == [2] * 8 and first.polish_steps == 0, (d, dprime)
         assert report.verdict == "extendible" and report.restarts_used == 8, (d, dprime)
         assert me_residual(report.witness.amplitudes, d, dprime) <= search.POLISH_TOL
 
@@ -1002,12 +1006,11 @@ def test_fruitless_first_witness_search_keeps_the_full_best_F():
     config = SearchConfig(seed=1)  # 64 restarts: two runs
     first = _search(P, 3, 5, config)
     # the 64 restarts ascended together to convergence, never parked
-    psi, F, iterations = _ascend_batch(P, projected_starts(P, 1, range(64)), 3, 5,
-                                       config.max_iters)[:3]
-    b = int(np.argmax(F))
+    full = _ascend_batch(P, projected_starts(P, 1, range(64)), 3, 5, config.max_iters)
+    b = int(np.argmax(full.F))
     assert first.verdict == "none_found" and first.restarts_polished == 0
-    assert first.best_F == F[b] and first.iterations_used == iterations[b]
-    assert first.best_state.amplitudes.tobytes() == psi[b].tobytes()
+    assert first.best_F == full.F[b] and first.iterations_used == full.iterations[b]
+    assert first.best_state.amplitudes.tobytes() == full.psi[b].tobytes()
 
 
 def test_certify_of_the_sweep_takes_no_gauss_newton_step(monkeypatch):
@@ -1072,13 +1075,15 @@ def test_rows_the_polish_rejects_ascend_as_if_never_parked(monkeypatch, case):
     for i, rows, _ in parks:
         for r in rows:
             first_park.setdefault(int(r), i)
-    met = np.flatnonzero(1.0 - unparked[1] <= search.PARK_STEP)
+    met = np.flatnonzero(1.0 - unparked.F <= search.PARK_STEP)
     assert 0 < len(met) <= 16 and sorted(first_park) == met.tolist()
     assert sum(map(len, (rows for _, rows, _ in parks))) > len(met)  # some park twice
     # the evaluations after a row's first park count, and only those
-    assert parked[7] == sum(int(unparked[2][r]) - i - 1 for r, i in first_park.items())
-    assert not parked[6].any() and not unparked[6].any()
-    for a, b in zip(parked[:6], unparked[:6]):
+    assert parked.evaluations_after_park == sum(
+        int(unparked.iterations[r]) - i - 1 for r, i in first_park.items())
+    assert not parked.accepted.any() and not unparked.accepted.any()
+    for field in ("psi", "F", "iterations", "converged", "collapsed", "history"):
+        a, b = getattr(parked, field), getattr(unparked, field)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
@@ -1098,9 +1103,9 @@ def test_a_row_the_polish_rejects_is_accepted_at_a_later_park(monkeypatch):
     assert not any(ok.any() for _, _, ok in calls[:-1]) and calls[-1][2].any()
     # the last run, replayed unparked to its stop, parks the rows handed to
     # the polish, and each accepted row had parked before
-    args, out = runs[-1]
+    args, run = runs[-1]
     last = [c for c in calls if c[0] == len(runs) - 1]
-    parks = ladder_parks(_ascend_batch(*args[:4], len(out[5])))[:len(last)]
+    parks = ladder_parks(_ascend_batch(*args[:4], len(run.history)))[:len(last)]
     assert [F.tobytes() for _, F, _ in last] == [F.tobytes() for _, _, F in parks]
     for r in parks[-1][1][last[-1][2]]:
         assert any(r in rows for _, rows, _ in parks[:-1])
@@ -1116,7 +1121,7 @@ def rough_rows():
     """Eight rows of (3,5) k=10 after 12 F evaluations, with 1 - F of about
     1e-2 to 1e-4: none exact, and each a Gauss-Newton start."""
     P = subspace_projector(1, 3, 5, 10)
-    rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12)[0]
+    rough = _ascend_batch(P, projected_starts(P, 1, range(8)), 3, 5, 12).psi
     return P, rough, *spectra(rough, 3, 5)
 
 
@@ -1124,7 +1129,7 @@ def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     import umebkit.search as search
 
     P24, _, _ = weyl_complement(2, 4)
-    exact = _ascend_batch(P24, projected_starts(P24, 1, range(8)), 2, 4, 2)[0]
+    exact = _ascend_batch(P24, projected_starts(P24, 1, range(8)), 2, 4, 2).psi
     # F = 1 to rounding after two F evaluations: the spectra pass the exact
     # test, so no Gauss-Newton step is taken and no F evaluated
     F = np.full(8, 0.5)
@@ -1153,7 +1158,7 @@ def test_polish_accepts_exact_rows_as_they_are_and_polishes_the_rest():
     # near (3,4)'s threshold rank the polish stalls: every row keeps its
     # state and F
     P34 = subspace_projector(1, 3, 4, 5)
-    stuck = _ascend_batch(P34, projected_starts(P34, 1, range(8)), 3, 4, 10000)[0]
+    stuck = _ascend_batch(P34, projected_starts(P34, 1, range(8)), 3, 4, 10000).psi
     F = np.full(8, 0.5)
     x, F_out, ok, _ = search._polish(P34, stuck, F, spectra(stuck, 3, 4)[1], 3, 4)
     assert not ok.any() and x is stuck and F_out is F
@@ -1226,11 +1231,11 @@ def test_a_search_whose_parked_rows_all_fail_the_polish(monkeypatch):
     assert sum(n for n, _ in parked) >= 1 and all(ok == 0 for _, ok in parked)
     assert result.verdict == "none_found" and result.restarts_polished == 0
     starts = projected_starts(P, 1, range(8))
-    psi, F = _ascend_batch(P, starts, 3, 4, config.max_iters)[:2]
-    b = int(np.argmax(F))
-    assert 1.0 - F[b] <= search.PARK_STEP
-    assert result.best_F == F[b]
-    assert result.best_state.amplitudes.tobytes() == psi[b].tobytes()
+    full = _ascend_batch(P, starts, 3, 4, config.max_iters)
+    b = int(np.argmax(full.F))
+    assert 1.0 - full.F[b] <= search.PARK_STEP
+    assert result.best_F == full.F[b]
+    assert result.best_state.amplitudes.tobytes() == full.psi[b].tobytes()
 
 
 def near_miss_projector():
@@ -1512,3 +1517,77 @@ def test_a_full_search_keeps_its_traced_memory_small():
     # and the polish holds one row's Jacobian at a time
     assert result.verdict == "found_me" and result.restarts_used == 8
     assert peak < 0.5 * 2**20
+
+
+#: The most that certify and analyze of the flagged 1023-member basis of
+#: C^32 (x) C^32 (the shift-phase MEB without its last member) may raise the
+#: peak RSS by, over what the child holds once the basis is built, in MB:
+#: about twice the +52 MB measured (certify; analyze adds nothing).
+FLAGGED_RSS_BUDGET_MB = 105
+#: The same for certify, analyze and the search at Weyl(31,33): about twice
+#: the +64 MB measured (certify; analyze and the search stay under its peak).
+WEYL_RSS_BUDGET_MB = 130
+#: The most memory the Weyl(31,33) search may trace once its projector is
+#: built, in MB, where its RSS stays under certify's peak: about 1.5 times
+#: the 11.9 MB measured, at the second run's stacked projection, about 12
+#: arrays of its 64 rows of 1023 amplitudes (1 MB each).  Six more such
+#: arrays held at once, or one n x n temporary (16.7 MB), cross it.
+WEYL_SEARCH_TRACED_BUDGET_MB = 18
+
+#: Each child asserts its reports and prints the rise of its own peak RSS,
+#: in KiB, over what it held once the basis was built.
+FLAGGED_ENVELOPE_CHILD = """
+import resource
+import numpy as np
+from umebkit.bases import BasisSet, _turned
+from umebkit.channel import analyze
+from umebkit.search import SearchConfig, certify
+from umebkit.states import _weyl_operators
+members = _turned(_weyl_operators(32), np.eye(32) / np.sqrt(32))
+basis = BasisSet(32, 32, members[:-1], [True] * 1023)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = certify(basis, SearchConfig(seed=1))
+channel = analyze(basis)
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+assert (report.method, report.verdict) == ("numeric-search", "extendible")
+# the complement is the missing member, and both marginals are I / 32
+assert abs(abs(np.vdot(members[-1], report.witness.amplitudes)) - 1) <= 1e-9
+assert abs(channel.entropy_A - 5) <= 1e-9 and abs(channel.entropy_B - 5) <= 1e-9
+print(rise)
+"""
+
+WEYL_ENVELOPE_CHILD = """
+import resource, sys, tracemalloc
+import numpy as np
+from umebkit.bases import build_weyl_umeb, complement_projector
+from umebkit.channel import analyze
+from umebkit.search import SearchConfig, _search, certify, max_entanglement_in_subspace
+basis, config = build_weyl_umeb(31, 33), SearchConfig(seed=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = certify(basis, config)
+channel = analyze(basis)
+P = complement_projector(basis)
+result = max_entanglement_in_subspace(P, 31, 33, config)
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+assert (report.method, report.verdict) == ("support-rank", "unextendible")
+# the complement is C^31 (x) B levels 31 and 32
+assert abs(channel.entropy_A - 1) <= 1e-9 and abs(channel.entropy_B - np.log2(31)) <= 1e-9
+# 64 restarts used: the last run was the second, of every restart
+assert result.verdict == "none_found" and result.restarts_used == 64
+tracemalloc.start()
+_search(P, 31, 33, config)
+traced = tracemalloc.get_traced_memory()[1] / 2**20
+assert traced < float(sys.argv[1]), traced
+print(rise)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_certify_and_analyze_of_the_flagged_1023_member_basis_stay_in_their_memory_budget():
+    assert rss_rise_mb(FLAGGED_ENVELOPE_CHILD) < FLAGGED_RSS_BUDGET_MB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_certify_analyze_and_search_at_weyl_31_33_stay_in_their_memory_budget():
+    rise = rss_rise_mb(WEYL_ENVELOPE_CHILD, str(WEYL_SEARCH_TRACED_BUDGET_MB))
+    assert rise < WEYL_RSS_BUDGET_MB
