@@ -155,6 +155,7 @@ def main_calls() -> None:
         call("channel", path)
         call("channel", path, "--json", "--log-base", "e")
         call("certify", path, "--json", "--seed", "1")
+        call("certify", path, "--seed", "1")
 
 
 if __name__ == "__main__":

@@ -11,10 +11,14 @@ A document holds its amplitudes as numpy arrays.  Its file is the
 :func:`_dumps` text plus a newline: ``json.dumps(doc, indent=2)`` of the
 document with each array in its list form.  Floats are Python's shortest
 round-trip decimals, so a save/load cycle reproduces every double
-bit-for-bit.  On load, a state whose norm is off by more than 1e-6 is
-rejected; one off by more than 1e-9 is renormalized with a warning.  Files
-with ``d*dprime`` above 1024 are refused: the package is dense and
-desk-scale, and later stages build ``d*dprime x d*dprime`` matrices.
+bit-for-bit.  Both formats are read by one reader, in one order: a JSON
+object, the format tag, ``d``, ``dprime`` and the 1024 cap on their product
+(:func:`_open`), then the amplitude pairs, their finiteness and the norms
+(:func:`_read_states`, which reads a state file as a one-state list).  A
+state file's faults are named by its path, a basis file's by ``state i``.
+A state whose norm is off by more than 1e-6 is rejected; one off by more
+than 1e-9 is renormalized with a warning.  The cap holds because the package
+is dense and desk-scale: later stages build ``d*dprime x d*dprime`` matrices.
 """
 
 from __future__ import annotations
@@ -173,18 +177,13 @@ def _report_fields(report) -> dict:
 def _pairs_to_amplitudes(pairs, expected_len: int, what: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != expected_len:
         raise FileFormatError(f"{what}: expected {expected_len} amplitude pairs")
-    # whole-list checks at C level; the per-pair loop runs only when they
-    # fail, to name the first bad amplitude (subclasses of list, int and
-    # float fail the checks but pass the loop)
+    # whole-list checks at C level; only when they fail does the per-pair
+    # loop run the same test pair by pair, to name the first bad amplitude
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
             and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
         for k, pair in enumerate(pairs):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in pair)
-            ):
+            if (type(pair) is not list or len(pair) != 2
+                    or not set(map(type, pair)) <= {int, float}):
                 raise FileFormatError(f"{what}: amplitude {k} is not a [real, imag] pair")
     try:
         amp = np.array(list(chain.from_iterable(pairs)), dtype=float).view(complex)
@@ -195,16 +194,14 @@ def _pairs_to_amplitudes(pairs, expected_len: int, what: str) -> np.ndarray:
     return amp
 
 
-def _read_states(raw_states: list, n: int, path) -> np.ndarray:
-    """The ``(k, n)`` amplitude rows of a basis file's states, norms admitted.
+def _read_states(raw_states: list, n: int, name) -> np.ndarray:
+    """The ``(k, n)`` amplitude rows of the ``k`` states ``raw_states``,
+    norms admitted; ``name(i)`` names state ``i`` in the messages.
 
     Well-formed states are read as one array.  Otherwise they are read one
     by one, and the first fault met that way is raised: a malformed state,
     or a norm fault in a state before it.
     """
-    def name(i: int) -> str:
-        return f"{path}: state {i}"
-
     k = len(raw_states)
     amplitudes = None
     if set(map(type, raw_states)) <= {list} and set(map(len, raw_states)) <= {n}:
@@ -245,7 +242,10 @@ def _admit_norms(rows: np.ndarray, name) -> None:
         rows[i] = amp / np.linalg.norm(amp)
 
 
-def _load_doc(path) -> dict:
+def _open(path, fmt: str) -> tuple[dict, int, int]:
+    """The document of the ``fmt`` file at ``path`` and its ``d`` and
+    ``dprime``, checked in order: JSON, a top-level object, the format tag,
+    then the dimensions and their product's limit."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -253,10 +253,8 @@ def _load_doc(path) -> dict:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
-    return doc
-
-
-def _check_dims(doc: dict, path) -> tuple[int, int]:
+    if doc.get("format") != fmt:
+        raise FileFormatError(f"{path}: format tag is not {fmt!r}")
     d, dprime = doc.get("d"), doc.get("dprime")
     if not (isinstance(d, int) and isinstance(dprime, int) and 2 <= d <= dprime):
         raise FileFormatError(f"{path}: invalid dimensions d={d!r}, dprime={dprime!r}")
@@ -264,7 +262,7 @@ def _check_dims(doc: dict, path) -> tuple[int, int]:
         raise FileFormatError(
             f"{path}: d*dprime = {d * dprime} exceeds the limit of {MAX_SPACE_DIM}"
         )
-    return d, dprime
+    return doc, d, dprime
 
 
 def state_to_obj(psi: BipartiteState) -> dict:
@@ -296,12 +294,8 @@ def save_state(path, psi: BipartiteState) -> None:
 
 def load_state(path) -> BipartiteState:
     """Read an ``umeb-state/1`` file, applying the norm admission rule."""
-    doc = _load_doc(path)
-    if doc.get("format") != STATE_FORMAT:
-        raise FileFormatError(f"{path}: format tag is not {STATE_FORMAT!r}")
-    d, dprime = _check_dims(doc, path)
-    amp = _pairs_to_amplitudes(doc.get("amplitudes"), d * dprime, f"{path}")
-    _admit_norms(amp[None], lambda i: f"{path}")
+    doc, d, dprime = _open(path, STATE_FORMAT)
+    amp = _read_states([doc.get("amplitudes")], d * dprime, lambda i: f"{path}")[0]
     return BipartiteState(d, dprime, amp)
 
 
@@ -334,14 +328,11 @@ def load_basis(path, check_orthonormal: bool = True) -> BasisSet:
     beyond 1e-6 is a load error — the verification command turns this off,
     since measuring that deviation is its whole job.
     """
-    doc = _load_doc(path)
-    if doc.get("format") != BASIS_FORMAT:
-        raise FileFormatError(f"{path}: format tag is not {BASIS_FORMAT!r}")
-    d, dprime = _check_dims(doc, path)
+    doc, d, dprime = _open(path, BASIS_FORMAT)
     raw_states = doc.get("states")
     if not isinstance(raw_states, list):
         raise FileFormatError(f"{path}: missing states array")
-    amplitudes = _read_states(raw_states, d * dprime, path)
+    amplitudes = _read_states(raw_states, d * dprime, lambda i: f"{path}: state {i}")
     k = len(amplitudes)
 
     labels = doc.get("labels")

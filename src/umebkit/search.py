@@ -491,9 +491,11 @@ def _search(P, d: int, dprime: int, config: SearchConfig | None) -> SearchResult
     cap = config.max_iters if R <= FIRST_STAGE else min(FIRST_RUN_EVALS, config.max_iters)
     runs = [_ascend_batch(P, first, d, dprime, cap, park=True)]
     if R > FIRST_STAGE and not runs[0].accepted.any():
-        rest, _ = _project(_restart_starts(config.seed, range(FIRST_STAGE, R), n), P)
-        runs.append(_ascend_batch(P, np.concatenate([first, rest]),
-                                  d, dprime, config.max_iters, park=True))
+        # the rest is projected and joined to the first stage unbound, so the
+        # run's starts are held twice: here and as _ascend_batch's own copy
+        starts = np.concatenate(
+            [first, _project(_restart_starts(config.seed, range(FIRST_STAGE, R), n), P)[0]])
+        runs.append(_ascend_batch(P, starts, d, dprime, config.max_iters, park=True))
     last = runs[-1]
     if last.collapsed.all():
         raise NumericalFailureError("every restart collapsed; no candidate found")

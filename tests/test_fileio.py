@@ -184,7 +184,7 @@ def test_loaded_basis_is_the_public_constructors_bit_for_bit(tmp_path, edit):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         loaded = load_basis(p)
-        rows = _read_states(doc["states"], doc["d"] * doc["dprime"], p)
+        rows = _read_states(doc["states"], doc["d"] * doc["dprime"], lambda i: f"{p}: state {i}")
     flags = doc.get("me_flags")
     if flags is None:
         unflagged = BasisSet(doc["d"], doc["dprime"], rows, [False] * len(rows))
@@ -426,12 +426,14 @@ def _reference_read_states(raw_states, n: int, path) -> np.ndarray:
 
 
 def _outcome(read, raw_states, n: int) -> tuple:
-    """What ``read`` makes of the states: the error text or the rows' bytes,
-    and the warnings on the way, in order."""
+    """What ``read`` makes of the states of a file ``f.json``: the error text
+    or the rows' bytes, and the warnings on the way, in order.  The reference
+    takes the path, the loader the function that names state i."""
+    name = "f.json" if read is _reference_read_states else (lambda i: f"f.json: state {i}")
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         try:
-            result = read(json.loads(json.dumps(raw_states)), n, "f.json").tobytes()
+            result = read(json.loads(json.dumps(raw_states)), n, name).tobytes()
         except FileFormatError as exc:
             result = str(exc)
     return result, [str(w.message) for w in seen]
@@ -494,6 +496,105 @@ def test_norm_edge_states_warn_once_per_row_in_order(tmp_path):
         basis = load_basis(p)
     assert [str(w.message) for w in loaded] == [w.replace("f.json", str(p)) for w in seen]
     assert basis.amplitudes.tobytes() == rows
+
+
+def test_state_file_refusals_and_warnings_are_exact(tmp_path):
+    # a state file's amplitude faults read as the per-state reference's
+    # one-row outcome, with the file named by its path alone
+    p = tmp_path / "s.json"
+    amplitudes = listed(state_to_obj(standard_mes(2, 3)))["amplitudes"]
+
+    def state_doc(**edits):
+        doc = {"format": "umeb-state/1", "d": 2, "dprime": 3, "amplitudes": amplitudes}
+        doc.update(edits)
+        return {key: value for key, value in doc.items() if value is not None}
+
+    def loaded(text):
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                result = load_state(p).amplitudes.tobytes()
+            except FileFormatError as exc:
+                result = str(exc)
+        return result, [str(w.message) for w in seen]
+
+    def named(text):  # the reference's one-row name, as a state file is named
+        return text.replace("f.json: state 0:", f"{p}:")
+
+    cases = {"short": amplitudes[:-1], "missing": None,
+             "renormalised": [[re * (1 + 1e-7), im] for re, im in amplitudes],
+             "refused": [[re * 1.01, im] for re, im in amplitudes]}
+    for kind, bad in BAD_AMPLITUDES.items():
+        for j in (0, 5):
+            cases[f"{kind} at {j}"] = [bad if k == j else pair
+                                       for k, pair in enumerate(amplitudes)]
+    for case, amps in cases.items():
+        result, seen = _outcome(_reference_read_states, [amps], 6)
+        assert isinstance(result, str) or case == "renormalised"
+        assert len(seen) == (case == "renormalised")
+        expected = (named(result) if isinstance(result, str) else result, list(map(named, seen)))
+        assert loaded(json.dumps(state_doc(amplitudes=amps))) == expected, case
+
+    try:
+        json.loads("{not json")
+    except json.JSONDecodeError as exc:
+        invalid = f"{p}: invalid JSON ({exc})"
+    refusals = [
+        ("{not json", invalid),
+        ("[]", f"{p}: top level must be an object"),
+        (json.dumps(state_doc(format="umeb-basis/1")), f"{p}: format tag is not 'umeb-state/1'"),
+        (json.dumps(state_doc(d=3, dprime=2)), f"{p}: invalid dimensions d=3, dprime=2"),
+        (json.dumps(state_doc(d="2")), f"{p}: invalid dimensions d='2', dprime=3"),
+        (json.dumps(state_doc(d=32, dprime=33)),
+         f"{p}: d*dprime = 1056 exceeds the limit of 1024"),
+    ]
+    for text, message in refusals:
+        assert loaded(text) == (message, [])
+
+
+def test_well_formed_states_are_read_as_one_array(tmp_path, monkeypatch):
+    # one _pairs_to_amplitudes call over all k*n pairs, however the norm
+    # rule then treats the rows; the per-state loop only for a malformed state
+    import umebkit.fileio
+
+    calls = []
+    real = umebkit.fileio._pairs_to_amplitudes
+
+    def counted(pairs, expected_len, what):
+        calls.append((len(pairs) if isinstance(pairs, list) else None, what))
+        return real(pairs, expected_len, what)
+
+    monkeypatch.setattr(umebkit.fileio, "_pairs_to_amplitudes", counted)
+    states = listed(basis_to_obj(build_weyl_umeb(3, 5)))["states"]  # 9 states of 15
+    p = tmp_path / "w.json"
+
+    def load(raw):
+        p.write_text(json.dumps({"format": "umeb-basis/1", "d": 3, "dprime": 5, "states": raw}))
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with contextlib.suppress(FileFormatError):
+                load_basis(p)
+        return calls
+
+    for scale in (1, 1 + 1e-7, 1.01):  # as saved, renormalised, refused
+        raw = json.loads(json.dumps(states))
+        raw[4] = [[x * scale for x in pair] for pair in raw[4]]
+        assert load(raw) == [(135, "")]
+    for kind, bad in BAD_AMPLITUDES.items():
+        raw = json.loads(json.dumps(states))
+        raw[4][7] = bad
+        assert load(raw) == [(135, "")] + [(15, f"{p}: state {i}") for i in range(5)], kind
+    raw = json.loads(json.dumps(states))
+    raw[4] = raw[4][:-1]  # a short state is read one by one from the start
+    assert load(raw) == [(15, f"{p}: state {i}") for i in range(4)] + [(14, f"{p}: state 4")]
+
+    s = tmp_path / "s.json"
+    save_state(s, standard_mes(3, 5))
+    calls.clear()
+    load_state(s)
+    assert [length for length, _ in calls] == [15]
 
 
 #: JSON values that are wrong wherever the format expects something else.
