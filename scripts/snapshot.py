@@ -1,9 +1,10 @@
-"""Print a fingerprint of the CLI's behaviour: one line per ``umeb`` call.
+"""Print a fingerprint of the package's behaviour: one line per ``umeb`` call,
+then one line per seeded search.
 
-    PYTHONPATH=src python scripts/snapshot.py > head.snap
+    PYTHONPATH=src python scripts/snapshot.py --seed 1 > head.snap
 
-Each line holds the call, its exit code and the sha256 of its stdout and of
-its stderr; a call that writes a file adds the sha256 of that file.  The
+Each call line holds the call, its exit code and the sha256 of its stdout and
+of its stderr; a call that writes a file adds the sha256 of that file.  The
 calls cover every subcommand with its refusals on the Weyl bases (2,3) to
 (4,6) and both 2 x 3 bases, and ``certify --json`` and ``search --json``
 (seeds 1, 7 and 42) and ``channel --json`` on the 49 shapes with
@@ -14,13 +15,29 @@ the (3,5) Weyl basis without its last member, and the (2,5) Weyl basis with
 a copy moved up two B levels, whose complement is C^2 x the last B level.
 They run in-process, in a fresh temporary directory, with relative file
 names and 80 terminal columns, so no line depends on the checkout's path or
-the terminal.  Two checkouts compare by running this script with each one's
-``src`` on PYTHONPATH and diffing the outputs: an empty diff means the same
-exit codes and the same bytes on every stream and file.
+the terminal.
+
+Then :func:`search_calls` runs ``max_entanglement_in_subspace`` with 64
+restarts on the 20 random subspaces of the benchmark's ``search-hard``
+workload, drawn from ``--seed`` (default 1; it moves no call line) as
+``bench/workloads.py`` draws them, and prints per search the work its
+``SearchResult`` reports: ``evaluations``, ``after_park``
+(``evaluations_after_park``), ``polish_steps`` and ``polished``
+(``restarts_polished``).  Then it prints 56 reports at fixed seeds, whatever
+``--seed``: the four subspaces of each of the :data:`REPORT_CASES`, drawn
+and searched (``max_iters`` 2000) at seeds 1 and 42.  Every search line ends
+with its verdict and the sha256 of the result's ``--json`` text, so a moved
+witness shows even where the counts hold.  The last line is one JSON line of
+the search-hard totals.
+
+Two checkouts compare by running this script with each one's ``src`` on
+PYTHONPATH and diffing the outputs: an empty diff means the same exit codes,
+the same bytes on every stream and file and the same seeded searches.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -29,13 +46,25 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from umebkit.cli import main
+from umebkit.fileio import _dumps
+from umebkit.search import SearchConfig, max_entanglement_in_subspace
 
 #: The Weyl shapes whose every subcommand is called.
 PAPER_SHAPES = [(d, dp) for d in range(2, 5) for dp in range(d + 1, 7)]
 #: Every (d, d') with 2 <= d < d' and d * d' <= 49, as the benchmark sweeps them.
 SWEEP_SHAPES = [(d, dp) for d in range(2, 8) for dp in range(d + 1, 25) if d * dp <= 49]
 SWEEP_SEEDS = (1, 7, 42)
+#: (d, d') and subspace rank k of the search-hard workload, 4 subspaces each.
+HARD_CASES = [((3, 5), 10), ((4, 6), 16), ((5, 7), 26), ((6, 8), 37), ((7, 7), 43)]
+#: (d, d') and k of the fixed reports: search-hard ranks and threshold ranks.
+REPORT_CASES = [((3, 5), 5), ((3, 5), 10), ((4, 6), 16), ((5, 7), 13), ((5, 7), 26),
+                ((3, 4), 5), ((4, 5), 9)]
+REPORT_SEEDS = (1, 42)
+SUBSPACES_PER_CASE = 4
+LINE = "{:23s} evaluations {:5d}  after_park {:5d}  polish_steps {:4d}  polished {:2d}  {} {}"
 
 
 def sha(data: bytes) -> str:
@@ -158,8 +187,39 @@ def main_calls() -> None:
         call("certify", path, "--seed", "1")
 
 
+def search_calls(seed: int) -> None:
+    """Print one line per seeded search, then the search-hard totals.
+
+    Subspace j of a case is the range of the QR of a complex Gaussian n x k
+    matrix drawn from ``default_rng([seed, d, dprime, k, j])``."""
+    runs = [("", seed, HARD_CASES, {})]
+    runs += [(f"s{at} ", at, REPORT_CASES, {"max_iters": 2000}) for at in REPORT_SEEDS]
+    totals = [0, 0, 0, 0]
+    for label, at, cases, config in runs:
+        for (d, dprime), k in cases:
+            for j in range(SUBSPACES_PER_CASE):
+                n = d * dprime
+                rng = np.random.default_rng([at, d, dprime, k, j])
+                q, _ = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
+                r = max_entanglement_in_subspace(q @ q.conj().T, d, dprime,
+                                                 SearchConfig(seed=at, **config))
+                counts = (r.evaluations, r.evaluations_after_park, r.polish_steps,
+                          r.restarts_polished)
+                print(LINE.format(f"{label}({d},{dprime}) k={k} #{j}", *counts, r.verdict,
+                                  sha(_dumps(r).encode())))
+                if cases is HARD_CASES:
+                    totals = [t + c for t, c in zip(totals, counts)]
+    keys = ("evaluations", "after_park", "polish_steps", "polished")
+    searches = len(HARD_CASES) * SUBSPACES_PER_CASE
+    print(json.dumps({"seed": seed, "searches": searches, **dict(zip(keys, totals))}))
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    seed = parser.parse_args().seed
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines to the terminal
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         main_calls()
+        search_calls(seed)
